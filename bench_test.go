@@ -21,6 +21,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codegen"
+	"repro/internal/core"
 	"repro/internal/kernels"
 	"repro/internal/tasking"
 	"repro/polypipe"
@@ -327,6 +329,45 @@ func BenchmarkDetect(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkCompile splits the compile path the repository benchmark
+// reports as compile_ms (a fresh Session's first pipelined run, minus
+// the run) into its layers on the t9_light members: Algorithm 1, task
+// generation from the detected blocks, and lowering to the runtime IR.
+// Each should grow with the block and point counts — ~4× per doubling
+// of n — and no faster.
+func BenchmarkCompile(b *testing.B) {
+	for _, name := range []string{"P4", "P7", "P10"} {
+		spec, _ := kernels.T9SpecByName(name)
+		for _, n := range []int{32, 64} {
+			p := kernels.BuildTable9(spec, n, 1)
+			info, err := core.Detect(p.SCoP, core.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			prog, err := codegen.Compile(info)
+			if err != nil {
+				b.Fatal(err)
+			}
+			layers := []struct {
+				name string
+				fn   func()
+			}{
+				{"detect", func() { _, _ = core.Detect(p.SCoP, core.Options{}) }},
+				{"codegen", func() { _, _ = codegen.Compile(info) }},
+				{"lower", func() { prog.BuildIR() }},
+			}
+			for _, l := range layers {
+				b.Run(fmt.Sprintf("%s/N=%d/%s", name, n, l.name), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						l.fn()
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -104,8 +104,9 @@ func TestServeModeEndToEnd(t *testing.T) {
 	if code, body := get("/healthz"); code != http.StatusOK || !strings.Contains(body, "ok") {
 		t.Fatalf("/healthz = %d %q", code, body)
 	}
-	// The loop has run at least once by the time the sampler has two
-	// samples; poll for both conditions together.
+	// Poll until the sampler has two samples and the loop's first run
+	// has finished (the address is reported before that run starts, and
+	// the sampler ticks whether or not a run has completed).
 	deadline := time.Now().Add(10 * time.Second)
 	var series export.Series
 	for {
@@ -113,11 +114,12 @@ func TestServeModeEndToEnd(t *testing.T) {
 		if err := json.Unmarshal([]byte(body), &series); err != nil {
 			t.Fatalf("/debug/series JSON: %v", err)
 		}
-		if len(series.Samples) >= 2 {
+		_, metrics := get("/metrics")
+		if len(series.Samples) >= 2 && strings.Contains(metrics, "runtime_executed") {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("sampler stuck at %d samples", len(series.Samples))
+			t.Fatalf("sampler at %d samples, first run finished: %v", len(series.Samples), strings.Contains(metrics, "runtime_executed"))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

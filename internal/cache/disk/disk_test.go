@@ -120,6 +120,21 @@ func TestDiskRoundTripBitIdentical(t *testing.T) {
 		if got.SCoP != tc.sc {
 			t.Fatalf("%s: loaded Info not bound to the requesting SCoP", tc.name)
 		}
+		// The dependence graph is stored in full although detection no
+		// longer computes it: Store demands every relation, Load adopts
+		// them, and they equal what the live graph computes on demand.
+		wf, wi := want.Graph.Relations()
+		gf, gi := got.Graph.Relations()
+		for i := range wf {
+			for j := range wf[i] {
+				if (wf[i][j] == nil) != (gf[i][j] == nil) || (wf[i][j] != nil && !wf[i][j].Equal(gf[i][j])) {
+					t.Fatalf("%s: loaded flow relation %d -> %d differs", tc.name, i, j)
+				}
+			}
+			if !wi[i].Equal(gi[i]) {
+				t.Fatalf("%s: loaded intra relation %d differs", tc.name, i)
+			}
+		}
 	}
 }
 

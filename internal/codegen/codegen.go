@@ -21,11 +21,12 @@ import (
 )
 
 // TaskSpec is one generated task before submission to the runtime.
+// Leader and Members alias the block detection built (StmtInfo.Blocks);
+// they are shared and read-only.
 type TaskSpec struct {
 	Stmt    *scop.Statement
 	Leader  isl.Vec
 	Members []isl.Vec
-	Label   string
 	Out     int
 	In      []int
 	Serial  int
@@ -33,6 +34,13 @@ type TaskSpec struct {
 	// (the statement has no intra-nest conflicts); set only under
 	// hybrid compilation.
 	ParallelBody bool
+}
+
+// Label names the task in traces and emitted source ("S[3, 8]"). It is
+// formatted on demand: a compile creates tens of thousands of tasks
+// and only a traced run or an emission ever reads their names.
+func (t *TaskSpec) Label() string {
+	return fmt.Sprintf("%s%v", t.Stmt.Name, t.Leader)
 }
 
 // CompileOptions tunes code generation beyond the paper's prototype.
@@ -155,24 +163,36 @@ func compileTasks(info *core.Info, opts CompileOptions) (*TaskProgram, error) {
 
 	stop = opts.Obs.Phase("codegen.lower")
 	defer stop()
+	// One spec per block detection built, in schedule-tree order; the
+	// in-edge addresses of all tasks share one backing array sized from
+	// the dependency relations, so a compile allocates per program, not
+	// per task.
 	instances := schedtree.Flatten(tree)
-	for _, inst := range instances {
+	edges := 0
+	for _, si := range info.Stmts {
+		for _, dep := range si.InDeps {
+			edges += dep.Rel.Card()
+		}
+	}
+	ins := make([]int, 0, edges)
+	prog.Tasks = make([]TaskSpec, len(instances))
+	for i, inst := range instances {
 		stmt := inst.Task.Stmt
-		spec := TaskSpec{
+		first := len(ins)
+		for _, dep := range inst.Task.InDeps {
+			for _, q := range dep.Rel.Lookup(inst.Leader) {
+				ins = append(ins, coder.Encode(dep.Src.Index, q))
+			}
+		}
+		prog.Tasks[i] = TaskSpec{
 			Stmt:         stmt,
 			Leader:       inst.Leader,
 			Members:      inst.Members,
-			Label:        fmt.Sprintf("%s%v", stmt.Name, inst.Leader),
 			Out:          coder.Encode(stmt.Index, inst.Leader),
+			In:           ins[first:len(ins):len(ins)],
 			Serial:       stmt.Index,
 			ParallelBody: parallelBody[stmt.Index],
 		}
-		for _, dep := range inst.Task.InDeps {
-			for _, q := range dep.Rel.Lookup(inst.Leader) {
-				spec.In = append(spec.In, coder.Encode(dep.Src.Index, q))
-			}
-		}
-		prog.Tasks = append(prog.Tasks, spec)
 	}
 	prog.blocks = len(prog.Tasks)
 	opts.Obs.Count("codegen.tasks", int64(prog.blocks))
@@ -245,12 +265,15 @@ type Layer interface {
 // order.
 func (p *TaskProgram) Submit(r Layer) {
 	for i := range p.Tasks {
-		r.Submit(p.task(i))
+		t := p.task(i)
+		t.Label = p.Tasks[i].Label()
+		r.Submit(t)
 	}
 }
 
-// task materializes task i — body closure plus dependency interface —
-// for submission to a streaming layer or lowering into the IR.
+// task materializes task i — body closure plus dependency interface,
+// unlabelled — for submission to a streaming layer or lowering into the
+// IR.
 func (p *TaskProgram) task(i int) runtime.Task {
 	spec := &p.Tasks[i]
 	body := spec.Stmt.Body
@@ -266,7 +289,6 @@ func (p *TaskProgram) task(i int) runtime.Task {
 	}
 	return runtime.Task{
 		Fn:     fn,
-		Label:  spec.Label,
 		Out:    spec.Out,
 		In:     spec.In,
 		Serial: spec.Serial,
@@ -281,6 +303,7 @@ func (p *TaskProgram) task(i int) runtime.Task {
 // program-lifetime IR.
 func (p *TaskProgram) BuildIR() *runtime.Program {
 	b := runtime.NewBuilder(len(p.Tasks))
+	b.Labels = func(i int) string { return p.Tasks[i].Label() }
 	for i := range p.Tasks {
 		b.Add(p.task(i))
 	}

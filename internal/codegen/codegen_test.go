@@ -84,7 +84,7 @@ func TestCompileListing1(t *testing.T) {
 	for _, task := range prog.Tasks {
 		for _, in := range task.In {
 			if !outs[in] {
-				t.Fatalf("task %s depends on address %d with no earlier writer", task.Label, in)
+				t.Fatalf("task %s depends on address %d with no earlier writer", task.Label(), in)
 			}
 		}
 		outs[task.Out] = true
@@ -187,9 +187,9 @@ func TestQuickAddressUniqueness(t *testing.T) {
 		seen := map[int]string{}
 		for _, task := range prog.Tasks {
 			if prev, dup := seen[task.Out]; dup {
-				t.Fatalf("seed %d: address %d used by %s and %s", seed, task.Out, prev, task.Label)
+				t.Fatalf("seed %d: address %d used by %s and %s", seed, task.Out, prev, task.Label())
 			}
-			seen[task.Out] = task.Label
+			seen[task.Out] = task.Label()
 		}
 	}
 }
@@ -221,6 +221,37 @@ func TestHybridCompileRunInPackage(t *testing.T) {
 		prog.Run(4)
 		if got := p.Hash(); got != want {
 			t.Fatalf("trial %d: hybrid run differs from sequential", trial)
+		}
+	}
+}
+
+// TestCompileAllocsProportionalToTasks is the compile path's complexity
+// guard, free of any clock: Compile allocates per program — the task
+// array, the shared in-edge array, the schedule tree's handful of
+// sets — and never per task, so its allocation count stays under one
+// line c·tasks + c′ at two sizes a factor of four apart. A label
+// formatted per task, an In slice grown per task, or a block re-derived
+// from the contraction would each add at least one allocation per task
+// and break the bound at both sizes.
+func TestCompileAllocsProportionalToTasks(t *testing.T) {
+	const perTask, fixed = 1.0 / 8, 400
+	for _, n := range []int{16, 32} {
+		p, err := kernels.Table9Program("P10", n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := core.Detect(p.SCoP, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		info.Freeze()
+		prog, err := Compile(info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() { _, _ = Compile(info) })
+		if bound := perTask*float64(prog.NumTasks()) + fixed; allocs > bound {
+			t.Errorf("n=%d: Compile made %.0f allocations for %d tasks, bound %.0f", n, allocs, prog.NumTasks(), bound)
 		}
 	}
 }

@@ -147,17 +147,14 @@ func (in *Info) TotalBlocks() int {
 
 // Freeze materializes the lazy ordering caches of every relation the
 // result holds — statement domains, pair T/V/Y maps, integrated E
-// maps, in-dependency relations, and the dependence graph — and
-// returns in. A frozen Info is safe for any number of concurrent
-// readers (lookups, lowering, execution) with no further
-// synchronization, which is the representation the detection cache
-// stores (internal/cache).
+// maps, and in-dependency relations — and returns in (the dependence
+// graph freezes each of its relations as it computes them). A frozen
+// Info is safe for any number of concurrent readers (lookups,
+// lowering, execution) with no further synchronization, which is the
+// representation the detection cache stores (internal/cache).
 func (in *Info) Freeze() *Info {
 	for _, s := range in.SCoP.Stmts {
 		s.Domain.Freeze()
-	}
-	if in.Graph != nil {
-		in.Graph.Freeze()
 	}
 	for i := range in.Pairs {
 		p := &in.Pairs[i]
@@ -233,7 +230,7 @@ func Detect(sc *scop.SCoP, opts Options) (*Info, error) {
 		stop()
 		return nil, fmt.Errorf("%w: %w", ErrNotPipelinable, err)
 	}
-	g := deps.AnalyzeParallel(sc, workers)
+	g := deps.Analyze(sc)
 	stop()
 	opts.Obs.Count("detect.statements", int64(len(sc.Stmts)))
 	info := &Info{SCoP: sc, Graph: g}
@@ -273,17 +270,11 @@ func Detect(sc *scop.SCoP, opts Options) (*Info, error) {
 	results := make([]pairResult, len(jobs))
 	par.For(len(jobs), workers, func(i int) {
 		j := jobs[i]
-		var t *isl.Map
-		var err error
-		if j.src.Write.MayOverwrite {
-			if !opts.AllowOverwrites {
-				results[i].err = fmt.Errorf("%w: statement %q has a non-injective write; set Options.AllowOverwrites to use the relaxed extension", ErrNotPipelinable, j.src.Name)
-				return
-			}
-			t, err = PipelineMapRelaxed(j.src.Write.Rel, j.rd)
-		} else {
-			t, err = PipelineMap(j.src.Write.Rel, j.rd)
+		if j.src.Write.MayOverwrite && !opts.AllowOverwrites {
+			results[i].err = fmt.Errorf("%w: statement %q has a non-injective write; set Options.AllowOverwrites to use the relaxed extension", ErrNotPipelinable, j.src.Name)
+			return
 		}
+		t, err := pipelineMap(g.WriteInverse(j.src), j.rd, j.src.Write.MayOverwrite)
 		if err != nil {
 			results[i].err = fmt.Errorf("core: pipeline map %s -> %s: %w", j.src.Name, j.dst.Name, err)
 			return

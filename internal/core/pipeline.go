@@ -35,17 +35,7 @@ var ErrNonInjectiveWrite = errors.New("core: source write relation is not inject
 // the property tests) and avoids materializing the quadratic lex-≤
 // relation.
 func PipelineMap(wr, rd *isl.Map) (*isl.Map, error) {
-	if wr.OutSpace() != rd.OutSpace() {
-		return nil, fmt.Errorf("core: write relation targets %v but read relation targets %v",
-			wr.OutSpace(), rd.OutSpace())
-	}
-	if !wr.IsInjective() {
-		return nil, ErrNonInjectiveWrite
-	}
-	p := isl.Compose(wr.Inverse(), rd)
-	h := isl.PrefixLexmax(p, p.Domain())
-	t := h.Inverse().LexmaxPerIn()
-	return t, nil
+	return pipelineMap(wr.Inverse(), rd, false)
 }
 
 // PipelineMapRelaxed computes the pipeline map without the injective-
@@ -62,15 +52,26 @@ func PipelineMap(wr, rd *isl.Map) (*isl.Map, error) {
 // again, so the enabling property of §4.1 carries over. For injective
 // writes this reduces exactly to PipelineMap.
 func PipelineMapRelaxed(wr, rd *isl.Map) (*isl.Map, error) {
-	if wr.OutSpace() != rd.OutSpace() {
+	return pipelineMap(wr.Inverse(), rd, true)
+}
+
+// pipelineMap is PipelineMap (or, with relaxed set, PipelineMapRelaxed)
+// given Wr⁻¹ instead of Wr: detection inverts a statement's write once
+// (deps.Graph.WriteInverse) and shares it between every pair the
+// statement is the source of. wInv is only read.
+func pipelineMap(wInv, rd *isl.Map, relaxed bool) (*isl.Map, error) {
+	if wInv.InSpace() != rd.OutSpace() {
 		return nil, fmt.Errorf("core: write relation targets %v but read relation targets %v",
-			wr.OutSpace(), rd.OutSpace())
+			wInv.InSpace(), rd.OutSpace())
 	}
-	wLast := wr.Inverse().LexmaxPerIn()
-	p := isl.Compose(wLast, rd)
+	if relaxed {
+		wInv = wInv.LexmaxPerIn() // W_last
+	} else if !wInv.IsSingleValued() {
+		return nil, ErrNonInjectiveWrite
+	}
+	p := isl.Compose(wInv, rd)
 	h := isl.PrefixLexmax(p, p.Domain())
-	t := h.Inverse().LexmaxPerIn()
-	return t, nil
+	return h.Inverse().LexmaxPerIn(), nil
 }
 
 // BlockingMap partitions domain into pipeline blocks led by the given

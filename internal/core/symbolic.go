@@ -626,8 +626,7 @@ func materializePW(domain *isl.Set, p sym.PW) *isl.Map {
 func (si *SymInfo) Materialize() *Info {
 	sc := si.SCoP
 	workers := par.Workers(si.workers)
-	g := deps.AnalyzeParallel(sc, workers)
-	info := &Info{SCoP: sc, Graph: g}
+	info := &Info{SCoP: sc, Graph: deps.Analyze(sc)}
 	for _, s := range sc.Stmts {
 		s.Domain.Freeze()
 	}

@@ -10,9 +10,9 @@ package deps
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/isl"
-	"repro/internal/par"
 	"repro/internal/scop"
 )
 
@@ -40,68 +40,64 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Graph holds the dependences of one SCoP.
+// Graph holds the dependences of one SCoP. Its relations are lazy:
+// Analyze records only the SCoP, and each flow[src][dst] and intra[s]
+// relation is computed from the access relations the first time an
+// accessor asks for it, frozen, and kept. Detection itself only ever
+// asks whether a pair is dependent at all (DependsOn, Targets), which a
+// range-intersection test answers without building the relation.
+//
+// Every cell is guarded by its own sync.Once and frozen before it is
+// published, so a Graph — including one inside a cached, shared
+// core.Info — is safe for any number of concurrent readers.
 type Graph struct {
 	scop *scop.SCoP
 	// flow[src][dst] is the union of flow-dependence relations from
 	// iterations of statement src to iterations of statement dst,
-	// indexed by statement Index. Entries are nil when independent.
-	flow [][]*isl.Map
+	// indexed by statement Index; nil once computed means independent.
+	flow [][]cell
 	// intra[s] holds unordered intra-statement conflict pairs (i, j)
 	// with i ≺ j for statement s, across flow, anti, and output
 	// conflicts. Used for per-dimension parallelism tests.
-	intra []*isl.Map
+	intra []cell
+	// winv[s] is the inverse of statement s's write relation, shared by
+	// every consumer that composes through it.
+	winv []cell
 }
 
-// Analyze computes the dependence graph of sc on the calling
-// goroutine.
+// cell is one lazily computed relation.
+type cell struct {
+	once sync.Once
+	m    *isl.Map
+}
+
+// get returns the cell's relation, computing it on first use.
+func (c *cell) get(compute func() *isl.Map) *isl.Map {
+	c.once.Do(func() { c.m = compute() })
+	return c.m
+}
+
+// Analyze returns the dependence graph of sc. No relation is computed
+// until it is asked for.
 func Analyze(sc *scop.SCoP) *Graph {
-	return AnalyzeParallel(sc, 1)
-}
-
-// AnalyzeParallel computes the dependence graph of sc with the
-// pairwise flow relations and the per-statement intra-conflict
-// relations fanned out over at most workers goroutines (values < 1
-// mean GOMAXPROCS). Every job owns exactly one slot of the graph, so
-// the result is identical to Analyze regardless of worker count; the
-// jobs only read the statements' access relations, which the relation
-// algebra never mutates.
-func AnalyzeParallel(sc *scop.SCoP, workers int) *Graph {
 	n := len(sc.Stmts)
 	g := &Graph{
 		scop:  sc,
-		flow:  make([][]*isl.Map, n),
-		intra: make([]*isl.Map, n),
+		flow:  make([][]cell, n),
+		intra: make([]cell, n),
+		winv:  make([]cell, n),
 	}
 	for i := range g.flow {
-		g.flow[i] = make([]*isl.Map, n)
+		g.flow[i] = make([]cell, n)
 	}
-	type flowJob struct{ src, dst *scop.Statement }
-	var jobs []flowJob
-	for _, src := range sc.Stmts {
-		if src.Write == nil {
-			continue
-		}
-		for _, dst := range sc.Stmts {
-			if dst.Index < src.Index {
-				continue // program order: sources precede targets
-			}
-			jobs = append(jobs, flowJob{src: src, dst: dst})
-		}
-	}
-	workers = par.Workers(workers)
-	par.For(len(jobs), workers, func(i int) {
-		j := jobs[i]
-		rel := flowRelation(j.src, j.dst)
-		if rel != nil && !rel.IsEmpty() {
-			g.flow[j.src.Index][j.dst.Index] = rel
-		}
-	})
-	par.For(n, workers, func(i int) {
-		s := sc.Stmts[i]
-		g.intra[s.Index] = intraConflicts(s)
-	})
 	return g
+}
+
+// WriteInverse returns Wr⁻¹ of s's write access (array cell → writing
+// iterations), computed once per graph. The result is normalized and
+// must be treated as read-only; s must have a write access.
+func (g *Graph) WriteInverse(s *scop.Statement) *isl.Map {
+	return g.winv[s.Index].get(s.Write.Rel.Inverse)
 }
 
 // flowRelation returns the write→read relation from src to dst over all
@@ -109,6 +105,9 @@ func AnalyzeParallel(sc *scop.SCoP, workers int) *Graph {
 // with i ≺ j count (a read of the value produced by an earlier
 // iteration of the same nest).
 func flowRelation(src, dst *scop.Statement) *isl.Map {
+	if src.Write == nil || dst.Index < src.Index {
+		return nil // program order: sources precede targets
+	}
 	var union *isl.Map
 	w := src.Write
 	for _, rd := range dst.ReadsFrom(w.Array()) {
@@ -120,13 +119,13 @@ func flowRelation(src, dst *scop.Statement) *isl.Map {
 			union = union.Union(rel)
 		}
 	}
-	if union == nil {
-		return nil
-	}
-	if src == dst {
+	if union != nil && src == dst {
 		union = restrictForward(union)
 	}
-	return union
+	if union == nil || union.IsEmpty() {
+		return nil
+	}
+	return union.Freeze()
 }
 
 // restrictForward keeps only pairs (i, j) with i ≺ j.
@@ -143,10 +142,10 @@ func restrictForward(m *isl.Map) *isl.Map {
 
 // intraConflicts returns all unordered conflict pairs (i ≺ j) between
 // iterations of s: flow, anti, and output conflicts through any array.
-func intraConflicts(s *scop.Statement) *isl.Map {
+func (g *Graph) intraConflicts(s *scop.Statement) *isl.Map {
 	res := isl.NewMap(s.Domain.Space(), s.Domain.Space())
 	if s.Write == nil {
-		return res
+		return res.Freeze()
 	}
 	w := s.Write.Rel
 	add := func(rel *isl.Map) {
@@ -160,26 +159,52 @@ func intraConflicts(s *scop.Statement) *isl.Map {
 			return true
 		})
 	}
-	// Output conflicts: same location written twice. The write is
-	// injective by SCoP validation, so this is empty, but keep the
-	// computation for generality (relaxed-injectivity future work).
-	add(isl.Compose(w.Inverse(), w))
+	// Output conflicts: same location written twice. An injective write
+	// (the validated case) composes with its inverse to the identity,
+	// which holds no pair of distinct iterations.
+	if wInv := g.WriteInverse(s); !wInv.IsSingleValued() {
+		add(isl.Compose(wInv, w))
+	}
 	// Flow/anti conflicts: write at one iteration, read at another.
 	for _, rd := range s.ReadsFrom(s.Write.Array()) {
 		add(isl.Compose(rd.Inverse(), w))
 	}
-	return res
+	return res.Freeze()
 }
 
 // Flow returns the flow-dependence relation from src to dst, or nil
 // when dst does not depend on src.
 func (g *Graph) Flow(src, dst *scop.Statement) *isl.Map {
-	return g.flow[src.Index][dst.Index]
+	return g.flow[src.Index][dst.Index].get(func() *isl.Map { return flowRelation(src, dst) })
 }
 
-// DependsOn reports whether dst has a flow dependence on src.
+// intraOf returns the conflict relation of s.
+func (g *Graph) intraOf(s *scop.Statement) *isl.Map {
+	return g.intra[s.Index].get(func() *isl.Map { return g.intraConflicts(s) })
+}
+
+// DependsOn reports whether dst has a flow dependence on src. Between
+// two different statements that is the case exactly when some read of
+// dst touches a cell src writes, so the ranges are intersected and the
+// relation itself is left unbuilt.
 func (g *Graph) DependsOn(dst, src *scop.Statement) bool {
-	return g.flow[src.Index][dst.Index] != nil
+	if src == dst {
+		return g.Flow(src, dst) != nil
+	}
+	if src.Write == nil || dst.Index < src.Index {
+		return false
+	}
+	reads := dst.ReadsFrom(src.Write.Array())
+	if len(reads) == 0 {
+		return false
+	}
+	written := g.WriteInverse(src).Domain()
+	for _, rd := range reads {
+		if !rd.Range().Intersect(written).IsEmpty() {
+			return true
+		}
+	}
+	return false
 }
 
 // Sources returns the statements that dst directly flow-depends on,
@@ -217,7 +242,7 @@ func (g *Graph) ParallelDims(s *scop.Statement) []bool {
 	for d := range par {
 		par[d] = true
 	}
-	g.intra[s.Index].Foreach(func(i, j isl.Vec) bool {
+	g.intraOf(s).Foreach(func(i, j isl.Vec) bool {
 		for d := 0; d < depth; d++ {
 			if i[d] != j[d] {
 				// The conflict is carried by dimension d.
@@ -233,7 +258,7 @@ func (g *Graph) ParallelDims(s *scop.Statement) []bool {
 // HasIntraConflicts reports whether any two distinct iterations of s
 // conflict (the nest is not fully data-parallel).
 func (g *Graph) HasIntraConflicts(s *scop.Statement) bool {
-	return !g.intra[s.Index].IsEmpty()
+	return !g.intraOf(s).IsEmpty()
 }
 
 // CrossHazards returns an error when a later statement writes to memory
@@ -267,25 +292,4 @@ func CrossHazards(sc *scop.SCoP) error {
 		}
 	}
 	return nil
-}
-
-// Freeze materializes the lazy ordering caches of every relation in
-// the graph and returns g. A frozen graph serves Flow, ParallelDims,
-// and the traversal accessors without internal mutation, so it may be
-// shared by concurrent readers (see the freeze discipline in
-// docs/PERFORMANCE.md).
-func (g *Graph) Freeze() *Graph {
-	for _, row := range g.flow {
-		for _, m := range row {
-			if m != nil {
-				m.Freeze()
-			}
-		}
-	}
-	for _, m := range g.intra {
-		if m != nil {
-			m.Freeze()
-		}
-	}
-	return g
 }

@@ -69,7 +69,7 @@ func (ds DistanceSummary) String() string {
 // The summary is empty for fully parallel nests.
 func (g *Graph) DistanceVectors(s *scop.Statement) DistanceSummary {
 	depth := s.Depth()
-	deltas := isl.Deltas(g.intra[s.Index])
+	deltas := isl.Deltas(g.intraOf(s))
 	var ds DistanceSummary
 	if deltas.IsEmpty() {
 		return ds

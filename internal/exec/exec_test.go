@@ -226,7 +226,7 @@ func TestHybridParallelBodyFlags(t *testing.T) {
 	}
 	for _, task := range prog.Tasks {
 		if !task.ParallelBody {
-			t.Fatalf("mm task %s not marked parallel", task.Label)
+			t.Fatalf("mm task %s not marked parallel", task.Label())
 		}
 	}
 	g := kernels.MMChain(2, 12, kernels.GMM)
@@ -237,7 +237,7 @@ func TestHybridParallelBodyFlags(t *testing.T) {
 	}
 	for _, task := range progG.Tasks {
 		if task.ParallelBody {
-			t.Fatalf("gmm task %s wrongly marked parallel", task.Label)
+			t.Fatalf("gmm task %s wrongly marked parallel", task.Label())
 		}
 	}
 }

@@ -182,7 +182,7 @@ func lowerTasks(p *Program, info *core.Info, tp *codegen.TaskProgram) {
 			}
 		}
 		t := Task{
-			Label: spec.Label,
+			Label: spec.Label(),
 			Units: []Unit{{
 				Stmt:    spec.Stmt.Index,
 				From:    from,

@@ -46,6 +46,29 @@ func BenchmarkMapCompose(b *testing.B) {
 	}
 }
 
+// BenchmarkMapInverse transposes an injective access-like relation (the
+// shape of a write access: one output per input, outputs out of input
+// order). ns/op should grow with the pair count only — the per-pair
+// rank lookup is a table read, not a binary search.
+func BenchmarkMapInverse(b *testing.B) {
+	for _, n := range []int{16, 64} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			dom := grid2D(n)
+			m := NewMap(dom.Space(), NewSpace("M", 2))
+			dom.Foreach(func(v Vec) bool {
+				m.Add(v, NewVec(v[1], v[0]))
+				return true
+			})
+			m.Freeze()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = m.Inverse()
+			}
+		})
+	}
+}
+
 func BenchmarkPrefixLexmax(b *testing.B) {
 	for _, n := range []int{16, 64} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

@@ -1,6 +1,9 @@
 package isl
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Merge-scan kernels of the columnar backend. An id column is a
 // []uint32 of interned ids sorted ascending in the lexicographic order
@@ -32,7 +35,7 @@ func idsSortedByVec(ids []uint32, vt []Vec) bool {
 // sortIDsByVec sorts ids in place by vector order. Duplicates (equal
 // ids) end up adjacent.
 func sortIDsByVec(ids []uint32, vt []Vec) {
-	sort.Slice(ids, func(i, j int) bool { return cmpIDs(vt, ids[i], ids[j]) < 0 })
+	slices.SortFunc(ids, func(a, b uint32) int { return cmpIDs(vt, a, b) })
 }
 
 // appendDedup appends a sorted-with-possible-duplicates column to dst,

@@ -308,8 +308,9 @@ func (m *Map) Range() *Set {
 
 // Inverse returns the relation with all pairs reversed. The result is
 // built as a direct CSR transpose: one pass ranks the distinct output
-// ids, a second scatters each pair under its output run, so the result
-// is already normalized.
+// ids through a dense id → rank table, a second scatters each pair under
+// its output run, so the result is already normalized and the transpose
+// itself costs O(pairs) once the outputs are sorted.
 func (m *Map) Inverse() *Map {
 	m.normalize()
 	r := NewMap(m.out, m.in)
@@ -321,36 +322,30 @@ func (m *Map) Inverse() *Map {
 	ranked := slices.Clone(m.outs)
 	sortIDsByVec(ranked, vo)
 	ranked = appendDedup(ranked[:0], ranked)
-	counts := make([]int32, len(ranked)+1)
-	rankOf := func(oid uint32) int {
-		k := searchIDs(ranked, 0, vo[oid], vo)
-		return k // ranked contains every oid of m
+	sc := getScratch()
+	rank := sc.rankTable(len(vo)) // every id of m predates the snapshot
+	for k, oid := range ranked {
+		rank[oid] = int32(k)
 	}
+	// next[k] is where run k's next input goes: first the run lengths,
+	// shifted one up, then their prefix sums.
+	next := make([]int32, len(ranked)+1)
 	for _, oid := range m.outs {
-		counts[rankOf(oid)+1]++
+		next[rank[oid]+1]++
 	}
-	for k := 1; k < len(counts); k++ {
-		counts[k] += counts[k-1]
+	for k := 1; k < len(next); k++ {
+		next[k] += next[k-1]
 	}
+	offs := slices.Clone(next[:len(ranked)])
 	outs := make([]uint32, len(m.outs))
-	next := counts[:len(ranked)]
-	for i := range m.ins {
-		iid := m.ins[i]
+	for i, iid := range m.ins {
 		for _, oid := range m.runOuts(i) {
-			k := rankOf(oid)
+			k := rank[oid]
 			outs[next[k]] = iid
 			next[k]++
 		}
 	}
-	// next[k] now equals the end offset of run k; reconstruct starts.
-	offs := make([]int32, len(ranked))
-	for k := range ranked {
-		if k == 0 {
-			offs[k] = 0
-		} else {
-			offs[k] = next[k-1]
-		}
-	}
+	sc.release()
 	r.ins, r.offs, r.outs = ranked, offs, outs
 	return r
 }

@@ -7,9 +7,10 @@ import (
 
 // scratch is a bundle of reusable buffers the columnar relation
 // algebra borrows for one operation: id accumulators for k-way merges
-// (a, b), and a permutation buffer for normalization (perm). Buffers
-// grow on demand and keep their capacity when returned, so a steady
-// detection workload settles into zero scratch allocations.
+// (a, b), a permutation buffer for normalization (perm), and a dense
+// id-indexed table (rank) for operations that need an O(1) id → position
+// lookup. Buffers grow on demand and keep their capacity when returned,
+// so a steady detection workload settles into zero scratch allocations.
 //
 // Lifecycle: every operation that needs scratch calls getScratch and
 // releases it before returning, so buffers never outlive one isl call
@@ -21,6 +22,7 @@ import (
 type scratch struct {
 	a, b []uint32
 	perm []uint32
+	rank []int32
 	used bool // set after first use; marks a pooled (reused) buffer
 }
 
@@ -40,6 +42,17 @@ func getScratch() *scratch {
 	}
 	s.used = true
 	return s
+}
+
+// rankTable returns a table indexable by every id below n. Its contents
+// are stale — whatever the previous borrower left — so a caller reads
+// only the entries it has written itself, which is what keeps the
+// table's cost proportional to the ids touched rather than to n.
+func (s *scratch) rankTable(n int) []int32 {
+	if cap(s.rank) < n {
+		s.rank = make([]int32, n)
+	}
+	return s.rank[:n]
 }
 
 // release returns s to the pool. The caller must not touch s or any

@@ -16,6 +16,11 @@ import (
 // every run. Edges are deduplicated, so a task reading the same
 // address through several access relations carries one edge.
 type Builder struct {
+	// Labels, when set before Build, names task i on demand in place
+	// of Task.Label: the program asks once, ahead of its first traced
+	// execution, so a program that is never traced formats no names.
+	Labels func(i int) string
+
 	tasks      []Task
 	preds      [][]int32
 	lastWriter map[int]int32
@@ -72,6 +77,7 @@ func (b *Builder) Build() *Program {
 	p := &Program{
 		fns:     make([]func(), n),
 		labels:  make([]string, n),
+		labelOf: b.Labels,
 		serial:  make([]int32, n),
 		indeg0:  make([]int32, n),
 		succOff: make([]int32, n+1),
@@ -125,6 +131,11 @@ type Program struct {
 	indeg0  []int32
 	roots   []int32 // tasks with no predecessors, in creation order
 
+	// labelOf is Builder.Labels; nameTasks copies its names into labels
+	// at most once, before anything reads them.
+	labelOf  func(i int) string
+	nameOnce sync.Once
+
 	// Static-chain classification (hybrid scheduling), computed at
 	// most once by FuseChains and shared by every hybrid execution.
 	chainOnce  sync.Once
@@ -140,7 +151,23 @@ func (p *Program) NumTasks() int { return len(p.fns) }
 func (p *Program) NumEdges() int { return len(p.succs) }
 
 // Label returns task i's trace label.
-func (p *Program) Label(i int) string { return p.labels[i] }
+func (p *Program) Label(i int) string {
+	p.nameTasks()
+	return p.labels[i]
+}
+
+// nameTasks fills in the labels a Builder.Labels function supplies, on
+// the first call only; labels given per task are already in place.
+func (p *Program) nameTasks() {
+	p.nameOnce.Do(func() {
+		if p.labelOf == nil {
+			return
+		}
+		for i := range p.labels {
+			p.labels[i] = p.labelOf(i)
+		}
+	})
+}
 
 // Serial returns task i's serialization key (or NoSerial).
 func (p *Program) Serial(i int) int { return int(p.serial[i]) }
@@ -213,6 +240,7 @@ func (p *Program) Execute(workers int, opts ExecOptions) ExecStats {
 		m.submitted.Add(int64(n))
 	}
 	if opts.Trace != nil {
+		p.nameTasks()
 		now := time.Now()
 		for i := 0; i < n; i++ {
 			opts.Trace(Event{Kind: EventSubmit, TaskID: i, Label: p.labels[i], Serial: int(p.serial[i]), Worker: -1, When: now})

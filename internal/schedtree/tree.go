@@ -9,11 +9,11 @@ package schedtree
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/isl"
-	"repro/internal/scop"
 )
 
 // Node is one schedule-tree node.
@@ -84,12 +84,13 @@ func (n *LeafNode) children() []Node      { return nil }
 // TaskAnnotation is the payload of the pipeline mark node: everything
 // code generation needs to create one task per pipeline-loop iteration
 // (§5.2's mark built from the Q_S pw_multi_aff_list and the Q'_S
-// pw_multi_aff).
+// pw_multi_aff). It is the statement's detection result itself — Stmt,
+// the blocking map E, the blocks in execution order, and InDeps (Q_S:
+// block leader -> required source block leader) — plus the
+// out-dependency.
 type TaskAnnotation struct {
-	Stmt   *scop.Statement
-	E      *isl.Map     // contraction / blocking map of the statement
-	InDeps []core.InDep // Q_S: block leader -> required source block leader
-	Out    *isl.Map     // Q'_S: identity on Range(E)
+	*core.StmtInfo
+	Out *isl.Map // Q'_S: identity on Range(E)
 }
 
 // MarkName is the name of the mark node Algorithm 2 inserts.
@@ -111,12 +112,7 @@ func Build(info *core.Info) *SequenceNode {
 			Set: de,
 			Child: &MarkNode{
 				Name: MarkName,
-				Task: &TaskAnnotation{
-					Stmt:   si.Stmt,
-					E:      si.E,
-					InDeps: si.InDeps,
-					Out:    isl.Identity(re),
-				},
+				Task: &TaskAnnotation{StmtInfo: si, Out: isl.Identity(re)},
 				Child: &BandNode{
 					Schedule: isl.Identity(de),
 					Child:    &LeafNode{},
@@ -146,61 +142,42 @@ type TaskInstance struct {
 	Members []isl.Vec
 }
 
-// Flatten evaluates the schedule tree into the totally ordered list of
-// task instances it denotes. Band nodes order points lexicographically
-// (identity partial schedules); expansion nodes replace each block
-// leader with its member iterations; the mark node identifies the task
-// boundary.
+// Flatten lists the totally ordered task instances the schedule tree
+// denotes: sequence children in order, and under each pipeline mark one
+// task per block of the annotated statement, in execution order. The
+// blocks are the ones detection materialized (StmtInfo.Blocks) — by
+// construction what evaluating the expansion node over the band's
+// points yields (the tests hold Flatten against that evaluation) — so
+// the instances alias them rather than re-deriving each block from the
+// contraction.
 func Flatten(root Node) []TaskInstance {
 	var out []TaskInstance
-	flatten(root, nil, &out)
+	flatten(root, &out)
 	return out
 }
 
-// flatten walks the tree. active is the current point filter: when
-// inside an expansion, it restricts the inner domain to one block.
-func flatten(n Node, active *isl.Set, out *[]TaskInstance) {
+func flatten(n Node, out *[]TaskInstance) {
 	switch node := n.(type) {
 	case *SequenceNode:
 		for _, c := range node.Children {
-			flatten(c, active, out)
+			flatten(c, out)
 		}
-	case *DomainNode:
-		set := node.Set
-		if active != nil {
-			set = set.Intersect(active)
-		}
-		flatten(node.Child, set, out)
-	case *BandNode:
-		// Identity band: points already ordered lexicographically by
-		// Set.Elements; expansion below decides per-point behaviour.
-		flatten(node.Child, active, out)
-	case *ExpansionNode:
-		if active == nil {
-			panic("schedtree: expansion node with no active domain")
-		}
-		inv := node.Contraction.Inverse()
-		for _, leader := range active.Elements() {
-			members := isl.NewSet(node.Contraction.InSpace())
-			for _, m := range inv.Lookup(leader) {
-				members.Add(m)
-			}
-			flatten(node.Child, members, out)
-		}
+	case *DomainNode, *BandNode, *ExpansionNode:
+		flatten(n.children()[0], out)
 	case *MarkNode:
-		if node.Task != nil {
-			if active == nil || active.IsEmpty() {
-				return
-			}
-			leader, _ := active.Lexmax()
-			*out = append(*out, TaskInstance{
-				Task:    node.Task,
-				Leader:  leader,
-				Members: active.Elements(),
-			})
-			return // the band below is subsumed by Members ordering
+		if node.Task == nil {
+			flatten(node.Child, out)
+			return
 		}
-		flatten(node.Child, active, out)
+		if node.Task.StmtInfo == nil {
+			panic("schedtree: pipeline mark without a detection result")
+		}
+		// The band below the mark is subsumed by the members' order.
+		blocks := node.Task.Blocks
+		*out = slices.Grow(*out, len(blocks))
+		for i := range blocks {
+			*out = append(*out, TaskInstance{Task: node.Task, Leader: blocks[i].Leader, Members: blocks[i].Members})
+		}
 	case *LeafNode:
 	default:
 		panic(fmt.Sprintf("schedtree: unknown node %T", n))
@@ -285,7 +262,7 @@ func validateStmtTree(n Node) error {
 	if !ok || mark.Name != MarkName {
 		return fmt.Errorf("under inner domain: no %q mark", MarkName)
 	}
-	if mark.Task == nil || mark.Task.Stmt == nil {
+	if mark.Task == nil || mark.Task.StmtInfo == nil {
 		return fmt.Errorf("mark has no task annotation")
 	}
 	if !mark.Task.E.Equal(exp.Contraction) {
@@ -334,14 +311,16 @@ func print(b *strings.Builder, n Node, depth int) {
 			node.Contraction.InSpace(), node.Contraction.OutSpace())
 		print(b, node.Child, depth+1)
 	case *MarkNode:
-		deps := make([]string, 0, len(node.Task.InDeps))
-		if node.Task != nil {
+		if node.Task == nil {
+			fmt.Fprintf(b, "%smark: %q\n", indent, node.Name)
+		} else {
+			deps := make([]string, 0, len(node.Task.InDeps))
 			for _, d := range node.Task.InDeps {
 				deps = append(deps, d.Src.Name)
 			}
+			fmt.Fprintf(b, "%smark: %q stmt=%s in-deps=[%s]\n", indent,
+				node.Name, node.Task.Stmt.Name, strings.Join(deps, ", "))
 		}
-		fmt.Fprintf(b, "%smark: %q stmt=%s in-deps=[%s]\n", indent,
-			node.Name, node.Task.Stmt.Name, strings.Join(deps, ", "))
 		print(b, node.Child, depth+1)
 	case *LeafNode:
 		fmt.Fprintf(b, "%sleaf\n", indent)

@@ -1,12 +1,16 @@
 package schedtree
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fuzzscop"
 	"repro/internal/isl"
 	"repro/internal/kernels"
+	"repro/internal/scop"
 )
 
 func detect(t *testing.T, n int) *core.Info {
@@ -106,6 +110,96 @@ func TestFlattenMatchesDetectedBlocks(t *testing.T) {
 			for k := range blk.Members {
 				if !task.Members[k].Eq(blk.Members[k]) {
 					t.Fatalf("task %d member %d: %v, want %v", idx-1, k, task.Members[k], blk.Members[k])
+				}
+			}
+		}
+	}
+}
+
+// flattenEnumerative is the reference evaluation of a schedule tree,
+// the way Flatten worked before it read detection's blocks: band nodes
+// order points lexicographically (identity partial schedules), an
+// expansion node replaces each block leader with the points contracting
+// to it, and the mark node closes one task over whatever points are
+// active. active is the current point filter: inside an expansion it
+// restricts the inner domain to one block.
+func flattenEnumerative(n Node, active *isl.Set, out *[]TaskInstance) {
+	switch node := n.(type) {
+	case *SequenceNode:
+		for _, c := range node.Children {
+			flattenEnumerative(c, active, out)
+		}
+	case *DomainNode:
+		set := node.Set
+		if active != nil {
+			set = set.Intersect(active)
+		}
+		flattenEnumerative(node.Child, set, out)
+	case *BandNode:
+		flattenEnumerative(node.Child, active, out)
+	case *ExpansionNode:
+		inv := node.Contraction.Inverse()
+		for _, leader := range active.Elements() {
+			members := isl.NewSet(node.Contraction.InSpace())
+			for _, m := range inv.Lookup(leader) {
+				members.Add(m)
+			}
+			flattenEnumerative(node.Child, members, out)
+		}
+	case *MarkNode:
+		if active == nil || active.IsEmpty() {
+			return
+		}
+		leader, _ := active.Lexmax()
+		*out = append(*out, TaskInstance{Task: node.Task, Leader: leader, Members: active.Elements()})
+	}
+}
+
+// TestFlattenEqualsEnumerativeEvaluation holds the block view against
+// the tree's own semantics: same tasks, same order, same leaders, same
+// members in the same order — over Table 9, an nmm chain, and random
+// SCoPs, at the optimal blocking and two coarsened ones.
+func TestFlattenEqualsEnumerativeEvaluation(t *testing.T) {
+	type input struct {
+		name string
+		sc   *scop.SCoP
+	}
+	var inputs []input
+	for _, spec := range kernels.Table9 {
+		inputs = append(inputs, input{spec.Name, kernels.BuildTable9(spec, 8, 1).SCoP})
+	}
+	inputs = append(inputs, input{"3mm", kernels.MMChain(3, 8, kernels.MM).SCoP})
+	seeds := 200
+	if testing.Short() {
+		seeds = 40
+	}
+	for seed := 0; seed < seeds; seed++ {
+		sc := fuzzscop.Random(rand.New(rand.NewSource(int64(seed))), fuzzscop.Config{Sink: seed%2 == 0})
+		inputs = append(inputs, input{fmt.Sprintf("fuzz-%d", seed), sc})
+	}
+	for _, in := range inputs {
+		for _, minIters := range []int{1, 4, 64} {
+			info, err := core.Detect(in.sc, core.Options{MinBlockIters: minIters})
+			if err != nil {
+				t.Fatalf("%s: %v", in.name, err)
+			}
+			tree := Build(info)
+			got := Flatten(tree)
+			var want []TaskInstance
+			flattenEnumerative(tree, nil, &want)
+			if len(got) != len(want) {
+				t.Fatalf("%s min=%d: %d tasks, enumerative evaluation gives %d", in.name, minIters, len(got), len(want))
+			}
+			for i := range want {
+				g, w := got[i], want[i]
+				if g.Task != w.Task || !g.Leader.Eq(w.Leader) || len(g.Members) != len(w.Members) {
+					t.Fatalf("%s min=%d task %d: %s%v with %d members, want %s%v with %d",
+						in.name, minIters, i, g.Task.Stmt.Name, g.Leader, len(g.Members), w.Task.Stmt.Name, w.Leader, len(w.Members))
+				}
+				for k := range w.Members {
+					if !g.Members[k].Eq(w.Members[k]) {
+						t.Fatalf("%s min=%d task %d member %d: %v, want %v", in.name, minIters, i, k, g.Members[k], w.Members[k])
+					}
 				}
 			}
 		}
@@ -262,6 +356,13 @@ func TestStringRendering(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendering missing %q in:\n%s", want, out)
 		}
+	}
+}
+
+func TestStringBareMark(t *testing.T) {
+	out := String(&MarkNode{Name: "note", Child: &LeafNode{}})
+	if !strings.Contains(out, `mark: "note"`) || !strings.Contains(out, "leaf") {
+		t.Fatalf("rendering of a mark without a task annotation:\n%s", out)
 	}
 }
 

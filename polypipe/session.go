@@ -532,9 +532,6 @@ func (s *Session) compile(p *Program, intraWorkers int) (*codegen.TaskProgram, e
 	}
 	key := progKey{sc: p.SCoP, intra: intraWorkers, hybrid: s.hybridSched, blockIters: blockIters}
 	s.progMu.Lock()
-	for _, st := range p.SCoP.Stmts {
-		s.stmtNames[st.Index] = st.Name
-	}
 	prog, ok := s.programs[key]
 	s.progMu.Unlock()
 	if !ok {
@@ -555,6 +552,9 @@ func (s *Session) compile(p *Program, intraWorkers int) (*codegen.TaskProgram, e
 			prog = prev // concurrent miss: keep the first, IR and all
 		} else {
 			s.programs[key] = prog
+			for _, st := range p.SCoP.Stmts {
+				s.stmtNames[st.Index] = st.Name
+			}
 		}
 		s.progMu.Unlock()
 	}
