@@ -185,7 +185,7 @@ func (p *printer) stmt(s Stmt) {
 // which statements the task's blocks wait for, and the block counts.
 func depsComment(t *schedtree.TaskAnnotation) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, ": %d blocks", t.Out.Domain().Card())
+	fmt.Fprintf(&b, ": %d blocks", len(t.Blocks))
 	if len(t.InDeps) == 0 {
 		b.WriteString(", no in-deps")
 	} else {

@@ -289,10 +289,12 @@ func (c *Cache) Stats() Stats {
 // polyhedral content — statement count, indices, domains, accesses —
 // is identical; only identity (and the executable Body closures)
 // differs, and those are exactly what the view swaps. The isl maps,
-// blocks, and leader index are shared with the cached result: they are
-// frozen and read-only, so the view costs one shallow copy per
-// statement. When info was detected from sc itself it is returned
-// unchanged.
+// blocks, and in-dependency columns are shared with the cached result:
+// they are frozen and read-only, so the view costs one shallow copy per
+// statement. Blocks are positions in their statement's sorted domain,
+// so members resolve against sc's (content-identical) domains, which
+// the view freezes for concurrent readers. When info was detected
+// from sc itself it is returned unchanged.
 //
 // The shared Graph is kept as-is: its post-detection accessors
 // (ParallelDims, HasIntraConflicts, Flow) key on statement Index, so
@@ -313,8 +315,9 @@ func Rebind(info *core.Info, sc *scop.SCoP) *core.Info {
 		out.Pairs[i] = p
 	}
 	for i, si := range info.Stmts {
-		cp := *si // struct copy keeps the unexported leader index
+		cp := *si
 		cp.Stmt = sc.Stmts[si.Stmt.Index]
+		cp.Stmt.Domain.Freeze()
 		if len(si.InDeps) > 0 {
 			cp.InDeps = make([]core.InDep, len(si.InDeps))
 			for j, d := range si.InDeps {

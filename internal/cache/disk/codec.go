@@ -6,18 +6,22 @@
 // cache.Tier; wire it behind the in-memory LRU with
 // polypipe.WithDiskCache or cache.SetTier.
 //
-// The encoding is explicit enumeration: every relation (pair T/V/Y
-// maps, integrated E maps, in-dependency relations, and the dependence
-// graph's flow/intra relations) is stored as its space names plus the
-// sorted pair list the columnar backend enumerates. Decoding rebuilds
-// the maps through the same NewMap/Add path Detect uses and rebinds
-// statements into the requesting SCoP by index, so a loaded Info is
-// bit-identical to a freshly detected one (the round-trip test proves
-// it digest-for-digest) and independent of which isl backend wrote it.
+// The encoding is explicit enumeration for relations (pair T/V/Y maps,
+// integrated E maps, and the dependence graph's flow/intra relations):
+// space names plus the sorted pair list the columnar backend
+// enumerates. Blocks and in-dependencies are stored the way detection
+// holds them, as positions: each block's (First, Last) interval of its
+// statement's sorted domain, and each in-dependency's To column.
+// Decoding rebuilds the maps through the same NewMap/Add path Detect
+// uses, reads leaders off the requesting SCoP's domains, and rebinds
+// statements into it by index, so a loaded Info is bit-identical to a
+// freshly detected one (the round-trip test proves it
+// digest-for-digest) and independent of which isl backend wrote it.
 package disk
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/deps"
@@ -27,8 +31,9 @@ import (
 
 // codecVersion gates the file format; a reader finding another version
 // treats the entry as a miss (the store rewrites it on the next
-// detection).
-const codecVersion = 1
+// detection). Version 2 stores blocks and in-dependencies as positions
+// instead of member vectors and relations.
+const codecVersion = 2
 
 // encMap is one enumerated relation: its tuple spaces and the pair
 // list in enumeration order.
@@ -47,24 +52,20 @@ type encPair struct {
 	T, V, Y  encMap
 }
 
-// encBlock is one materialized block.
-type encBlock struct {
-	Leader  isl.Vec
-	Members []isl.Vec
-}
-
-// encInDep is one block-level in-dependency family.
+// encInDep is one block-level in-dependency family (core.InDep).
 type encInDep struct {
 	Src int
-	Rel encMap
+	To  []int32
 }
 
-// encStmt is the per-statement result.
+// encStmt is the per-statement result. Block b spans positions
+// First[b]..Last[b] of the statement's sorted domain and is led by its
+// last member.
 type encStmt struct {
-	Index  int
-	E      encMap
-	Blocks []encBlock
-	InDeps []encInDep
+	Index       int
+	E           encMap
+	First, Last []int32
+	InDeps      []encInDep
 }
 
 // encGraph carries the dependence graph's relations. Flow is sparse
@@ -130,16 +131,21 @@ func encode(info *core.Info) (*encInfo, error) {
 		if si == nil {
 			return nil, fmt.Errorf("disk: statement slot without StmtInfo")
 		}
-		es := encStmt{Index: si.Stmt.Index, E: encodeMap(si.E)}
-		for _, b := range si.Blocks {
-			eb := encBlock{Leader: b.Leader.Clone()}
-			for _, m := range b.Members {
-				eb.Members = append(eb.Members, m.Clone())
+		es := encStmt{
+			Index: si.Stmt.Index,
+			E:     encodeMap(si.E),
+			First: make([]int32, len(si.Blocks)),
+			Last:  make([]int32, len(si.Blocks)),
+		}
+		elems := si.Stmt.Domain.Elements()
+		for b, blk := range si.Blocks {
+			if !blk.Leader.Eq(elems[blk.Last]) {
+				return nil, fmt.Errorf("disk: statement %s block %d is led by %v, not its last member", si.Stmt.Name, b, blk.Leader)
 			}
-			es.Blocks = append(es.Blocks, eb)
+			es.First[b], es.Last[b] = blk.First, blk.Last
 		}
 		for _, d := range si.InDeps {
-			es.InDeps = append(es.InDeps, encInDep{Src: d.Src.Index, Rel: encodeMap(d.Rel)})
+			es.InDeps = append(es.InDeps, encInDep{Src: d.Src.Index, To: d.To})
 		}
 		out.Stmts = append(out.Stmts, es)
 	}
@@ -213,9 +219,17 @@ func decode(e *encInfo, sc *scop.SCoP) (*core.Info, error) {
 		if err != nil {
 			return nil, err
 		}
-		blocks := make([]core.Block, len(es.Blocks))
-		for i, b := range es.Blocks {
-			blocks[i] = core.Block{Leader: b.Leader, Members: b.Members}
+		if len(es.First) != len(es.Last) {
+			return nil, fmt.Errorf("disk: statement %d has %d block starts but %d ends", es.Index, len(es.First), len(es.Last))
+		}
+		elems := st.Domain.Elements()
+		blocks := make([]core.Block, len(es.First))
+		for b := range blocks {
+			first, last := es.First[b], es.Last[b]
+			if first < 0 || first > last || int(last) >= len(elems) {
+				return nil, fmt.Errorf("disk: statement %d block %d spans %d..%d of %d points", es.Index, b, first, last, len(elems))
+			}
+			blocks[b] = core.Block{Leader: elems[last], First: first, Last: last}
 		}
 		var inDeps []core.InDep
 		for _, d := range es.InDeps {
@@ -223,13 +237,26 @@ func decode(e *encInfo, sc *scop.SCoP) (*core.Info, error) {
 			if err != nil {
 				return nil, err
 			}
-			rel, err := decodeMap(d.Rel)
-			if err != nil {
-				return nil, err
+			if len(d.To) != len(blocks) {
+				return nil, fmt.Errorf("disk: statement %d in-dependency on %d has %d entries for %d blocks", es.Index, d.Src, len(d.To), len(blocks))
 			}
-			inDeps = append(inDeps, core.InDep{Src: dsrc, Rel: rel})
+			inDeps = append(inDeps, core.InDep{Src: dsrc, To: d.To})
 		}
-		info.Stmts[es.Index] = core.NewStmtInfo(st, em, blocks, inDeps)
+		info.Stmts[es.Index] = &core.StmtInfo{Stmt: st, E: em, Blocks: blocks, InDeps: inDeps}
+	}
+	// Source positions are checked once every statement has its blocks.
+	if slices.Contains(info.Stmts, nil) {
+		return nil, fmt.Errorf("disk: entry lacks a statement")
+	}
+	for _, si := range info.Stmts {
+		for _, d := range si.InDeps {
+			n := int32(len(info.Stmts[d.Src.Index].Blocks))
+			for _, q := range d.To {
+				if q < -1 || q >= n {
+					return nil, fmt.Errorf("disk: statement %s waits for block %d of %s (%d blocks)", si.Stmt.Name, q, d.Src.Name, n)
+				}
+			}
+		}
 	}
 	if e.Graph.Stmts != len(sc.Stmts) {
 		return nil, fmt.Errorf("disk: entry graph has %d statements, scop has %d", e.Graph.Stmts, len(sc.Stmts))

@@ -1,6 +1,8 @@
 package disk
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -36,10 +38,10 @@ func infoDigest(in *core.Info) string {
 		d.WriteString(si.Stmt.Name)
 		si.E.HashInto(d)
 		d.WriteInt(len(si.Blocks))
-		for _, b := range si.Blocks {
-			d.WriteVec(b.Leader)
-			d.WriteInt(len(b.Members))
-			for _, v := range b.Members {
+		for b := range si.Blocks {
+			d.WriteVec(si.Blocks[b].Leader)
+			d.WriteInt(si.Blocks[b].Len())
+			for _, v := range si.Members(b) {
 				d.WriteVec(v)
 			}
 		}
@@ -47,7 +49,7 @@ func infoDigest(in *core.Info) string {
 		for _, dep := range si.InDeps {
 			d.WriteInt(dep.Src.Index)
 			d.WriteString(dep.Src.Name)
-			dep.Rel.HashInto(d)
+			in.InDepRel(si, dep).HashInto(d)
 		}
 	}
 	lo, hi := d.Sum128()
@@ -305,5 +307,125 @@ func TestTieredCacheWarmsFromDisk(t *testing.T) {
 	}
 	if snap.Counter("cache.disk.hits") != 1 {
 		t.Fatal("memory hit consulted the disk tier")
+	}
+}
+
+// The version-1 entry layout: blocks as member-vector lists and
+// in-dependencies as enumerated relations. Kept to measure what version
+// 2 saves and to check that such entries now count as misses.
+type (
+	v1Block struct {
+		Leader  isl.Vec
+		Members []isl.Vec
+	}
+	v1InDep struct {
+		Src int
+		Rel encMap
+	}
+	v1Stmt struct {
+		Index  int
+		E      encMap
+		Blocks []v1Block
+		InDeps []v1InDep
+	}
+	v1Info struct {
+		Version     int
+		Fingerprint string
+		Pairs       []encPair
+		Stmts       []v1Stmt
+		Graph       encGraph
+	}
+)
+
+// encodeV1 renders info in the version-1 layout.
+func encodeV1(t *testing.T, info *core.Info) *v1Info {
+	t.Helper()
+	e, err := encode(info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := &v1Info{Version: 1, Fingerprint: e.Fingerprint, Pairs: e.Pairs, Graph: e.Graph}
+	for _, si := range info.Stmts {
+		es := v1Stmt{Index: si.Stmt.Index, E: encodeMap(si.E)}
+		for b := range si.Blocks {
+			es.Blocks = append(es.Blocks, v1Block{Leader: si.Blocks[b].Leader, Members: si.Members(b)})
+		}
+		for _, d := range si.InDeps {
+			es.InDeps = append(es.InDeps, v1InDep{Src: d.Src.Index, Rel: encodeMap(info.InDepRel(si, d))})
+		}
+		out.Stmts = append(out.Stmts, es)
+	}
+	return out
+}
+
+func gobSize(t *testing.T, v any) int {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Len()
+}
+
+// TestDiskEntrySizeV2 logs the entry size of Table 9 P10 at n=32 in
+// both layouts; storing intervals and source-block positions must not
+// be the larger of the two.
+func TestDiskEntrySizeV2(t *testing.T) {
+	p, err := kernels.Table9Program("P10", 32, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := core.Detect(p.SCoP, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := encode(info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, v1 := gobSize(t, e), gobSize(t, encodeV1(t, info))
+	t.Logf("P10 n=32 (%d blocks): entry %d bytes in version 2, %d in version 1 (%.0f%%)",
+		info.TotalBlocks(), v2, v1, 100*float64(v2)/float64(v1))
+	if v2 >= v1 {
+		t.Errorf("version 2 entry (%d bytes) is not smaller than version 1 (%d)", v2, v1)
+	}
+}
+
+// TestDiskVersion1EntryIsMiss: an entry written by the previous codec
+// decodes but fails the version gate, so it counts as a miss and an
+// error, and the next Store replaces it.
+func TestDiskVersion1EntryIsMiss(t *testing.T) {
+	reg := obs.NewRegistry()
+	store, err := New(t.TempDir(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := kernels.Listing3(16).SCoP
+	key := cache.KeyFor(sc, core.Options{})
+	info, err := core.Detect(sc, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(store.path(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(f).Encode(encodeV1(t, info.Freeze())); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if _, ok := store.Load(key, sc); ok {
+		t.Fatal("version-1 entry loaded")
+	}
+	if got := reg.Snapshot().Counter("cache.disk.errors"); got != 1 {
+		t.Fatalf("cache.disk.errors = %d, want 1", got)
+	}
+	store.Store(key, info)
+	got, ok := store.Load(key, sc)
+	if !ok {
+		t.Fatal("rewritten entry did not load")
+	}
+	if err := core.EqualInfo(info, got); err != nil {
+		t.Fatal(err)
 	}
 }

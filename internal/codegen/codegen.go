@@ -20,20 +20,27 @@ import (
 	"repro/internal/tasking"
 )
 
-// TaskSpec is one generated task before submission to the runtime.
-// Leader and Members alias the block detection built (StmtInfo.Blocks);
-// they are shared and read-only.
+// TaskSpec is one generated task before submission to the runtime: the
+// block detection built (StmtInfo.Blocks), positions First..Last of the
+// statement's sorted domain led by Leader, which is shared and
+// read-only.
 type TaskSpec struct {
-	Stmt    *scop.Statement
-	Leader  isl.Vec
-	Members []isl.Vec
-	Out     int
-	In      []int
-	Serial  int
+	Stmt        *scop.Statement
+	Leader      isl.Vec
+	First, Last int32
+	Out         int
+	In          []int
+	Serial      int
 	// ParallelBody marks tasks whose members may run concurrently
 	// (the statement has no intra-nest conflicts); set only under
 	// hybrid compilation.
 	ParallelBody bool
+}
+
+// Members returns the task's iterations in execution order, a shared,
+// read-only subslice of the statement's sorted domain.
+func (t *TaskSpec) Members() []isl.Vec {
+	return t.Stmt.Domain.Elements()[t.First : t.Last+1]
 }
 
 // Label names the task in traces and emitted source ("S[3, 8]"). It is
@@ -83,38 +90,49 @@ type TaskProgram struct {
 }
 
 // VecCoder converts block-leader vectors of a given statement to
-// unique integer dependency addresses, the §5.4 "multiply each
-// dimension by a large enough integer, add them, then pair with an
-// index" scheme.
+// unique, non-negative integer dependency addresses, the §5.4
+// "multiply each dimension by a large enough integer, add them, then
+// pair with an index" scheme. Each coordinate x of dimension d becomes
+// the digit x − Lo[d] + 1 ∈ [1, Stride).
 type VecCoder struct {
-	Stride   int // strictly greater than any iteration coordinate
+	Stride   int
 	NumStmts int
+	// Lo[d] is the smallest coordinate any leader takes in dimension d,
+	// clamped at 0 so domains that start at the origin keep the
+	// addresses they always had; missing dimensions read as 0.
+	Lo []int
 }
 
 // Encode returns the dependency address for the leader of a block of
 // statement stmtIndex.
 func (c VecCoder) Encode(stmtIndex int, leader isl.Vec) int {
 	code := 0
-	for _, x := range leader {
+	for d, x := range leader {
+		if d < len(c.Lo) {
+			x -= c.Lo[d]
+		}
 		code = code*c.Stride + (x + 1) // +1 keeps 0-coordinates distinct from absent dims
 	}
 	return code*c.NumStmts + stmtIndex
 }
 
-// newCoder sizes the stride from the largest coordinate in any
-// statement domain.
-func newCoder(sc *scop.SCoP) VecCoder {
-	maxCoord := 0
-	for _, s := range sc.Stmts {
-		if m, ok := s.Domain.Lexmax(); ok {
-			for _, x := range m {
-				if x > maxCoord {
-					maxCoord = x
+// newCoder sizes the digits from the coordinates of every block
+// leader, the only vectors ever encoded.
+func newCoder(info *core.Info) VecCoder {
+	var lo []int
+	least, hi := 0, 0
+	for _, si := range info.Stmts {
+		for b := range si.Blocks {
+			for d, x := range si.Blocks[b].Leader {
+				if d == len(lo) {
+					lo = append(lo, 0)
 				}
+				lo[d] = min(lo[d], x)
+				least, hi = min(least, x), max(hi, x)
 			}
 		}
 	}
-	return VecCoder{Stride: maxCoord + 2, NumStmts: len(sc.Stmts)}
+	return VecCoder{Stride: hi - least + 2, NumStmts: len(info.SCoP.Stmts), Lo: lo}
 }
 
 // Compile lowers the detection result to a task program. Every
@@ -146,7 +164,7 @@ func CompileForEmission(info *core.Info) (*TaskProgram, error) {
 }
 
 func compileTasks(info *core.Info, opts CompileOptions) (*TaskProgram, error) {
-	coder := newCoder(info.SCoP)
+	coder := newCoder(info)
 	prog := &TaskProgram{SCoP: info.SCoP, Coder: coder, Opts: opts}
 
 	parallelBody := make([]bool, len(info.SCoP.Stmts))
@@ -165,30 +183,33 @@ func compileTasks(info *core.Info, opts CompileOptions) (*TaskProgram, error) {
 	defer stop()
 	// One spec per block detection built, in schedule-tree order; the
 	// in-edge addresses of all tasks share one backing array sized from
-	// the dependency relations, so a compile allocates per program, not
-	// per task.
+	// the in-dependencies, so a compile allocates per program, not per
+	// task. An in-address is the out-address of the source block To
+	// names.
 	instances := schedtree.Flatten(tree)
 	edges := 0
 	for _, si := range info.Stmts {
-		for _, dep := range si.InDeps {
-			edges += dep.Rel.Card()
+		for i := range si.InDeps {
+			edges += si.InDeps[i].Edges()
 		}
 	}
 	ins := make([]int, 0, edges)
 	prog.Tasks = make([]TaskSpec, len(instances))
 	for i, inst := range instances {
 		stmt := inst.Task.Stmt
+		blk := &inst.Task.Blocks[inst.Block]
 		first := len(ins)
 		for _, dep := range inst.Task.InDeps {
-			for _, q := range dep.Rel.Lookup(inst.Leader) {
-				ins = append(ins, coder.Encode(dep.Src.Index, q))
+			if q := dep.To[inst.Block]; q >= 0 {
+				ins = append(ins, coder.Encode(dep.Src.Index, info.Stmts[dep.Src.Index].Blocks[q].Leader))
 			}
 		}
 		prog.Tasks[i] = TaskSpec{
 			Stmt:         stmt,
-			Leader:       inst.Leader,
-			Members:      inst.Members,
-			Out:          coder.Encode(stmt.Index, inst.Leader),
+			Leader:       blk.Leader,
+			First:        blk.First,
+			Last:         blk.Last,
+			Out:          coder.Encode(stmt.Index, blk.Leader),
 			In:           ins[first:len(ins):len(ins)],
 			Serial:       stmt.Index,
 			ParallelBody: parallelBody[stmt.Index],
@@ -277,7 +298,7 @@ func (p *TaskProgram) Submit(r Layer) {
 func (p *TaskProgram) task(i int) runtime.Task {
 	spec := &p.Tasks[i]
 	body := spec.Stmt.Body
-	members := spec.Members
+	members := spec.Members()
 	fn := func() {
 		for _, iv := range members {
 			body(iv)

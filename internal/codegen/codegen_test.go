@@ -168,12 +168,13 @@ func TestRunTracedReportsConcurrency(t *testing.T) {
 }
 
 // TestQuickAddressUniqueness fuzzes the §5.4 integer dependency
-// encoding across random programs: no two blocks of any statements may
-// share a dependency address.
+// encoding across random programs, half of them with negative and
+// shifted bounds: no two blocks of any statements may share a
+// dependency address, and none may be negative.
 func TestQuickAddressUniqueness(t *testing.T) {
 	for seed := int64(7000); seed < 7060; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		sc := fuzzscop.Random(r, fuzzscop.Config{MaxNests: 5, MaxExtent: 9})
+		sc := fuzzscop.Random(r, fuzzscop.Config{MaxNests: 5, MaxExtent: 9, Shifted: seed%2 == 1})
 		p := interp.Programify(sc)
 		_ = p
 		info, err := core.Detect(sc, core.Options{})
@@ -186,6 +187,9 @@ func TestQuickAddressUniqueness(t *testing.T) {
 		}
 		seen := map[int]string{}
 		for _, task := range prog.Tasks {
+			if task.Out < 0 {
+				t.Fatalf("seed %d: %s has negative address %d", seed, task.Label(), task.Out)
+			}
 			if prev, dup := seen[task.Out]; dup {
 				t.Fatalf("seed %d: address %d used by %s and %s", seed, task.Out, prev, task.Label())
 			}
@@ -209,7 +213,7 @@ func TestHybridCompileRunInPackage(t *testing.T) {
 	}
 	hasParallel := false
 	for _, task := range prog.Tasks {
-		if task.ParallelBody && len(task.Members) > 1 {
+		if task.ParallelBody && len(task.Members()) > 1 {
 			hasParallel = true
 		}
 	}
@@ -252,6 +256,58 @@ func TestCompileAllocsProportionalToTasks(t *testing.T) {
 		allocs := testing.AllocsPerRun(5, func() { _, _ = Compile(info) })
 		if bound := perTask*float64(prog.NumTasks()) + fixed; allocs > bound {
 			t.Errorf("n=%d: Compile made %.0f allocations for %d tasks, bound %.0f", n, allocs, prog.NumTasks(), bound)
+		}
+	}
+}
+
+// negativeProgram is two nests over i, j ∈ [-6, 6), the second reading
+// what the first wrote: leaders with negative coordinates.
+func negativeProgram() *kernels.Program {
+	dom := func(name string) *aff.Domain {
+		return aff.NewDomain(name, aff.ConstBound(0, -6, 6), aff.ConstBound(1, -6, 6))
+	}
+	b := scop.NewBuilder("negative")
+	b.Array("A", 2).Array("B", 2)
+	b.Stmt("S", dom("S")).Writes("A", aff.Var(2, 0), aff.Var(2, 1))
+	b.Stmt("T", dom("T")).
+		Writes("B", aff.Var(2, 0), aff.Var(2, 1)).
+		Reads("A", aff.Var(2, 0), aff.Var(2, 1))
+	return interp.Programify(b.MustBuild())
+}
+
+// TestNegativeBoundsAddresses is the regression test for §5.4 addresses
+// on negative coordinates. Sizing digits from the largest coordinate
+// alone made S[-6, 1] and S[-5, -6] share the negative address -66,
+// which the runtime reads as "no output": the edges vanished and runs
+// raced. Addresses must be non-negative and injective over all tasks,
+// and every run must match sequential execution.
+func TestNegativeBoundsAddresses(t *testing.T) {
+	p := negativeProgram()
+	prog := compile(t, p, core.Options{})
+	seen := map[int]string{}
+	for i := range prog.Tasks {
+		task := &prog.Tasks[i]
+		if task.Out < 0 {
+			t.Fatalf("task %s has negative address %d", task.Label(), task.Out)
+		}
+		if prev, dup := seen[task.Out]; dup {
+			t.Fatalf("address %d used by %s and %s", task.Out, prev, task.Label())
+		}
+		seen[task.Out] = task.Label()
+		for _, in := range task.In {
+			if _, ok := seen[in]; !ok {
+				t.Fatalf("task %s waits on address %d with no earlier writer", task.Label(), in)
+			}
+		}
+	}
+	want := runSequential(p)
+	for _, workers := range []int{1, 2, 4} {
+		for run := 0; run < 100; run++ {
+			p.Reset()
+			prog.Run(workers)
+			if got := p.Hash(); got != want {
+				t.Fatalf("workers=%d run %d: pipelined hash %x != sequential %x", workers, run, got, want)
+			}
 		}
 	}
 }

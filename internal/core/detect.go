@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"sort"
 
 	"repro/internal/deps"
 	"repro/internal/isl"
@@ -61,58 +62,65 @@ type PipelinePair struct {
 	Y        *isl.Map // target blocking map of Dst (total over I_dst)
 }
 
-// InDep is one in-dependency family of a statement's blocks: Rel maps
-// each block leader of the statement (Range(E_S)) to the leader of the
-// source-statement block that must complete first (Eq. 4, normalized
-// through the source's own E so the dependency names a real task).
-// Blocks with no entry in Rel do not depend on Src at all.
+// InDep is one in-dependency family of a statement's blocks (Q_S,
+// Eq. 4): To[b] is the position in the source statement's Blocks of
+// the block that block b must wait for, or -1 when block b does not
+// depend on Src at all. Info.InDepRel gives the relation form, block
+// leader → source block leader.
 type InDep struct {
 	Src *scop.Statement
-	Rel *isl.Map
+	To  []int32
 }
 
-// Block is one pipeline block (one task): the leader identifies it and
-// is its lexicographic maximum; Members are its iterations in
-// execution order.
-type Block struct {
-	Leader  isl.Vec
-	Members []isl.Vec
+// Edges returns the number of blocks that wait on Src.
+func (d *InDep) Edges() int {
+	n := 0
+	for _, q := range d.To {
+		if q >= 0 {
+			n++
+		}
+	}
+	return n
 }
+
+// Block is one pipeline block (one task). E_S sends every iteration to
+// the nearest leader ≽ it (§4.2), so a block is a contiguous run of its
+// statement's lexicographically sorted domain: positions First..Last of
+// Stmt.Domain.Elements(). Leader identifies the block and is its
+// lexicographic maximum.
+type Block struct {
+	Leader      isl.Vec
+	First, Last int32
+}
+
+// Len returns the block's iteration count.
+func (b *Block) Len() int { return int(b.Last-b.First) + 1 }
 
 // StmtInfo is the per-statement result of detection: the integrated
-// blocking map E_S, the materialized blocks in execution order, and
-// the block-level in-dependencies. The out-dependency Q'_S is the
-// identity on Range(E_S) and is represented implicitly by each block's
-// leader.
+// blocking map E_S, the blocks in execution order, and the block-level
+// in-dependencies. The out-dependency Q'_S is the identity on
+// Range(E_S) and is represented implicitly by each block's leader.
 type StmtInfo struct {
 	Stmt   *scop.Statement
 	E      *isl.Map
 	Blocks []Block
 	InDeps []InDep
-	// blockIndex maps the interned id of each block leader to its
-	// position in Blocks. Detect fills it when blocks are materialized;
-	// hand-built StmtInfo values leave it nil and BlockIndex falls back
-	// to a linear scan.
-	blockIndex map[uint32]int
-	leaders    *isl.Interner
+}
+
+// Members returns the iterations of block b in execution order: a
+// shared, read-only subslice of the statement's sorted domain.
+func (si *StmtInfo) Members(b int) []isl.Vec {
+	blk := &si.Blocks[b]
+	return si.Stmt.Domain.Elements()[blk.First : blk.Last+1]
 }
 
 // BlockIndex returns the position of the block led by leader in
-// execution order, or -1. Lowering calls this once per dependency, so
-// detection indexes the leaders by interned id; the lookup is O(1).
+// execution order, or -1. Blocks are in ascending leader order, so this
+// is a binary search.
 func (si *StmtInfo) BlockIndex(leader isl.Vec) int {
-	if si.blockIndex != nil {
-		if id, ok := si.leaders.ID(leader); ok {
-			if i, ok := si.blockIndex[id]; ok {
-				return i
-			}
-		}
-		return -1
-	}
-	for i := range si.Blocks {
-		if si.Blocks[i].Leader.Eq(leader) {
-			return i
-		}
+	i := sort.Search(len(si.Blocks), func(k int) bool { return si.Blocks[k].Leader.Cmp(leader) >= 0 })
+	if i < len(si.Blocks) && si.Blocks[i].Leader.Eq(leader) {
+		return i
 	}
 	return -1
 }
@@ -145,10 +153,26 @@ func (in *Info) TotalBlocks() int {
 	return n
 }
 
+// InDepRel returns the relation form of in-dependency d of si: each
+// dependent block's leader → the leader of the source block it waits
+// for (Eq. 4, normalized through the source's own E so it names a real
+// task). Lowering reads d.To; the relation is built on demand for
+// reports and digests.
+func (in *Info) InDepRel(si *StmtInfo, d InDep) *isl.Map {
+	src := in.Stmts[d.Src.Index]
+	rel := isl.NewMap(si.E.OutSpace(), src.E.OutSpace())
+	for b, q := range d.To {
+		if q >= 0 {
+			rel.Add(si.Blocks[b].Leader, src.Blocks[q].Leader)
+		}
+	}
+	return rel
+}
+
 // Freeze materializes the lazy ordering caches of every relation the
-// result holds — statement domains, pair T/V/Y maps, integrated E
-// maps, and in-dependency relations — and returns in (the dependence
-// graph freezes each of its relations as it computes them). A frozen
+// result holds — statement domains, pair T/V/Y maps, and integrated E
+// maps — and returns in (the dependence graph freezes each of its
+// relations as it computes them). A frozen
 // Info is safe for any number of concurrent readers (lookups,
 // lowering, execution) with no further synchronization, which is the
 // representation the detection cache stores (internal/cache).
@@ -167,9 +191,6 @@ func (in *Info) Freeze() *Info {
 			continue
 		}
 		si.E.Freeze()
-		for _, d := range si.InDeps {
-			d.Rel.Freeze()
-		}
 	}
 	return in
 }
@@ -323,34 +344,27 @@ func Detect(sc *scop.SCoP, opts Options) (*Info, error) {
 		}
 		e := IntegrateBlockingMaps(s.Domain, maps)
 		e = Coarsen(e, s.Domain, opts.MinBlockIters)
-		blocks, index := materializeBlocks(s.Domain, e)
-		info.Stmts[s.Index] = &StmtInfo{
-			Stmt:       s,
-			E:          e,
-			Blocks:     blocks,
-			blockIndex: index,
-			leaders:    isl.InternerFor(e.OutSpace()),
-		}
+		info.Stmts[s.Index] = &StmtInfo{Stmt: s, E: e, Blocks: materializeBlocks(s.Domain, e)}
 	})
 	stop()
 	opts.Obs.Count("detect.blocks", int64(info.TotalBlocks()))
 
 	// Block-level in-dependencies Q_S (lines 10–12, Eq. 4), one job per
-	// pair. A statement's E is read by every pair sharing that source,
-	// but E is single-valued so the reads (Image) are mutation-free;
-	// each pair's T and Y are owned by exactly one job here.
+	// pair. Blocks are only read; each pair's T and Y are owned by
+	// exactly one job here.
 	stop = opts.Obs.Phase("detect.dependency_relations")
-	rels := make([]*isl.Map, len(info.Pairs))
+	tos := make([][]int32, len(info.Pairs))
 	par.For(len(info.Pairs), workers, func(i int) {
 		pair := info.Pairs[i]
-		rels[i] = dependencyRelation(pair, info.Stmts[pair.Src.Index].E, info.Stmts[pair.Dst.Index])
+		tos[i] = dependencyTargets(pair, info.Stmts[pair.Src.Index], info.Stmts[pair.Dst.Index])
 	})
 	depEdges := 0
 	for i, pair := range info.Pairs {
-		if rel := rels[i]; !rel.IsEmpty() {
+		d := InDep{Src: pair.Src, To: tos[i]}
+		if n := d.Edges(); n > 0 {
 			dstInfo := info.Stmts[pair.Dst.Index]
-			dstInfo.InDeps = append(dstInfo.InDeps, InDep{Src: pair.Src, Rel: rel})
-			depEdges += rel.Card()
+			dstInfo.InDeps = append(dstInfo.InDeps, d)
+			depEdges += n
 		}
 	}
 	stop()
@@ -373,32 +387,42 @@ func unionReads(dst *scop.Statement, array string) *isl.Map {
 }
 
 // materializeBlocks lists the blocks of e over domain in execution
-// (lexicographic leader) order, together with the leader-id → block
-// position index BlockIndex serves from.
-func materializeBlocks(domain *isl.Set, e *isl.Map) ([]Block, map[uint32]int) {
-	leaders := isl.InternerFor(e.OutSpace())
-	var blocks []Block
-	index := make(map[uint32]int)
-	var cur *Block
-	for _, v := range domain.Elements() {
-		leader := e.Image(v)
-		if cur == nil || !cur.Leader.Eq(leader) {
-			index[leaders.Intern(leader)] = len(blocks)
-			blocks = append(blocks, Block{Leader: leader})
-			cur = &blocks[len(blocks)-1]
+// (lexicographic leader) order: one scan of e's position column, with a
+// block boundary wherever the leader changes.
+func materializeBlocks(domain *isl.Set, e *isl.Map) []Block {
+	lead := e.PositionColumn(domain, domain)
+	n := 0
+	for k, p := range lead {
+		if p < 0 {
+			panic(fmt.Sprintf("core: blocking map %s -> %s is not total over the domain", e.InSpace(), e.OutSpace()))
 		}
-		cur.Members = append(cur.Members, v)
+		if k == 0 || p != lead[k-1] {
+			n++
+		}
 	}
-	return blocks, index
+	elems := domain.Elements()
+	blocks := make([]Block, 0, n)
+	for k, p := range lead {
+		if k == 0 || p != lead[k-1] {
+			blocks = append(blocks, Block{Leader: elems[p], First: int32(k)})
+		}
+		blocks[len(blocks)-1].Last = int32(k)
+	}
+	return blocks
 }
 
-// dependencyRelation implements Eq. 4 for one pipeline pair: each
-// block of the destination maps to the leader of the source block
-// whose completion enables every member of the block:
+// dependencyTargets implements Eq. 4 for one pipeline pair: each block
+// of the destination names the source block whose completion enables
+// every member of the block:
 //
 //	y  = Y(j)            the pairwise target block containing member j
 //	i  = lexmin(T⁻¹(y))  the earliest source iteration enabling y
 //	q  = E_src(i)        the integrated source block containing i
+//
+// All three run on domain positions: Y and T are read as position
+// columns, and one ascending scan over the source positions finds, for
+// each y, the first source position landing on it together with the
+// source block whose interval holds that position.
 //
 // With the optimal (Eq. 3) blocking, every member of a block shares
 // one pairwise block (pairwise leaders are a subset of the integrated
@@ -408,24 +432,41 @@ func materializeBlocks(domain *isl.Set, e *isl.Map) ([]Block, map[uint32]int) {
 // monotonically with the member, so the strongest one comes from the
 // last member whose pairwise block is enabled by some source
 // iteration; members beyond Range(T) read nothing from this source.
-// Blocks none of whose members depend on the source are absent from
-// the relation.
-func dependencyRelation(pair PipelinePair, eSrc *isl.Map, dstInfo *StmtInfo) *isl.Map {
-	tInv := pair.T.Inverse()
-	rel := isl.NewMap(dstInfo.E.OutSpace(), eSrc.OutSpace())
-	for _, blk := range dstInfo.Blocks {
-		for m := len(blk.Members) - 1; m >= 0; m-- {
-			ys := pair.Y.Lookup(blk.Members[m])
-			if len(ys) == 0 {
-				continue
-			}
-			is := tInv.Lookup(ys[0])
-			if len(is) == 0 {
-				continue // dependence-free tail: try an earlier member
-			}
-			rel.Add(blk.Leader, eSrc.Image(is[0]))
-			break
+// Walking back from the block's last member, a pairwise block that
+// already failed is skipped. Blocks none of whose members depend on
+// the source get -1.
+func dependencyTargets(pair PipelinePair, src, dst *StmtInfo) []int32 {
+	dstDom := dst.Stmt.Domain
+	y := pair.Y.PositionColumn(dstDom, dstDom)
+	t := pair.T.PositionColumn(src.Stmt.Domain, dstDom)
+	// need[y]: the source block holding lexmin(T⁻¹(y)), or -1.
+	need := make([]int32, len(y))
+	for p := range need {
+		need[p] = -1
+	}
+	q := int32(0)
+	for i, p := range t {
+		for src.Blocks[q].Last < int32(i) {
+			q++
+		}
+		if p >= 0 && need[p] < 0 {
+			need[p] = q
 		}
 	}
-	return rel
+	to := make([]int32, len(dst.Blocks))
+	for b := range dst.Blocks {
+		to[b] = -1
+		failed := int32(-1)
+		for m := dst.Blocks[b].Last; m >= dst.Blocks[b].First; m-- {
+			yp := y[m]
+			if yp < 0 || yp == failed {
+				continue
+			}
+			if to[b] = need[yp]; to[b] >= 0 {
+				break
+			}
+			failed = yp // dependence-free tail: try an earlier member
+		}
+	}
+	return to
 }

@@ -91,7 +91,7 @@ func TestDetectListing1(t *testing.T) {
 	if len(rInfo.InDeps) != 1 || rInfo.InDeps[0].Src != sc.Statement("S") {
 		t.Fatalf("R InDeps = %+v", rInfo.InDeps)
 	}
-	q := rInfo.InDeps[0].Rel
+	q := info.InDepRel(rInfo, rInfo.InDeps[0])
 	if got := q.Image(isl.NewVec(3, 4)); !got.Eq(isl.NewVec(3, 8)) {
 		t.Errorf("Q_R(3,4) = %v, want [3, 8]", got)
 	}
@@ -178,7 +178,7 @@ func TestDetectListing3Integration(t *testing.T) {
 		for _, dep := range si.InDeps {
 			srcInfo := info.Stmts[dep.Src.Index]
 			leaders := srcInfo.E.Range()
-			dep.Rel.Foreach(func(_, q isl.Vec) bool {
+			info.InDepRel(si, dep).Foreach(func(_, q isl.Vec) bool {
 				if !leaders.Contains(q) {
 					t.Errorf("%s: in-dep names non-existent source block %v of %s",
 						si.Stmt.Name, q, dep.Src.Name)
@@ -209,15 +209,14 @@ func TestDependencyEnablesSafety(t *testing.T) {
 				return wr.ApplySet(done)
 			}
 			allWritten := wr.Range()
-			for _, blk := range si.Blocks {
-				qs := dep.Rel.Lookup(blk.Leader)
-				var avail *isl.Set
-				if len(qs) == 1 {
-					avail = written(qs[0])
-				} else {
-					avail = isl.NewSet(wr.OutSpace()) // no dep ⇒ nothing needed
+			for b, blk := range si.Blocks {
+				var qs isl.Vec
+				avail := isl.NewSet(wr.OutSpace()) // no dep ⇒ nothing needed
+				if q := dep.To[b]; q >= 0 {
+					qs = info.Stmts[src.Index].Blocks[q].Leader
+					avail = written(qs)
 				}
-				for _, member := range blk.Members {
+				for _, member := range si.Members(b) {
 					for _, rd := range si.Stmt.ReadsFrom(src.Write.Array()) {
 						for _, cell := range rd.Lookup(member) {
 							if !allWritten.Contains(cell) {
@@ -278,8 +277,8 @@ func TestCoarsenGranularity(t *testing.T) {
 	for _, si := range info.Stmts {
 		checkBlockingInvariants(t, si.Stmt.Name, si.Stmt.Domain, si.E)
 		for bi, blk := range si.Blocks {
-			if len(blk.Members) < 8 && bi != len(si.Blocks)-1 {
-				t.Errorf("%s block %d has %d iterations, want >= 8", si.Stmt.Name, bi, len(blk.Members))
+			if blk.Len() < 8 && bi != len(si.Blocks)-1 {
+				t.Errorf("%s block %d has %d iterations, want >= 8", si.Stmt.Name, bi, blk.Len())
 			}
 		}
 	}
@@ -328,7 +327,7 @@ func TestCoarsenedBlockSpanningTail(t *testing.T) {
 	if len(s2.InDeps) != 1 {
 		t.Fatalf("S2 InDeps = %d, want 1 — coarse block lost its dependence on S1", len(s2.InDeps))
 	}
-	q := s2.InDeps[0].Rel
+	q := info.InDepRel(s2, s2.InDeps[0])
 	if q.Card() != 1 {
 		t.Fatalf("Q_S2 = %v", q)
 	}
@@ -368,7 +367,7 @@ func TestDetectIndependentNests(t *testing.T) {
 		t.Fatalf("pairs = %d", len(info.Pairs))
 	}
 	for _, si := range info.Stmts {
-		if len(si.Blocks) != 1 || len(si.Blocks[0].Members) != 6 {
+		if len(si.Blocks) != 1 || si.Blocks[0].Len() != 6 {
 			t.Errorf("%s: blocks = %+v", si.Stmt.Name, si.Blocks)
 		}
 		if len(si.InDeps) != 0 {
@@ -386,5 +385,37 @@ func TestBlockIndex(t *testing.T) {
 	}
 	if got := si.BlockIndex(isl.NewVec(999, 999)); got != -1 {
 		t.Fatalf("BlockIndex missing = %d", got)
+	}
+}
+
+// TestDetectAllocsProportionalToPairs is detection's complexity guard,
+// free of any clock: blocks and in-dependencies are position columns,
+// so Detect allocates per statement and per pair — relations, columns,
+// block slices — and never per block or per point. Its allocation count
+// stays under one line c·(statements + pairs) + c′ at two sizes a factor
+// of four apart in blocks; an interned leader, a map insert or a vector
+// per block would add at least one allocation per block and break the
+// bound at both.
+func TestDetectAllocsProportionalToPairs(t *testing.T) {
+	if isl.BackendName != "columnar" {
+		t.Skipf("the %s oracle backend allocates per element by design", isl.BackendName)
+	}
+	const perItem, fixed = 64, 400
+	for _, n := range []int{16, 32} {
+		p, err := kernels.Table9Program("P10", n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Workers: 1}
+		info, err := Detect(p.SCoP, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() { _, _ = Detect(p.SCoP, opts) })
+		items := len(info.Stmts) + len(info.Pairs)
+		if bound := float64(perItem*items + fixed); allocs > bound {
+			t.Errorf("n=%d: Detect made %.0f allocations for %d statements + pairs (%d blocks), bound %.0f",
+				n, allocs, items, info.TotalBlocks(), bound)
+		}
 	}
 }

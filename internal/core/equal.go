@@ -1,10 +1,13 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // EqualInfo reports whether two detection results are structurally
 // identical: the same pairs with equal T/V/Y maps, equal integrated E
-// maps, equal block lists, and equal in-dependency relations. A nil
+// maps, equal domains and block lists, and equal in-dependencies. A nil
 // return means equal; otherwise the error names the first divergence.
 //
 // Statement identity is compared by schedule position and name rather
@@ -37,30 +40,33 @@ func EqualInfo(a, b *Info) error {
 		if !x.E.Equal(y.E) {
 			return fmt.Errorf("stmt %s: E differs", x.Stmt.Name)
 		}
+		// Blocks are intervals of the domain, so equal domains and equal
+		// intervals mean equal member lists.
+		if !x.Stmt.Domain.Equal(y.Stmt.Domain) {
+			return fmt.Errorf("stmt %s: domains differ", x.Stmt.Name)
+		}
 		if len(x.Blocks) != len(y.Blocks) {
 			return fmt.Errorf("stmt %s: %d vs %d blocks", x.Stmt.Name, len(x.Blocks), len(y.Blocks))
 		}
 		for j := range x.Blocks {
-			if !x.Blocks[j].Leader.Eq(y.Blocks[j].Leader) {
-				return fmt.Errorf("stmt %s block %d: leader %v vs %v", x.Stmt.Name, j, x.Blocks[j].Leader, y.Blocks[j].Leader)
+			p, q := &x.Blocks[j], &y.Blocks[j]
+			if !p.Leader.Eq(q.Leader) {
+				return fmt.Errorf("stmt %s block %d: leader %v vs %v", x.Stmt.Name, j, p.Leader, q.Leader)
 			}
-			if len(x.Blocks[j].Members) != len(y.Blocks[j].Members) {
-				return fmt.Errorf("stmt %s block %d: member count differs", x.Stmt.Name, j)
-			}
-			for k := range x.Blocks[j].Members {
-				if !x.Blocks[j].Members[k].Eq(y.Blocks[j].Members[k]) {
-					return fmt.Errorf("stmt %s block %d member %d differs", x.Stmt.Name, j, k)
-				}
+			if p.First != q.First || p.Last != q.Last {
+				return fmt.Errorf("stmt %s block %d: members %d..%d vs %d..%d", x.Stmt.Name, j, p.First, p.Last, q.First, q.Last)
 			}
 		}
 		if len(x.InDeps) != len(y.InDeps) {
 			return fmt.Errorf("stmt %s: %d vs %d in-deps", x.Stmt.Name, len(x.InDeps), len(y.InDeps))
 		}
+		// With every statement's blocks equal, equal source-block
+		// positions mean equal relations.
 		for j := range x.InDeps {
 			if x.InDeps[j].Src.Index != y.InDeps[j].Src.Index || x.InDeps[j].Src.Name != y.InDeps[j].Src.Name {
 				return fmt.Errorf("stmt %s in-dep %d: src %s vs %s", x.Stmt.Name, j, x.InDeps[j].Src.Name, y.InDeps[j].Src.Name)
 			}
-			if !x.InDeps[j].Rel.Equal(y.InDeps[j].Rel) {
+			if !slices.Equal(x.InDeps[j].To, y.InDeps[j].To) {
 				return fmt.Errorf("stmt %s in-dep %d (from %s): relation differs", x.Stmt.Name, j, x.InDeps[j].Src.Name)
 			}
 		}

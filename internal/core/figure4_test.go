@@ -68,7 +68,7 @@ func TestFigure4OptimalBlocks(t *testing.T) {
 	var depOnS3 *isl.Map
 	for _, d := range s4.InDeps {
 		if d.Src.Name == "S3" {
-			depOnS3 = d.Rel
+			depOnS3 = info.InDepRel(s4, d)
 		}
 	}
 	if depOnS3 == nil {
@@ -108,7 +108,7 @@ func TestFigure4DependencySafety(t *testing.T) {
 	}
 	for _, dep := range s3.InDeps {
 		for j := 0; j < 6; j++ {
-			q := dep.Rel.Image(isl.NewVec(j))
+			q := info.InDepRel(s3, dep).Image(isl.NewVec(j))
 			var need int
 			switch dep.Src.Name {
 			case "S1":

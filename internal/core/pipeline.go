@@ -141,6 +141,7 @@ func Coarsen(e *isl.Map, domain *isl.Set, minIters int) *isl.Map {
 		return e
 	}
 	elems := domain.Elements()
+	lead := e.PositionColumn(domain, domain)
 	r := isl.NewMap(e.InSpace(), e.OutSpace())
 	pending := 0
 	start := 0
@@ -153,9 +154,8 @@ func Coarsen(e *isl.Map, domain *isl.Set, minIters int) *isl.Map {
 	}
 	for idx, v := range elems {
 		pending++
-		leader := e.Image(v)
-		if leader.Eq(v) && pending >= minIters {
-			flush(idx+1, leader)
+		if int(lead[idx]) == idx && pending >= minIters {
+			flush(idx+1, v)
 		}
 	}
 	if pending > 0 {

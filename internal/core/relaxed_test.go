@@ -92,7 +92,7 @@ func TestDetectRequiresOptInForOverwrites(t *testing.T) {
 	}
 	// T's block c must wait (at least) for the S block containing the
 	// final writer 2c+1.
-	q := tInfo.InDeps[0].Rel
+	q := info.InDepRel(tInfo, tInfo.InDeps[0])
 	sE := info.Stmt("S").E
 	for c := 0; c < 4; c++ {
 		deps := q.Lookup(isl.NewVec(c))

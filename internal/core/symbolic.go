@@ -654,32 +654,29 @@ func (si *SymInfo) Materialize() *Info {
 	par.For(len(sc.Stmts), workers, func(i int) {
 		ss := si.Stmts[i]
 		e := materializePW(ss.Stmt.Domain, ss.E)
-		blocks, index := materializeBlocks(ss.Stmt.Domain, e)
-		info.Stmts[i] = &StmtInfo{
-			Stmt:       ss.Stmt,
-			E:          e,
-			Blocks:     blocks,
-			blockIndex: index,
-			leaders:    isl.InternerFor(e.OutSpace()),
-		}
+		info.Stmts[i] = &StmtInfo{Stmt: ss.Stmt, E: e, Blocks: materializeBlocks(ss.Stmt.Domain, e)}
 	})
 
-	// In-dependencies attach in pair order, like the explicit merge.
+	// In-dependencies attach in pair order, like the explicit merge: the
+	// closed form names a source leader for every destination leader up
+	// to YMax; leaders past it sit in the dependence-free tail.
 	for i := range si.Pairs {
 		sp := &si.Pairs[i]
 		if sp.DepEdges == 0 {
 			continue
 		}
-		dstInfo := info.Stmts[sp.Dst.Index]
-		rel := isl.NewMap(dstInfo.E.OutSpace(), info.Stmts[sp.Src.Index].E.OutSpace())
-		si.Stmts[sp.Dst.Index].Leaders.ForeachLex(func(v []int64) bool {
-			if lexCmp64(v, sp.YMax) > 0 {
-				return false
+		dstInfo, srcInfo := info.Stmts[sp.Dst.Index], info.Stmts[sp.Src.Index]
+		to := make([]int32, len(dstInfo.Blocks))
+		for b := range dstInfo.Blocks {
+			to[b] = -1
+			if v := toI64(dstInfo.Blocks[b].Leader); lexCmp64(v, sp.YMax) <= 0 {
+				q := toVec(evalPW(sp.Rel, v))
+				if to[b] = int32(srcInfo.BlockIndex(q)); to[b] < 0 {
+					panic(fmt.Sprintf("core: symbolic in-dependency of %s names %s%v, not a block leader", sp.Dst.Name, sp.Src.Name, q))
+				}
 			}
-			rel.Add(toVec(v), toVec(evalPW(sp.Rel, v)))
-			return true
-		})
-		dstInfo.InDeps = append(dstInfo.InDeps, InDep{Src: sp.Src, Rel: rel})
+		}
+		dstInfo.InDeps = append(dstInfo.InDeps, InDep{Src: sp.Src, To: to})
 	}
 	return info
 }

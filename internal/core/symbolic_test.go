@@ -91,7 +91,7 @@ func TestSymbolicMatchesExplicitInFragment(t *testing.T) {
 		var wantEdges int64
 		for _, st := range explicit.Stmts {
 			for _, dep := range st.InDeps {
-				wantEdges += int64(dep.Rel.Card())
+				wantEdges += int64(dep.Edges())
 			}
 		}
 		if got := si.TotalDepEdges(); got != wantEdges {

@@ -27,6 +27,11 @@ type Config struct {
 	// Sink appends a final pure-reader nest (no write access) that
 	// consumes random earlier arrays.
 	Sink bool
+	// Shifted draws every loop's lower bound from [-6, 2] instead of
+	// starting at 0, so domains, leaders and array cells take negative
+	// and shifted coordinates. Off, Random draws nothing extra, so a
+	// seed keeps the program the cross-backend goldens were built from.
+	Shifted bool
 }
 
 // SerialMode controls whether generated nests carry self
@@ -73,7 +78,7 @@ func Random(r *rand.Rand, cfg Config) *scop.SCoP {
 			extents[d] = 2 + r.Intn(cfg.MaxExtent-1)
 		}
 		name := fmt.Sprintf("S%d", k)
-		sb := b.Stmt(name, aff.RectDomain(name, extents...))
+		sb := b.Stmt(name, cfg.domain(r, name, extents))
 
 		// Write to the nest's own array: usually the injective
 		// identity; with Overwrites enabled, sometimes a folding
@@ -130,7 +135,7 @@ func Random(r *rand.Rand, cfg Config) *scop.SCoP {
 		for d := range extents {
 			extents[d] = 2 + r.Intn(cfg.MaxExtent-1)
 		}
-		sb := b.Stmt("Sink", aff.RectDomain("Sink", extents...))
+		sb := b.Stmt("Sink", cfg.domain(r, "Sink", extents))
 		for n := 0; n < 1+r.Intn(3); n++ {
 			src := r.Intn(nests)
 			idx := make([]aff.Expr, depth)
@@ -166,6 +171,20 @@ func Stress() *scop.SCoP {
 			return sc
 		}
 	}
+}
+
+// domain returns the nest's rectangle of the given extents, starting at
+// the origin or, under Shifted, at a random lower bound per dimension.
+func (c Config) domain(r *rand.Rand, name string, extents []int) *aff.Domain {
+	if !c.Shifted {
+		return aff.RectDomain(name, extents...)
+	}
+	bounds := make([]aff.LoopBound, len(extents))
+	for d, n := range extents {
+		lo := r.Intn(9) - 6
+		bounds[d] = aff.ConstBound(d, lo, lo+n)
+	}
+	return aff.NewDomain(name, bounds...)
 }
 
 func arrName(k int) string { return fmt.Sprintf("A%d", k) }

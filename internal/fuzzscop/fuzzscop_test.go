@@ -16,7 +16,7 @@ import (
 func TestRandomProgramsAreValid(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		sc := Random(r, Config{})
+		sc := Random(r, Config{Shifted: seed%2 == 1})
 		if err := sc.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -27,8 +27,9 @@ func TestRandomProgramsAreValid(t *testing.T) {
 }
 
 // TestDifferentialPipelined is the core soundness net: for many random
-// programs, the pipelined execution must reproduce the sequential
-// result bit-for-bit under several worker counts and options.
+// programs — every third with negative and shifted loop bounds — the
+// pipelined execution must reproduce the sequential result bit-for-bit
+// under several worker counts and options.
 func TestDifferentialPipelined(t *testing.T) {
 	seeds := 120
 	if testing.Short() {
@@ -36,7 +37,7 @@ func TestDifferentialPipelined(t *testing.T) {
 	}
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		r := rand.New(rand.NewSource(seed))
-		sc := Random(r, Config{})
+		sc := Random(r, Config{Shifted: seed%3 == 1})
 		p := interp.Programify(sc)
 		opts := core.Options{}
 		if r.Intn(3) == 0 {
@@ -144,7 +145,7 @@ func TestDetectNeverPanicsOnRandomPrograms(t *testing.T) {
 		for _, si := range info.Stmts {
 			n := 0
 			for _, blk := range si.Blocks {
-				n += len(blk.Members)
+				n += blk.Len()
 			}
 			if n != si.Stmt.Domain.Card() {
 				t.Fatalf("seed %d: %s blocks cover %d of %d iterations",
@@ -207,7 +208,7 @@ func TestDifferentialRuntimeExecution(t *testing.T) {
 	}
 	for seed := int64(9000); seed < int64(9000+seeds); seed++ {
 		r := rand.New(rand.NewSource(seed))
-		cfg := Config{Sink: r.Intn(2) == 0, Overwrites: r.Intn(3) == 0}
+		cfg := Config{Sink: r.Intn(2) == 0, Overwrites: r.Intn(3) == 0, Shifted: seed%3 == 0}
 		opts := core.Options{AllowOverwrites: cfg.Overwrites}
 		if r.Intn(3) == 0 {
 			opts.MinBlockIters = 1 + r.Intn(6)

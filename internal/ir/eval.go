@@ -151,7 +151,7 @@ func (ev *Evaluator) runUnit(u *Unit) {
 		}
 		return
 	}
-	for _, iv := range u.Members {
+	for _, iv := range ev.p.Members(u) {
 		ev.runBody(s, iv)
 	}
 }

@@ -18,9 +18,9 @@
 //     interp.Finish, ...);
 //   - tasks as lists of units, each unit one pipeline block of one
 //     statement: the lexicographic interval (From ≺ iv ≼ To) through
-//     the original loop bounds, the explicit member vectors, and —
-//     after the specialize pass — run-length segments that iterate
-//     only the block's own points;
+//     the original loop bounds, the same interval as positions of the
+//     statement's sorted points, and — after the specialize pass —
+//     run-length segments that iterate only the block's own points;
 //   - the §5.4 integer dependency interface (Outs/Ins/Serials
 //     addresses) and, after the hoist pass, the fully resolved
 //     dependency DAG in CSR form.
@@ -164,6 +164,9 @@ type Stmt struct {
 	// body into the task loops instead of emitting a dispatch to a
 	// per-statement function.
 	Inline bool
+	// Points is the statement's domain in lexicographic order (shared,
+	// read-only); units address their members by position in it.
+	Points []isl.Vec
 }
 
 // Seg is a run of consecutive innermost-dimension iterations: Start,
@@ -176,18 +179,24 @@ type Seg struct {
 }
 
 // Unit is one pipeline block of one statement inside a task. From/To
-// delimit the lexicographic interval (From ≺ iv ≼ To); Members are the
-// block's iteration vectors in execution order; Segs, when non-nil,
-// cover exactly the members as innermost-dimension runs.
+// delimit the lexicographic interval (From ≺ iv ≼ To); its members are
+// positions First..Last of the statement's Points (Program.Members);
+// Segs, when non-nil, cover exactly the members as innermost-dimension
+// runs.
 type Unit struct {
-	Stmt     int
-	From, To isl.Vec
-	Members  []isl.Vec
-	Segs     []Seg
+	Stmt        int
+	From, To    isl.Vec
+	First, Last int32
+	Segs        []Seg
 }
 
 // Iters returns the unit's iteration count.
-func (u *Unit) Iters() int { return len(u.Members) }
+func (u *Unit) Iters() int { return int(u.Last-u.First) + 1 }
+
+// Members returns the unit's iteration vectors in execution order.
+func (p *Program) Members(u *Unit) []isl.Vec {
+	return p.Stmts[u.Stmt].Points[u.First : u.Last+1]
+}
 
 // Task is one runtime task: its units (more than one after fusion, run
 // back to back) and its §5.4 dependency interface. Outs/Ins/Serials

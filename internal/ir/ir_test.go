@@ -303,13 +303,14 @@ func TestSpecializePass(t *testing.T) {
 					got = append(got, iv)
 				}
 			}
-			if len(got) != len(u.Members) {
-				t.Fatalf("task %d unit %d: segments cover %d points, members %d", i, j, len(got), len(u.Members))
+			members := p.Members(u)
+			if len(got) != len(members) {
+				t.Fatalf("task %d unit %d: segments cover %d points, members %d", i, j, len(got), len(members))
 			}
 			for k := range got {
 				for dd := range got[k] {
-					if got[k][dd] != u.Members[k][dd] {
-						t.Fatalf("task %d unit %d point %d: segs %v != member %v", i, j, k, got[k], u.Members[k])
+					if got[k][dd] != members[k][dd] {
+						t.Fatalf("task %d unit %d point %d: segs %v != member %v", i, j, k, got[k], members[k])
 					}
 				}
 			}

@@ -135,6 +135,7 @@ func lowerStmts(p *Program, info *core.Info) error {
 			Name:   s.Name,
 			Depth:  s.Depth(),
 			Bounds: s.Spec.Bounds,
+			Points: s.Domain.Elements(),
 		}
 		st.Ops = append(st.Ops, Op{Kind: OpAccInit})
 		for i := range s.Reads {
@@ -184,10 +185,11 @@ func lowerTasks(p *Program, info *core.Info, tp *codegen.TaskProgram) {
 		t := Task{
 			Label: spec.Label(),
 			Units: []Unit{{
-				Stmt:    spec.Stmt.Index,
-				From:    from,
-				To:      spec.Leader,
-				Members: spec.Members,
+				Stmt:  spec.Stmt.Index,
+				From:  from,
+				To:    spec.Leader,
+				First: spec.First,
+				Last:  spec.Last,
 			}},
 			Outs:    []int{spec.Out},
 			Ins:     append([]int(nil), spec.In...),

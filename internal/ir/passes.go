@@ -269,7 +269,8 @@ func hoistPass(p *Program, opt Options) {
 
 // specializePass converts every unit from "scan the full domain behind
 // a lexicographic interval guard" to run-length segments covering
-// exactly the block's members, and marks every statement body for
+// exactly the block's members — cut from the unit's interval of the
+// statement's sorted points — and marks every statement body for
 // inlining: the emitter then produces straight-line per-task loops
 // with no per-iteration dispatch, guard, or bounds re-derivation.
 func specializePass(p *Program, opt Options) {
@@ -277,7 +278,7 @@ func specializePass(p *Program, opt Options) {
 	for i := range p.Tasks {
 		for j := range p.Tasks[i].Units {
 			u := &p.Tasks[i].Units[j]
-			u.Segs = segments(u.Members)
+			u.Segs = segments(p.Members(u))
 			segs += len(u.Segs)
 		}
 	}
@@ -288,7 +289,7 @@ func specializePass(p *Program, opt Options) {
 	opt.Obs.Count("ir.segments", int64(segs))
 }
 
-// segments coalesces an execution-ordered member list into runs of
+// segments coalesces an interval of sorted points into runs of
 // consecutive innermost-dimension points.
 func segments(members []isl.Vec) []Seg {
 	var segs []Seg

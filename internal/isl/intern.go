@@ -1,13 +1,10 @@
 package isl
 
-import (
-	"strconv"
-	"sync"
-)
+import "sync"
 
 // internTable canonicalizes the vectors of one tuple space into dense
 // uint32 ids. Every Map and Set of a space shares the space's table
-// (see InternerFor), so identical tuples always carry identical ids
+// (see tableFor), so identical tuples always carry identical ids
 // and the relation algebra runs on integer ids instead of re-hashing
 // string-encoded vectors. Tables are append-only and guarded by an
 // RWMutex: lookups take the read lock, first-time interning the write
@@ -108,14 +105,6 @@ func (t *internTable) appendVecs(dst []Vec, ids []uint32) []Vec {
 	return dst
 }
 
-// len returns the number of interned vectors.
-func (t *internTable) len() int {
-	t.mu.RLock()
-	n := len(t.vecs)
-	t.mu.RUnlock()
-	return n
-}
-
 // registry maps each space to its intern table. Space values compare
 // by (name, dim), so every Map/Set constructor of a space resolves to
 // the same table, process-wide.
@@ -140,53 +129,3 @@ func tableFor(sp Space) *internTable {
 	registry[sp] = t
 	return t
 }
-
-// Interner exposes a space's intern table: the bijection between the
-// tuples seen in the space so far and their dense uint32 ids. Callers
-// use it to key auxiliary structures (e.g. leader→index maps) by tuple
-// identity without re-encoding vectors. All methods are safe for
-// concurrent use.
-type Interner struct {
-	space Space
-	t     *internTable
-}
-
-// InternerFor returns the interner of sp. All Maps and Sets of sp
-// share it.
-func InternerFor(sp Space) *Interner {
-	return &Interner{space: sp, t: tableFor(sp)}
-}
-
-// Space returns the tuple space this interner canonicalizes.
-func (in *Interner) Space() Space { return in.space }
-
-// ID returns the id of v, or false when v has never been interned in
-// this space (it does not intern).
-func (in *Interner) ID(v Vec) (uint32, bool) {
-	if len(v) != in.space.Dim {
-		return 0, false
-	}
-	return in.t.lookup(v)
-}
-
-// Intern returns the id of v, interning it on first sight. It panics
-// if v has the wrong dimension.
-func (in *Interner) Intern(v Vec) uint32 {
-	in.space.checkVec(v)
-	id, _ := in.t.intern(v)
-	return id
-}
-
-// Vec returns the canonical vector of id. The result is shared and
-// read-only. It panics on an id that was never issued.
-func (in *Interner) Vec(id uint32) Vec {
-	if int(id) >= in.t.len() {
-		panic("isl: Interner.Vec: unknown id " + strconv.FormatUint(uint64(id), 10) +
-			" in space " + in.space.String())
-	}
-	return in.t.vec(id)
-}
-
-// Len returns the number of distinct tuples interned in the space so
-// far.
-func (in *Interner) Len() int { return in.t.len() }

@@ -12,7 +12,7 @@ import (
 // domains.
 //
 // Representation (the columnar backend): both tuples of every pair are
-// canonicalized through the spaces' intern tables (see InternerFor)
+// canonicalized through the spaces' intern tables (see tableFor)
 // and the relation is held CSR-style as three columns — the input ids
 // (ins, sorted lexicographically), the start offset of each input's
 // run (offs), and the concatenated output runs (outs, each run sorted
@@ -348,6 +348,46 @@ func (m *Map) Inverse() *Map {
 	sc.release()
 	r.ins, r.offs, r.outs = ranked, offs, outs
 	return r
+}
+
+// PositionColumn returns one entry per element of in, in lexicographic
+// order: the position in out of that element's lexicographically
+// smallest image under m, or -1 when the element has no image or the
+// image is not an element of out. It is a merge walk of m's input
+// column against in's, with out's positions looked up through a dense
+// id → position table from the scratch pool; no vector is hashed or
+// compared unless the two input columns diverge.
+func (m *Map) PositionColumn(in, out *Set) []int32 {
+	m.in.checkSame(in.space, "Map.PositionColumn(in)")
+	m.out.checkSame(out.space, "Map.PositionColumn(out)")
+	m.normalize()
+	in.normalize()
+	out.normalize()
+	vi := m.ti.snapshot()
+	sc := getScratch()
+	// Every id of m and out predates the snapshot. The table's other
+	// entries are stale, so a hit counts only if out holds the id there.
+	pos := sc.rankTable(len(m.to.snapshot()))
+	for k, id := range out.ids {
+		pos[id] = int32(k)
+	}
+	col := make([]int32, len(in.ids))
+	r := 0
+	for j, id := range in.ids {
+		col[j] = -1
+		for r < len(m.ins) && cmpIDs(vi, m.ins[r], id) < 0 {
+			r++
+		}
+		if r == len(m.ins) || m.ins[r] != id {
+			continue
+		}
+		oid := m.outs[m.runStart(r)]
+		if k := pos[oid]; k >= 0 && int(k) < len(out.ids) && out.ids[k] == oid {
+			col[j] = k
+		}
+	}
+	sc.release()
+	return col
 }
 
 // Clone returns an independent copy of m.

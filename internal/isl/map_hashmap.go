@@ -12,7 +12,7 @@ import (
 // domains.
 //
 // Representation: both tuples of every pair are canonicalized through
-// the spaces' intern tables (see InternerFor), and the relation itself
+// the spaces' intern tables (see tableFor), and the relation itself
 // is a map from input id to a deduplicated slice of output ids. All of
 // the relation algebra (Compose, Union, Inverse, ...) therefore runs
 // on dense integer ids; vectors are materialized only at observation
@@ -249,6 +249,32 @@ func (m *Map) Inverse() *Map {
 		}
 	}
 	return r
+}
+
+// PositionColumn returns one entry per element of in, in lexicographic
+// order: the position in out of that element's lexicographically
+// smallest image under m, or -1 when the element has no image or the
+// image is not an element of out.
+func (m *Map) PositionColumn(in, out *Set) []int32 {
+	m.in.checkSame(in.space, "Map.PositionColumn(in)")
+	m.out.checkSame(out.space, "Map.PositionColumn(out)")
+	oids := out.elementIDs()
+	pos := make(map[uint32]int32, len(oids))
+	for k, id := range oids {
+		pos[id] = int32(k)
+	}
+	ids := in.elementIDs()
+	col := make([]int32, len(ids))
+	for j, id := range ids {
+		col[j] = -1
+		if e, ok := m.rel[id]; ok && len(e.outs) > 0 {
+			oid, _ := m.extremeOut(e, -1)
+			if k, ok := pos[oid]; ok {
+				col[j] = k
+			}
+		}
+	}
+	return col
 }
 
 // Clone returns an independent copy of m.

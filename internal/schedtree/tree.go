@@ -30,14 +30,13 @@ type DomainNode struct {
 	Child Node
 }
 
-// BandNode schedules its domain by a partial schedule; this
-// implementation uses identity partial schedules (lexicographic order
-// over the active domain), which is all Algorithm 2 requires.
+// BandNode schedules its domain by a partial schedule. Algorithm 2
+// only ever needs the identity partial schedule (lexicographic order
+// over the band's points), so a band carries its domain and the
+// identity over it is implied rather than materialized.
 type BandNode struct {
-	// Schedule is the partial schedule as a map from the active
-	// domain to itself (identity over the band's points).
-	Schedule *isl.Map
-	Child    Node
+	Set   *isl.Set
+	Child Node
 }
 
 // SequenceNode runs its children one after another.
@@ -86,11 +85,10 @@ func (n *LeafNode) children() []Node      { return nil }
 // (§5.2's mark built from the Q_S pw_multi_aff_list and the Q'_S
 // pw_multi_aff). It is the statement's detection result itself — Stmt,
 // the blocking map E, the blocks in execution order, and InDeps (Q_S:
-// block leader -> required source block leader) — plus the
-// out-dependency.
+// block → required source block). The out-dependency Q'_S is the
+// identity on Range(E): each block is named by its own leader.
 type TaskAnnotation struct {
 	*core.StmtInfo
-	Out *isl.Map // Q'_S: identity on Range(E)
 }
 
 // MarkName is the name of the mark node Algorithm 2 inserts.
@@ -103,7 +101,7 @@ const MarkName = "pipeline_task"
 //
 // and sequences the per-statement trees in program order.
 func Build(info *core.Info) *SequenceNode {
-	seq := &SequenceNode{}
+	seq := &SequenceNode{Children: make([]Node, 0, len(info.Stmts))}
 	for _, si := range info.Stmts {
 		re := si.E.Range()
 		de := si.E.Domain()
@@ -111,18 +109,15 @@ func Build(info *core.Info) *SequenceNode {
 		inner := &DomainNode{
 			Set: de,
 			Child: &MarkNode{
-				Name: MarkName,
-				Task: &TaskAnnotation{StmtInfo: si, Out: isl.Identity(re)},
-				Child: &BandNode{
-					Schedule: isl.Identity(de),
-					Child:    &LeafNode{},
-				},
+				Name:  MarkName,
+				Task:  &TaskAnnotation{StmtInfo: si},
+				Child: &BandNode{Set: de, Child: &LeafNode{}},
 			},
 		}
 		outer := &DomainNode{
 			Set: re,
 			Child: &BandNode{
-				Schedule: isl.Identity(re),
+				Set: re,
 				Child: &ExpansionNode{
 					Contraction: si.E,
 					Child:       inner,
@@ -134,12 +129,11 @@ func Build(info *core.Info) *SequenceNode {
 	return seq
 }
 
-// TaskInstance is one scheduled task: a block of one statement with
-// its members in execution order.
+// TaskInstance is one scheduled task: block Block of the annotated
+// statement (its members are Task.Members(Block)).
 type TaskInstance struct {
-	Task    *TaskAnnotation
-	Leader  isl.Vec
-	Members []isl.Vec
+	Task  *TaskAnnotation
+	Block int
 }
 
 // Flatten lists the totally ordered task instances the schedule tree
@@ -173,10 +167,10 @@ func flatten(n Node, out *[]TaskInstance) {
 			panic("schedtree: pipeline mark without a detection result")
 		}
 		// The band below the mark is subsumed by the members' order.
-		blocks := node.Task.Blocks
-		*out = slices.Grow(*out, len(blocks))
-		for i := range blocks {
-			*out = append(*out, TaskInstance{Task: node.Task, Leader: blocks[i].Leader, Members: blocks[i].Members})
+		n := len(node.Task.Blocks)
+		*out = slices.Grow(*out, n)
+		for i := 0; i < n; i++ {
+			*out = append(*out, TaskInstance{Task: node.Task, Block: i})
 		}
 	case *LeafNode:
 	default:
@@ -219,10 +213,10 @@ func NumNodes(root Node) int {
 // Validate checks the structural invariants of a transformed schedule
 // tree: every sequence child is a per-statement subtree of the exact
 // Algorithm 2 shape, the outer domain equals the contraction's range,
-// the inner domain equals its domain, band schedules are identities
-// over their domains, and the mark node carries a complete task
-// annotation whose out-dependency is the identity on the block
-// leaders.
+// the inner domain equals its domain, bands schedule exactly their
+// enclosing domains, and the mark node carries a complete task
+// annotation whose blocks are led by exactly the contraction's range
+// (so the implied out-dependency is the identity on the leaders).
 func Validate(root *SequenceNode) error {
 	for i, child := range root.Children {
 		if err := validateStmtTree(child); err != nil {
@@ -241,7 +235,7 @@ func validateStmtTree(n Node) error {
 	if !ok {
 		return fmt.Errorf("under outer domain: %s, want band", outerDom.Child.Kind())
 	}
-	if !outerBand.Schedule.Domain().Equal(outerDom.Set) {
+	if !outerBand.Set.Equal(outerDom.Set) {
 		return fmt.Errorf("outer band schedule domain differs from the domain node")
 	}
 	exp, ok := outerBand.Child.(*ExpansionNode)
@@ -268,14 +262,19 @@ func validateStmtTree(n Node) error {
 	if !mark.Task.E.Equal(exp.Contraction) {
 		return fmt.Errorf("annotation blocking map differs from the contraction")
 	}
-	if !mark.Task.Out.Equal(isl.Identity(exp.Contraction.Range())) {
-		return fmt.Errorf("out-dependency is not the identity on the block leaders")
+	if len(mark.Task.Blocks) != outerDom.Set.Card() {
+		return fmt.Errorf("annotation has %d blocks for %d block leaders", len(mark.Task.Blocks), outerDom.Set.Card())
+	}
+	for i := range mark.Task.Blocks {
+		if !outerDom.Set.Contains(mark.Task.Blocks[i].Leader) {
+			return fmt.Errorf("annotation block %d is led by %v, not a block leader", i, mark.Task.Blocks[i].Leader)
+		}
 	}
 	innerBand, ok := mark.Child.(*BandNode)
 	if !ok {
 		return fmt.Errorf("under mark: %s, want band", mark.Child.Kind())
 	}
-	if !innerBand.Schedule.Domain().Equal(innerDom.Set) {
+	if !innerBand.Set.Equal(innerDom.Set) {
 		return fmt.Errorf("inner band schedule domain differs from the statement domain")
 	}
 	if _, ok := innerBand.Child.(*LeafNode); !ok {
@@ -304,7 +303,7 @@ func print(b *strings.Builder, n Node, depth int) {
 		fmt.Fprintf(b, "%sdomain: %s\n", indent, summarizeSet(node.Set))
 		print(b, node.Child, depth+1)
 	case *BandNode:
-		fmt.Fprintf(b, "%sband: identity over %s\n", indent, summarizeSet(node.Schedule.Domain()))
+		fmt.Fprintf(b, "%sband: identity over %s\n", indent, summarizeSet(node.Set))
 		print(b, node.Child, depth+1)
 	case *ExpansionNode:
 		fmt.Fprintf(b, "%sexpansion: contraction %s -> %s\n", indent,

@@ -72,8 +72,8 @@ func TestBuildShape(t *testing.T) {
 		if !exp.Contraction.Equal(st.E) {
 			t.Errorf("child %d: contraction differs from E", i)
 		}
-		if !mark.Task.Out.Equal(isl.Identity(st.E.Range())) {
-			t.Errorf("child %d: out-dependency is not identity on Range(E)", i)
+		if !band.Set.Equal(dom.Set) || !innerBand.Set.Equal(innerDom.Set) {
+			t.Errorf("child %d: a band does not schedule its enclosing domain", i)
 		}
 	}
 }
@@ -95,25 +95,28 @@ func TestFlattenMatchesDetectedBlocks(t *testing.T) {
 	// with the detection-phase blocks.
 	idx := 0
 	for _, si := range info.Stmts {
+		first := idx
 		for _, blk := range si.Blocks {
 			task := tasks[idx]
 			idx++
 			if task.Task.Stmt != si.Stmt {
 				t.Fatalf("task %d: stmt %s, want %s", idx-1, task.Task.Stmt.Name, si.Stmt.Name)
 			}
-			if !task.Leader.Eq(blk.Leader) {
-				t.Fatalf("task %d: leader %v, want %v", idx-1, task.Leader, blk.Leader)
+			if task.Task.StmtInfo != si || task.Block != idx-1-first {
+				t.Fatalf("task %d: block %d of %s, want block %d", idx-1, task.Block, task.Task.Stmt.Name, idx-1-first)
 			}
-			if len(task.Members) != len(blk.Members) {
-				t.Fatalf("task %d: members %d, want %d", idx-1, len(task.Members), len(blk.Members))
-			}
-			for k := range blk.Members {
-				if !task.Members[k].Eq(blk.Members[k]) {
-					t.Fatalf("task %d member %d: %v, want %v", idx-1, k, task.Members[k], blk.Members[k])
-				}
+			if got := task.Task.Members(task.Block); len(got) != blk.Len() || !got[0].Eq(si.Stmt.Domain.Elements()[blk.First]) {
+				t.Fatalf("task %d: members %v, want positions %d..%d", idx-1, got, blk.First, blk.Last)
 			}
 		}
 	}
+}
+
+// enumTask is one task of the enumerative evaluation below.
+type enumTask struct {
+	Task    *TaskAnnotation
+	Leader  isl.Vec
+	Members []isl.Vec
 }
 
 // flattenEnumerative is the reference evaluation of a schedule tree,
@@ -123,7 +126,7 @@ func TestFlattenMatchesDetectedBlocks(t *testing.T) {
 // to it, and the mark node closes one task over whatever points are
 // active. active is the current point filter: inside an expansion it
 // restricts the inner domain to one block.
-func flattenEnumerative(n Node, active *isl.Set, out *[]TaskInstance) {
+func flattenEnumerative(n Node, active *isl.Set, out *[]enumTask) {
 	switch node := n.(type) {
 	case *SequenceNode:
 		for _, c := range node.Children {
@@ -151,7 +154,7 @@ func flattenEnumerative(n Node, active *isl.Set, out *[]TaskInstance) {
 			return
 		}
 		leader, _ := active.Lexmax()
-		*out = append(*out, TaskInstance{Task: node.Task, Leader: leader, Members: active.Elements()})
+		*out = append(*out, enumTask{Task: node.Task, Leader: leader, Members: active.Elements()})
 	}
 }
 
@@ -185,20 +188,21 @@ func TestFlattenEqualsEnumerativeEvaluation(t *testing.T) {
 			}
 			tree := Build(info)
 			got := Flatten(tree)
-			var want []TaskInstance
+			var want []enumTask
 			flattenEnumerative(tree, nil, &want)
 			if len(got) != len(want) {
 				t.Fatalf("%s min=%d: %d tasks, enumerative evaluation gives %d", in.name, minIters, len(got), len(want))
 			}
 			for i := range want {
 				g, w := got[i], want[i]
-				if g.Task != w.Task || !g.Leader.Eq(w.Leader) || len(g.Members) != len(w.Members) {
+				gl, gm := g.Task.Blocks[g.Block].Leader, g.Task.Members(g.Block)
+				if g.Task != w.Task || !gl.Eq(w.Leader) || len(gm) != len(w.Members) {
 					t.Fatalf("%s min=%d task %d: %s%v with %d members, want %s%v with %d",
-						in.name, minIters, i, g.Task.Stmt.Name, g.Leader, len(g.Members), w.Task.Stmt.Name, w.Leader, len(w.Members))
+						in.name, minIters, i, g.Task.Stmt.Name, gl, len(gm), w.Task.Stmt.Name, w.Leader, len(w.Members))
 				}
 				for k := range w.Members {
-					if !g.Members[k].Eq(w.Members[k]) {
-						t.Fatalf("%s min=%d task %d member %d: %v, want %v", in.name, minIters, i, k, g.Members[k], w.Members[k])
+					if !gm[k].Eq(w.Members[k]) {
+						t.Fatalf("%s min=%d task %d member %d: %v, want %v", in.name, minIters, i, k, gm[k], w.Members[k])
 					}
 				}
 			}
@@ -215,7 +219,7 @@ func TestFlattenCoversEveryIteration(t *testing.T) {
 		if seen[name] == nil {
 			seen[name] = make(map[string]bool)
 		}
-		for _, m := range task.Members {
+		for _, m := range task.Task.Members(task.Block) {
 			k := m.String()
 			if seen[name][k] {
 				t.Fatalf("iteration %s%v scheduled twice", name, m)
@@ -273,7 +277,7 @@ func TestValidateRejectsMoreMutations(t *testing.T) {
 		outer := tree.Children[0].(*DomainNode)
 		band := outer.Child.(*BandNode)
 		other := detect(t, 16)
-		band.Schedule = isl.Identity(other.Stmts[0].E.Range())
+		band.Set = other.Stmts[0].E.Range()
 	})
 	// Expansion replaced by a leaf.
 	mutate(t, func(tree *SequenceNode) {
@@ -286,12 +290,29 @@ func TestValidateRejectsMoreMutations(t *testing.T) {
 		exp := outer.Child.(*BandNode).Child.(*ExpansionNode)
 		exp.Child.(*DomainNode).Child.(*MarkNode).Task = nil
 	})
-	// Wrong out-dependency on the annotation.
+	// Annotation blocks that do not match the block leaders (the
+	// implied out-dependency would name tasks that do not exist).
 	mutate(t, func(tree *SequenceNode) {
 		outer := tree.Children[0].(*DomainNode)
 		exp := outer.Child.(*BandNode).Child.(*ExpansionNode)
 		mark := exp.Child.(*DomainNode).Child.(*MarkNode)
-		mark.Task.Out = isl.Identity(mark.Task.Stmt.Domain)
+		mark.Task.Blocks = mark.Task.Blocks[:1]
+	})
+	mutate(t, func(tree *SequenceNode) {
+		outer := tree.Children[0].(*DomainNode)
+		exp := outer.Child.(*BandNode).Child.(*ExpansionNode)
+		mark := exp.Child.(*DomainNode).Child.(*MarkNode)
+		blocks := append([]core.Block(nil), mark.Task.Blocks...)
+		blocks[0].Leader = blocks[0].Leader.Clone()
+		blocks[0].Leader[0] += 1000
+		mark.Task.Blocks = blocks
+	})
+	// Inner band over the wrong set.
+	mutate(t, func(tree *SequenceNode) {
+		outer := tree.Children[0].(*DomainNode)
+		exp := outer.Child.(*BandNode).Child.(*ExpansionNode)
+		mark := exp.Child.(*DomainNode).Child.(*MarkNode)
+		mark.Child.(*BandNode).Set = outer.Set
 	})
 	// Inner band missing.
 	mutate(t, func(tree *SequenceNode) {

@@ -50,8 +50,9 @@ func MeasureCompiled(p *kernels.Program, prog *codegen.TaskProgram, overhead tim
 	var seq time.Duration
 	for i := range prog.Tasks {
 		spec := &prog.Tasks[i]
+		members := spec.Members()
 		start := time.Now()
-		for _, iv := range spec.Members {
+		for _, iv := range members {
 			spec.Stmt.Body(iv)
 		}
 		cost := time.Since(start)
@@ -61,8 +62,8 @@ func MeasureCompiled(p *kernels.Program, prog *codegen.TaskProgram, overhead tim
 			// model perfect scaling over the intra-block workers (the
 			// caller is responsible for procs×workers ≤ hardware).
 			div := prog.Opts.IntraBlockWorkers
-			if div > len(spec.Members) {
-				div = len(spec.Members)
+			if div > len(members) {
+				div = len(members)
 			}
 			cost /= time.Duration(div)
 		}

@@ -233,11 +233,11 @@ func BlockReport(info *Info) string {
 			limit = 12
 		}
 		for i := 0; i < limit; i++ {
-			blk := si.Blocks[i]
-			fmt.Fprintf(&b, "  block %v: %d iteration(s)", blk.Leader, len(blk.Members))
+			blk := &si.Blocks[i]
+			fmt.Fprintf(&b, "  block %v: %d iteration(s)", blk.Leader, blk.Len())
 			for _, dep := range si.InDeps {
-				for _, q := range dep.Rel.Lookup(blk.Leader) {
-					fmt.Fprintf(&b, ", waits for %s%v", dep.Src.Name, q)
+				if q := dep.To[i]; q >= 0 {
+					fmt.Fprintf(&b, ", waits for %s%v", dep.Src.Name, info.Stmts[dep.Src.Index].Blocks[q].Leader)
 				}
 			}
 			b.WriteString("\n")
