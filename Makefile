@@ -1,17 +1,17 @@
 GO ?= go
 
-.PHONY: check build test vet fmt-check bench-module race crosscheck crosscheck-symbolic hybrid-race autotune-smoke aot-smoke obsd-smoke serve-smoke bench bench-cache bench-gate bench-exec bench-exec-gate bench-autotune bench-serve bench-serve-gate stats serve clean
+.PHONY: check build test vet fmt-check bench-module race crosscheck crosscheck-symbolic autotune-smoke aot-smoke obsd-smoke serve-smoke bench bench-cache bench-gate bench-exec bench-exec-gate bench-autotune bench-serve bench-serve-gate stats serve clean
 
 ## check: the full gate — vet, gofmt cleanliness, build, the
-## race-enabled test suite, the cross-backend differential suites (isl
-## backends and the symbolic detection algebra), the hybrid-schedule
-## equivalence suite under contention, the AOT-backend smoke (emit,
-## compile, execute, compare against the interpreter), the
+## race-enabled test suite (the chain executor's stress under
+## contention included), the cross-backend differential suites (isl
+## backends and the symbolic detection algebra), the AOT-backend smoke
+## (emit, compile, execute, compare against the interpreter), the
 ## live-telemetry smoke, the detection-service smoke, and the nested
 ## benchmark module (which tier-1 does not descend into). The autotune
 ## smoke joins in only on multi-core hosts: on one CPU the search
 ## measures scheduling noise, not blocking.
-check: vet fmt-check build bench-module race crosscheck crosscheck-symbolic hybrid-race aot-smoke obsd-smoke serve-smoke
+check: vet fmt-check build bench-module race crosscheck crosscheck-symbolic aot-smoke obsd-smoke serve-smoke
 	@if [ "$$(nproc 2>/dev/null || echo 1)" -ge 2 ]; then \
 		$(MAKE) autotune-smoke; \
 	else \
@@ -69,8 +69,14 @@ bench-module:
 test:
 	$(GO) test ./...
 
+## race: the whole suite under the race detector, then the chain
+## executor's equivalence and termination stress again at 2 and 4 CPUs
+## — claims, yields and parking under contention, bit-identical to
+## sequential on the Table 9 corpus, shifted random SCoPs and random
+## DAGs.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -cpu 2,4 -run 'Hybrid|Chain|FuseChains' ./internal/runtime/ ./internal/codegen/ ./internal/exec/ ./polypipe/
 
 ## bench: regenerate the paper's evaluation numbers plus the detection
 ## micro-benchmarks (serial vs parallel core.Detect; see
@@ -93,8 +99,7 @@ bench-gate:
 	$(GO) run ./cmd/bench-pipeline -bench-gate -sizes 32,64,128
 
 ## bench-exec: the execution runtime benchmark — serial reference,
-## the unified scheduler through the compiled IR, the hybrid schedule,
-## the profile-guided autotuned blocking, the futures/stages adapters,
+## the chain executor through the compiled IR, the profile-guided autotuned blocking, the futures/stages adapters,
 ## IR lowering first-vs-reuse, and the AOT backend (emitted-binary vs
 ## in-process steady state plus compile-time ns/op, passes on/off), on
 ## P4/P7/P10 at n=32/64/128. Regenerates the committed
@@ -103,7 +108,7 @@ bench-exec:
 	$(GO) run ./cmd/bench-pipeline -exec-bench -autotune -aot-bench -exec-out BENCH_exec.json
 
 ## bench-exec-gate: performance regression gate — re-run the execution
-## benchmark (including the hybrid-schedule, autotuned, and AOT rows)
+## benchmark (including the autotuned and AOT rows)
 ## and fail if any row's ns/op regressed more than 15% against the
 ## committed BENCH_exec.json (tune with -gate-tol). Committed rows
 ## measured under a different GOMAXPROCS than this host are skipped.
@@ -113,16 +118,9 @@ bench-exec-gate:
 ## bench-autotune: the profile-guided block-size search, human-readable
 ## — per kernel, every candidate granularity with its measured wall
 ## time / critical path / stall / steal / fused-chain profile, and the
-## chosen block size (docs/PERFORMANCE.md, "Autotuning & hybrid
-## scheduling").
+## chosen block size (docs/PERFORMANCE.md, "Autotuning").
 bench-autotune:
 	$(GO) run ./cmd/bench-pipeline -autotune -autotune-sizes 32 -autotune-budget 8
-
-## hybrid-race: the static/dynamic hybrid schedule under the race
-## detector at 2 and 4 CPUs — chain fusion, steal paths, and the
-## bit-identical-to-dynamic equivalence suite on the Table 9 corpus.
-hybrid-race:
-	$(GO) test -race -cpu 2,4 -run 'Hybrid|Chain|FuseChains' ./internal/runtime/ ./internal/exec/ ./polypipe/
 
 ## aot-smoke: the AOT backend's golden end-to-end gate — emit a
 ## standalone Go program for every examples/dsl/*.loop (pass pipeline

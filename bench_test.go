@@ -23,7 +23,9 @@ import (
 
 	"repro/internal/codegen"
 	"repro/internal/core"
+	"repro/internal/interp"
 	"repro/internal/kernels"
+	"repro/internal/runtime"
 	"repro/internal/tasking"
 	"repro/polypipe"
 )
@@ -364,6 +366,47 @@ func BenchmarkCompile(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
 						l.fn()
+					}
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkExecute times the compiled runtime IR's execution on the
+// t9_light members (light bodies, so the executor does the work) at one
+// and two workers: the runtime.execute_w1_ms and runtime.execute_ms
+// layers of the repository benchmark. Every run is checked against the
+// sequential hash.
+func BenchmarkExecute(b *testing.B) {
+	for _, name := range []string{"P4", "P7", "P10"} {
+		spec, _ := kernels.T9SpecByName(name)
+		for _, n := range []int{32, 64} {
+			p := interp.Programify(kernels.BuildTable9(spec, n, 1).SCoP)
+			info, err := core.Detect(p.SCoP, core.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			prog, err := codegen.Compile(info)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p.Reset()
+			for _, s := range p.SCoP.Stmts {
+				for _, iv := range s.Domain.Elements() {
+					s.Body(iv)
+				}
+			}
+			want := p.Hash()
+			ir := prog.Lower()
+			for _, workers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("%s/N=%d/W=%d", name, n, workers), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						p.Reset()
+						ir.Execute(workers, runtime.ExecOptions{})
+					}
+					if p.Hash() != want {
+						b.Fatal("pipelined hash differs from sequential")
 					}
 				})
 			}

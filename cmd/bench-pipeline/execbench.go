@@ -19,10 +19,8 @@ import (
 
 // execMeasure is one (kernel, mode) execution benchmark measurement.
 // Modes: "serial" (the sequential reference), "pipelined" (the unified
-// runtime scheduler driven through the compiled IR), "hybrid" (the
-// same blocking under the static/dynamic hybrid schedule —
-// single-predecessor chains fused into statically ordered runs),
-// "autotuned" (profile-guided MinBlockIters search, hybrid schedule),
+// runtime executor driven through the compiled IR), "autotuned"
+// (profile-guided MinBlockIters search),
 // "futures" / "stages" (the same IR streamed through the adapter
 // layers), "lower_first" (building the runtime IR from the task
 // program), and "lower_reuse" (serving the memoized IR).
@@ -88,16 +86,14 @@ var preRefactorBaseline = []execMeasure{
 	{Kernel: "P10/n=128", Mode: "tasking", Workers: 4, Tasks: 63754, NsPerOp: 6255253668},
 }
 
-// execCase is one execution benchmark kernel: the program plus the
-// task program compiled under the default dynamic schedule and under
-// the hybrid schedule, both from the same detection so every mode
-// runs the identical blocking.
+// execCase is one execution benchmark kernel: the program plus its
+// compiled task program, shared by every mode so all run the identical
+// blocking.
 type execCase struct {
 	name string
 	n    int
 	p    *kernels.Program
 	prog *codegen.TaskProgram
-	hyb  *codegen.TaskProgram
 }
 
 // execBenchCases builds the execution benchmark kernels: the same
@@ -120,11 +116,7 @@ func execBenchCases(sizes []int) ([]execCase, error) {
 			if err != nil {
 				return nil, fmt.Errorf("exec-bench %s/n=%d: compile: %w", name, n, err)
 			}
-			hyb, err := codegen.CompileWithOptions(info, codegen.CompileOptions{HybridSchedule: true})
-			if err != nil {
-				return nil, fmt.Errorf("exec-bench %s/n=%d: compile hybrid: %w", name, n, err)
-			}
-			cases = append(cases, execCase{fmt.Sprintf("%s/n=%d", name, n), n, p, prog, hyb})
+			cases = append(cases, execCase{fmt.Sprintf("%s/n=%d", name, n), n, p, prog})
 		}
 	}
 	return cases, nil
@@ -200,19 +192,12 @@ func measureExec(sizes []int, workers int, tune tuneOpts) ([]execMeasure, error)
 				exec.RunCompiled(c.p, c.prog, workers)
 			}
 		}))
-		record(c.name, "hybrid", workers, tasks, 0, bestOf(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				exec.RunCompiled(c.p, c.hyb, workers)
-			}
-		}))
 		if tune.Enabled && !tune.wants(c.n) {
 			fmt.Fprintf(os.Stderr, "%s/autotuned: skipped (n=%d not in -autotune-sizes)\n", c.name, c.n)
 		}
 		if tune.wants(c.n) {
 			res, err := autotune.Tune(c.p, autotune.Config{
 				Workers: workers,
-				Hybrid:  true,
 				Budget:  tune.Budget,
 				Reps:    1,
 			})
@@ -225,7 +210,7 @@ func measureExec(sizes []int, workers int, tune tuneOpts) ([]execMeasure, error)
 			if err != nil {
 				return nil, fmt.Errorf("exec-bench %s: detect tuned: %w", c.name, err)
 			}
-			tuned, err := codegen.CompileWithOptions(info, codegen.CompileOptions{HybridSchedule: true})
+			tuned, err := codegen.Compile(info)
 			if err != nil {
 				return nil, fmt.Errorf("exec-bench %s: compile tuned: %w", c.name, err)
 			}
@@ -272,8 +257,8 @@ func measureExec(sizes []int, workers int, tune tuneOpts) ([]execMeasure, error)
 // runExecBench measures the execution benchmark at the given sizes and
 // writes the run as JSON to out ("" or "-" means stdout). It also
 // prints the pipelined-vs-baseline-tasking comparison (the number the
-// refactor is accountable for) and, per kernel, what the hybrid
-// schedule and the tuned blocking bought over plain pipelined.
+// refactor is accountable for) and, per kernel, what the tuned
+// blocking bought over plain pipelined.
 func runExecBench(out string, sizes []int, workers int, tune tuneOpts, aot aotOpts) error {
 	results, err := measureExec(sizes, workers, tune)
 	if err != nil {
@@ -292,8 +277,7 @@ func runExecBench(out string, sizes []int, workers int, tune tuneOpts, aot aotOp
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Workers:    workers,
-		Note: "pipelined/futures/stages all execute the compiled runtime IR; \"hybrid\" fuses " +
-			"single-predecessor chains into static runs, \"autotuned\" adds profile-guided " +
+		Note: "pipelined/futures/stages all execute the compiled runtime IR; \"autotuned\" adds profile-guided " +
 			"MinBlockIters; \"aot_binary\" is the emitted standalone program's steady-state " +
 			"pipelined time vs \"aot_inprocess\" on the same synthetic-bodied kernel, and " +
 			"\"aot_compile\"/\"aot_compile_noopt\" time the gogen backend with passes on/off; " +
@@ -318,7 +302,7 @@ func runExecBench(out string, sizes []int, workers int, tune tuneOpts, aot aotOp
 				fmt.Fprintf(os.Stderr, "exec-bench: %s pipelined %d ns/op vs pre-refactor tasking %d (%+.1f%%)\n",
 					m.Kernel, m.NsPerOp, w.NsPerOp, 100*(float64(m.NsPerOp)/float64(w.NsPerOp)-1))
 			}
-		case "hybrid", "autotuned":
+		case "autotuned":
 			if w, ok := fresh[m.Kernel+"/pipelined"]; ok {
 				fmt.Fprintf(os.Stderr, "exec-bench: %s %s %d ns/op vs pipelined %d (%+.1f%%)\n",
 					m.Kernel, m.Mode, m.NsPerOp, w.NsPerOp, 100*(float64(m.NsPerOp)/float64(w.NsPerOp)-1))
@@ -434,7 +418,7 @@ func runExecGate(gateFile string, tol float64, sizes []int, workers int, tune tu
 // critical path, stalls, steals, and fused chains, then the
 // before/after verdict. This is the -autotune mode without
 // -exec-bench: a human-readable view of what the tuner saw.
-func runAutotuneReport(sizes []int, workers int, budget int, hybrid bool) error {
+func runAutotuneReport(sizes []int, workers int, budget int) error {
 	cases, err := execBenchCases(sizes)
 	if err != nil {
 		return err
@@ -442,14 +426,13 @@ func runAutotuneReport(sizes []int, workers int, budget int, hybrid bool) error 
 	for _, c := range cases {
 		res, err := autotune.Tune(c.p, autotune.Config{
 			Workers: workers,
-			Hybrid:  hybrid,
 			Budget:  budget,
 			Reps:    1,
 		})
 		if err != nil {
 			return fmt.Errorf("autotune %s: %w", c.name, err)
 		}
-		fmt.Printf("%s (workers=%d, hybrid=%v):\n", c.name, workers, hybrid)
+		fmt.Printf("%s (workers=%d):\n", c.name, workers)
 		for _, s := range res.Samples {
 			marker := " "
 			if s.BlockIters == res.Chosen {

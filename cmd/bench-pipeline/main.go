@@ -155,7 +155,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := runAutotuneReport(sizeVals, *workers, *autotuneBudget, true); err != nil {
+		if err := runAutotuneReport(sizeVals, *workers, *autotuneBudget); err != nil {
 			stopProfiles()
 			fatal(err)
 		}

@@ -43,7 +43,6 @@ func main() {
 	workers := flag.Int("workers", 4, "pipeline workers")
 	work := flag.Duration("work", time.Millisecond, "extra wall-clock cost per statement instance (the Table 9 SIZE analogue; a timed wait, so overlap is visible on any host); 0 leaves the raw bodies, whose cost is below task overhead")
 	minBlock := flag.Int("min-block-iters", 8, "coarsen blocks to at least this many iterations (Options.MinBlockIters); amortizes per-task handoff")
-	hybrid := flag.Bool("hybrid", false, "run under the static/dynamic hybrid schedule: fuse single-predecessor dependence chains into statically ordered runs (see docs/PERFORMANCE.md)")
 	tuneBudget := flag.Int("autotune", 0, "profile-guided block-size search budget before the observed run (0 = off, use -min-block-iters as-is); overrides -min-block-iters with the tuned value")
 	backend := flag.String("backend", "", "detection backend: \"\"/explicit (Algorithm 1 over enumerated relations) or symbolic (closed-form constraint algebra, falls back outside its fragment)")
 	out := flag.String("o", "trace.json", "Perfetto trace_event output file")
@@ -76,19 +75,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	rec := polypipe.NewRecorder()
 	if *tuneBudget > 0 {
-		topts := opts
-		topts.Obs = rec
-		sopts := []polypipe.SessionOption{
+		res, err := polypipe.NewSession(
 			polypipe.WithWorkers(*workers),
-			polypipe.WithOptions(topts),
+			polypipe.WithOptions(opts),
 			polypipe.WithAutotune(*tuneBudget),
-		}
-		if *hybrid {
-			sopts = append(sopts, polypipe.WithHybridSchedule())
-		}
-		res, err := polypipe.NewSession(sopts...).Autotune(p)
+		).Autotune(p)
 		if err != nil {
 			fatal(err)
 		}
@@ -96,12 +88,7 @@ func main() {
 			res.Baseline.BlockIters, res.Chosen, res.Evals, res.Speedup(), res.Converged)
 		opts.MinBlockIters = res.Chosen
 	}
-	var m *polypipe.Metrics
-	if *hybrid {
-		m, err = polypipe.ObserveHybrid(p, *workers, opts, rec)
-	} else {
-		m, err = polypipe.Observe(p, *workers, opts)
-	}
+	m, err := polypipe.Observe(p, *workers, opts)
 	if err != nil {
 		fatal(err)
 	}
@@ -222,17 +209,11 @@ func printStats(w io.Writer, name string, workers int, sequential time.Duration,
 	rt.Add("total stall", report.FormatDuration(a.TotalStall))
 	rt.Add("pool utilization", report.FormatPercent(a.Utilization(workers)))
 	rt.Add("peak concurrency", strconv.FormatInt(s.Gauge("runtime.peak_concurrency"), 10))
-	rt.Add("tasks stolen", strconv.FormatInt(s.Counter("runtime.steal_count"), 10))
-	rt.Add("chains fused", strconv.FormatInt(s.Counter("runtime.chain_fused"), 10))
 	rt.Add("deps resolved", strconv.FormatInt(s.Counter("runtime.deps_resolved"), 10))
+	rt.Add("  by chain order", strconv.FormatInt(s.Counter("runtime.chain_fused"), 10))
 	rt.Add("IR reuse hits", strconv.FormatInt(s.Counter("runtime.ir_reuse"), 10))
-	rt.Add("ready queue depth (now)", strconv.FormatInt(s.Gauge("runtime.queue_depth"), 10))
-	rt.Add("ready queue peak", strconv.FormatInt(s.Gauge("runtime.queue_depth_peak"), 10))
+	rt.Add("statements in flight (peak)", strconv.FormatInt(s.Gauge("runtime.queue_depth_peak"), 10))
 	rt.Add("dropped events", strconv.Itoa(a.DroppedEvents))
-	if it := s.Counter("autotune.iterations"); it > 0 {
-		rt.Add("autotune evals", strconv.FormatInt(it, 10))
-		rt.Add("autotune block iters", strconv.FormatInt(s.Gauge("autotune.block_iters_chosen"), 10))
-	}
 	fmt.Fprint(w, rt.String())
 
 	fmt.Fprintln(w, "\nper-worker:")

@@ -28,6 +28,7 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/obs"
 	"repro/internal/par"
+	"repro/internal/runtime"
 	"repro/internal/trace"
 )
 
@@ -60,9 +61,6 @@ type Config struct {
 	// the search's starting granularity (0/1 = the pure Eq. 3
 	// blocking) and the rest is passed through to core.Detect.
 	Detect core.Options
-	// Hybrid scores candidates under the static/dynamic hybrid
-	// schedule (codegen.CompileOptions.HybridSchedule).
-	Hybrid bool
 	// Budget caps candidate evaluations (0 = DefaultBudget).
 	Budget int
 	// Reps is the number of timed runs per candidate, best-of
@@ -283,7 +281,7 @@ func evaluate(p *kernels.Program, b, workers, reps int, cfg Config, want uint64)
 	if err != nil {
 		return Sample{}, fmt.Errorf("autotune: detect at blockIters=%d: %w", b, err)
 	}
-	prog, err := codegen.CompileWithOptions(info, codegen.CompileOptions{HybridSchedule: cfg.Hybrid})
+	prog, err := codegen.Compile(info)
 	if err != nil {
 		return Sample{}, fmt.Errorf("autotune: compile at blockIters=%d: %w", b, err)
 	}
@@ -294,12 +292,9 @@ func evaluate(p *kernels.Program, b, workers, reps int, cfg Config, want uint64)
 		reg := obs.NewRegistry()
 		c := trace.NewCollector()
 		c.SetRegistry(reg)
-		eo := prog.ExecOpts()
-		eo.Trace = c.Hook()
-		eo.Reg = reg
 		p.Reset()
 		start := time.Now()
-		ir.Execute(workers, eo)
+		ir.Execute(workers, runtime.ExecOptions{Trace: c.Hook(), Reg: reg})
 		elapsed := time.Since(start)
 		if got := p.Hash(); got != want {
 			return Sample{}, fmt.Errorf("autotune: blockIters=%d result hash %x differs from sequential %x", b, got, want)

@@ -97,17 +97,22 @@ func TestTuneRespectsBaseAndCeiling(t *testing.T) {
 	}
 }
 
+// TestTuneHybridMeasuresChainFusion checks every sample reads the
+// runtime.chain_fused counter: under the chain executor's static order
+// within a statement, each block after a statement's first.
 func TestTuneHybridMeasuresChainFusion(t *testing.T) {
 	p, err := kernels.Table9Program("P4", 24, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Tune(p, Config{Workers: 2, Reps: 1, Hybrid: true, Budget: 4})
+	res, err := Tune(p, Config{Workers: 2, Reps: 1, Budget: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Baseline.ChainFused == 0 {
-		t.Fatal("hybrid tuning measured no fused chains on P4")
+	for _, s := range res.Samples {
+		if want := int64(s.Tasks - len(p.SCoP.Stmts)); s.ChainFused != want {
+			t.Fatalf("blockIters=%d: chain_fused = %d over %d tasks, want %d", s.BlockIters, s.ChainFused, s.Tasks, want)
+		}
 	}
 }
 

@@ -32,8 +32,8 @@ type TaskSpec struct {
 	In          []int
 	Serial      int
 	// ParallelBody marks tasks whose members may run concurrently
-	// (the statement has no intra-nest conflicts); set only under
-	// hybrid compilation.
+	// (the statement has no intra-nest conflicts); set only when
+	// CompileOptions.IntraBlockWorkers > 1.
 	ParallelBody bool
 }
 
@@ -59,14 +59,6 @@ type CompileOptions struct {
 	// many goroutines. Blocks still run in order and cross-loop
 	// dependencies are unchanged, so correctness is unaffected.
 	IntraBlockWorkers int
-	// HybridSchedule enables static/dynamic scheduling of the lowered
-	// IR: Lower classifies single-predecessor producer→consumer pairs
-	// into static chains (runtime.FuseChains) and every Run executes
-	// with runtime.ExecOptions.Hybrid, so fused consumers run inline
-	// on the worker that finished their producer while cross-chain
-	// edges stay on the work-stealing scheduler. Results are
-	// bit-identical to the pure-dynamic mode.
-	HybridSchedule bool
 	// Obs, when non-nil, receives compile-phase timings
 	// ("codegen.schedule_tree", "codegen.lower") and counts
 	// ("codegen.tasks", "sched.tree_nodes").
@@ -82,9 +74,14 @@ type TaskProgram struct {
 	Opts   CompileOptions
 	blocks int
 
-	// lowered caches the compiled runtime IR (see Lower): the §5.5
-	// dependency addresses are resolved once, then every run reuses the
-	// flat dependency arrays.
+	// stmts is the detection result per statement, in index order. The
+	// tasks are its blocks, statement by statement, so task (S, b) is
+	// base[S] + b and its in-dependencies are stmts[S].InDeps' To[b].
+	stmts []*core.StmtInfo
+	base  []int
+
+	// lowered caches the compiled runtime IR (see Lower), built once
+	// and reused by every run.
 	lowerOnce sync.Once
 	lowered   *runtime.Program
 }
@@ -165,7 +162,7 @@ func CompileForEmission(info *core.Info) (*TaskProgram, error) {
 
 func compileTasks(info *core.Info, opts CompileOptions) (*TaskProgram, error) {
 	coder := newCoder(info)
-	prog := &TaskProgram{SCoP: info.SCoP, Coder: coder, Opts: opts}
+	prog := &TaskProgram{SCoP: info.SCoP, Coder: coder, Opts: opts, stmts: info.Stmts, base: make([]int, len(info.Stmts))}
 
 	parallelBody := make([]bool, len(info.SCoP.Stmts))
 	if opts.IntraBlockWorkers > 1 {
@@ -198,6 +195,9 @@ func compileTasks(info *core.Info, opts CompileOptions) (*TaskProgram, error) {
 	for i, inst := range instances {
 		stmt := inst.Task.Stmt
 		blk := &inst.Task.Blocks[inst.Block]
+		if inst.Block == 0 {
+			prog.base[stmt.Index] = i
+		}
 		first := len(ins)
 		for _, dep := range inst.Task.InDeps {
 			if q := dep.To[inst.Block]; q >= 0 {
@@ -223,23 +223,21 @@ func compileTasks(info *core.Info, opts CompileOptions) (*TaskProgram, error) {
 // NumTasks returns the number of tasks the program creates.
 func (p *TaskProgram) NumTasks() int { return p.blocks }
 
-// DataEdges returns the realized cross-statement dependency edges of
-// the task DAG as (producer, consumer) pairs of task indices, resolved
-// the way the runtime resolves them: each In address against the last
-// previously created task writing it. Edges always point forward in
-// creation order.
+// DataEdges returns the cross-statement dependency edges of the task
+// DAG as (producer, consumer) pairs of task indices, read off the
+// in-dependency columns: task (S, b) waits on task (Src, To[b]). They
+// are the edges the runtime's address resolution would find, in the
+// same order — by consumer, then in-dependency — and always point
+// forward in creation order.
 func (p *TaskProgram) DataEdges() [][2]int {
-	lastWriter := map[int]int{}
 	var edges [][2]int
-	for i := range p.Tasks {
-		spec := &p.Tasks[i]
-		for _, addr := range spec.In {
-			if j, ok := lastWriter[addr]; ok {
-				edges = append(edges, [2]int{j, i})
+	for _, si := range p.stmts {
+		for b := range si.Blocks {
+			for _, dep := range si.InDeps {
+				if q := dep.To[b]; q >= 0 {
+					edges = append(edges, [2]int{p.base[dep.Src.Index] + int(q), p.base[si.Stmt.Index] + b})
+				}
 			}
-		}
-		if spec.Out >= 0 {
-			lastWriter[spec.Out] = i
 		}
 	}
 	return edges
@@ -247,19 +245,14 @@ func (p *TaskProgram) DataEdges() [][2]int {
 
 // SerialEdges returns the per-statement serialization chains (the
 // funcCount self-dependencies) as (predecessor, successor) pairs of
-// task indices.
+// task indices: block b−1 → block b of every statement.
 func (p *TaskProgram) SerialEdges() [][2]int {
-	lastSerial := map[int]int{}
 	var edges [][2]int
-	for i := range p.Tasks {
-		key := p.Tasks[i].Serial
-		if key < 0 {
-			continue
+	for _, si := range p.stmts {
+		for b := 1; b < len(si.Blocks); b++ {
+			i := p.base[si.Stmt.Index] + b
+			edges = append(edges, [2]int{i - 1, i})
 		}
-		if j, ok := lastSerial[key]; ok {
-			edges = append(edges, [2]int{j, i})
-		}
-		lastSerial[key] = i
 	}
 	return edges
 }
@@ -293,42 +286,76 @@ func (p *TaskProgram) Submit(r Layer) {
 }
 
 // task materializes task i — body closure plus dependency interface,
-// unlabelled — for submission to a streaming layer or lowering into the
-// IR.
+// unlabelled — for submission to a streaming layer.
 func (p *TaskProgram) task(i int) runtime.Task {
 	spec := &p.Tasks[i]
-	body := spec.Stmt.Body
 	members := spec.Members()
-	fn := func() {
-		for _, iv := range members {
-			body(iv)
-		}
-	}
-	if spec.ParallelBody && len(members) > 1 {
-		workers := p.Opts.IntraBlockWorkers
-		fn = func() { runMembersParallel(body, members, workers) }
-	}
 	return runtime.Task{
-		Fn:     fn,
+		Fn:     func() { p.runBlock(spec, members) },
 		Out:    spec.Out,
 		In:     spec.In,
 		Serial: spec.Serial,
 	}
 }
 
-// BuildIR lowers the program to the compiled runtime IR: every task's
-// In addresses and Serial key are resolved against the last-writer and
-// last-serial tables once, producing flat dependency arrays (CSR
-// adjacency plus initial indegrees) that every subsequent execution
-// reuses. BuildIR always lowers afresh; use Lower for the memoized
-// program-lifetime IR.
-func (p *TaskProgram) BuildIR() *runtime.Program {
-	b := runtime.NewBuilder(len(p.Tasks))
-	b.Labels = func(i int) string { return p.Tasks[i].Label() }
-	for i := range p.Tasks {
-		b.Add(p.task(i))
+// runBlock executes a block's members in order, or spread over
+// IntraBlockWorkers goroutines when its statement has no intra-nest
+// conflicts.
+func (p *TaskProgram) runBlock(spec *TaskSpec, members []isl.Vec) {
+	if spec.ParallelBody && len(members) > 1 {
+		runMembersParallel(spec.Stmt.Body, members, p.Opts.IntraBlockWorkers)
+		return
 	}
-	return b.Build()
+	for _, iv := range members {
+		spec.Stmt.Body(iv)
+	}
+}
+
+// BuildIR lowers the program to the compiled runtime IR: one chain per
+// statement, one task per block, and each task's predecessors read off
+// the in-dependency columns — (Src, To[b]) for every in-dependency of
+// block b, then the serial predecessor (S, b−1) — in O(blocks +
+// in-dependencies), with no address resolution. BuildIR always lowers
+// afresh; use Lower for the memoized program-lifetime IR.
+func (p *TaskProgram) BuildIR() *runtime.Program {
+	edges := 0
+	lens := make([]int32, len(p.stmts))
+	elems := make([][]isl.Vec, len(p.stmts))
+	for s, si := range p.stmts {
+		lens[s] = int32(len(si.Blocks))
+		elems[s] = si.Stmt.Domain.Elements()
+		edges += max(len(si.Blocks)-1, 0)
+		for i := range si.InDeps {
+			edges += si.InDeps[i].Edges()
+		}
+	}
+	spec := runtime.ChainSpec{
+		Lens:      lens,
+		PredOff:   make([]int32, 1, len(p.Tasks)+1),
+		PredChain: make([]int32, 0, edges),
+		PredPos:   make([]int32, 0, edges),
+		Run: func(i int) {
+			t := &p.Tasks[i]
+			p.runBlock(t, elems[t.Stmt.Index][t.First:t.Last+1])
+		},
+		Label: func(i int) string { return p.Tasks[i].Label() },
+	}
+	for s, si := range p.stmts {
+		for b := range si.Blocks {
+			for _, dep := range si.InDeps {
+				if q := dep.To[b]; q >= 0 {
+					spec.PredChain = append(spec.PredChain, int32(dep.Src.Index))
+					spec.PredPos = append(spec.PredPos, q)
+				}
+			}
+			if b > 0 {
+				spec.PredChain = append(spec.PredChain, int32(s))
+				spec.PredPos = append(spec.PredPos, int32(b-1))
+			}
+			spec.PredOff = append(spec.PredOff, int32(len(spec.PredChain)))
+		}
+	}
+	return spec.Build()
 }
 
 // Lower returns the program's compiled runtime IR, lowering it on
@@ -347,9 +374,6 @@ func (p *TaskProgram) LowerObserved(rec *obs.Recorder) *runtime.Program {
 		hit = false
 		stop := rec.Phase("codegen.lower_ir")
 		p.lowered = p.BuildIR()
-		if p.Opts.HybridSchedule {
-			rec.Count("codegen.chain_fused_edges", int64(p.lowered.FuseChains()))
-		}
 		stop()
 	})
 	if hit {
@@ -381,21 +405,12 @@ func runMembersParallel(body scop.Body, members []isl.Vec, workers int) {
 // and blocks until completion. The IR is lowered on first use and
 // reused by every later Run.
 func (p *TaskProgram) Run(workers int) {
-	p.Lower().Execute(workers, p.ExecOpts())
-}
-
-// ExecOpts returns the execution options the program's compile
-// options imply (currently just the hybrid scheduling mode); callers
-// layer tracing and metrics on top.
-func (p *TaskProgram) ExecOpts() runtime.ExecOptions {
-	return runtime.ExecOptions{Hybrid: p.Opts.HybridSchedule}
+	p.Lower().Execute(workers, runtime.ExecOptions{})
 }
 
 // RunTraced executes the program's compiled IR with a tracing callback
 // installed.
 func (p *TaskProgram) RunTraced(workers int, trace func(tasking.Event)) (executed, maxConcurrent int) {
-	eo := p.ExecOpts()
-	eo.Trace = trace
-	st := p.Lower().Execute(workers, eo)
+	st := p.Lower().Execute(workers, runtime.ExecOptions{Trace: trace})
 	return st.Executed, st.MaxConcurrent
 }

@@ -18,6 +18,7 @@ import (
 	"repro/internal/futures"
 	"repro/internal/isl"
 	"repro/internal/kernels"
+	"repro/internal/runtime"
 	"repro/internal/scop"
 	"repro/internal/stages"
 )
@@ -29,7 +30,7 @@ type Result struct {
 	Hash          uint64
 	Tasks         int   // pipeline tasks created (0 for other executors)
 	MaxConcurrent int   // peak simultaneously running tasks (pipeline only)
-	ChainFused    int64 // edges resolved by static handoff (hybrid scheduling only)
+	ChainFused    int64 // edges resolved by chain order (pipeline only)
 }
 
 // Sequential runs the program nest by nest in lexicographic order and
@@ -74,40 +75,18 @@ func Pipelined(p *kernels.Program, workers int, opts core.Options) (Result, erro
 // covers execution only, matching how repeated runs reuse the IR.
 func RunCompiled(p *kernels.Program, prog *codegen.TaskProgram, workers int) Result {
 	ir := prog.Lower()
-	eo := prog.ExecOpts()
 	p.Reset()
 	start := time.Now()
-	st := ir.Execute(workers, eo)
+	st := ir.Execute(workers, runtime.ExecOptions{})
 	elapsed := time.Since(start)
-	name := "pipeline"
-	if eo.Hybrid {
-		name = "pipeline-hybrid-sched"
-	}
 	return Result{
-		Executor:      name,
+		Executor:      "pipeline",
 		Elapsed:       elapsed,
 		Hash:          p.Hash(),
 		Tasks:         st.Executed,
 		MaxConcurrent: st.MaxConcurrent,
 		ChainFused:    st.ChainFused,
 	}
-}
-
-// PipelinedHybridSchedule is Pipelined with static/dynamic hybrid
-// scheduling: the lowered IR's single-predecessor chains run as
-// static handoffs on the finishing worker (no ready-queue or atomic
-// indegree traffic) while cross-chain edges stay on the
-// work-stealing scheduler. Bit-identical to Pipelined.
-func PipelinedHybridSchedule(p *kernels.Program, workers int, opts core.Options) (Result, error) {
-	info, err := core.Detect(p.SCoP, opts)
-	if err != nil {
-		return Result{}, fmt.Errorf("exec: detect: %w", err)
-	}
-	prog, err := codegen.CompileWithOptions(info, codegen.CompileOptions{HybridSchedule: true})
-	if err != nil {
-		return Result{}, fmt.Errorf("exec: compile: %w", err)
-	}
-	return RunCompiled(p, prog, workers), nil
 }
 
 // PipelinedHybrid combines cross-loop pipelining with intra-block

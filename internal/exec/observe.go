@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/kernels"
 	"repro/internal/obs"
+	"repro/internal/runtime"
 	"repro/internal/trace"
 )
 
@@ -41,8 +42,8 @@ func PipelinedObserved(p *kernels.Program, workers int, opts core.Options, rec *
 }
 
 // PipelinedObservedWith is PipelinedObserved with explicit compile
-// options, so callers can observe the hybrid-scheduled or intra-block
-// parallel variants (copts.Obs is overwritten with rec).
+// options, so callers can observe the intra-block parallel variant
+// (copts.Obs is overwritten with rec).
 func PipelinedObservedWith(p *kernels.Program, workers int, opts core.Options, copts codegen.CompileOptions, rec *obs.Recorder) (*Observation, error) {
 	if rec == nil {
 		rec = obs.NewRecorder()
@@ -68,22 +69,15 @@ func PipelinedObservedWith(p *kernels.Program, workers int, opts core.Options, c
 	c.SetRegistry(rec.Reg)
 	p.Reset()
 
-	eo := prog.ExecOpts()
-	eo.Trace = c.Hook()
-	eo.Reg = rec.Reg
 	stop = rec.Phase("execute")
 	start := time.Now()
-	st := ir.Execute(workers, eo)
+	st := ir.Execute(workers, runtime.ExecOptions{Trace: c.Hook(), Reg: rec.Reg})
 	elapsed := time.Since(start)
 	stop()
 
-	executor := "pipeline-observed"
-	if eo.Hybrid {
-		executor = "pipeline-hybrid-sched-observed"
-	}
 	o := &Observation{
 		Result: Result{
-			Executor:      executor,
+			Executor:      "pipeline-observed",
 			Elapsed:       elapsed,
 			Hash:          p.Hash(),
 			Tasks:         st.Executed,

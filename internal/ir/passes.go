@@ -98,14 +98,13 @@ func RunPasses(p *Program, passes []Pass, opt Options) {
 	}
 }
 
-// fusePass merges tiny blocks along the static chains the hybrid
-// scheduler classifies (runtime.FuseChains: consumer whose only
-// predecessor is its producer). Walking each chain head-to-tail,
-// consecutive tasks are merged while the merged task stays at or below
-// the fusion threshold in iterations; a merged task runs its units
-// back to back, exactly the inline handoff the hybrid executor
-// performs dynamically, so results are unchanged while the emitted
-// program carries fewer, meatier tasks.
+// fusePass merges tiny blocks along the single-predecessor chains
+// runtime.FuseChains classifies (consumer whose only predecessor is its
+// producer). Walking each chain head-to-tail, consecutive tasks are
+// merged while the merged task stays at or below the fusion threshold
+// in iterations; a merged task runs its units back to back, a handoff
+// that needs no synchronization, so results are unchanged while the
+// emitted program carries fewer, meatier tasks.
 func fusePass(p *Program, opt Options) {
 	rt := p.rt
 	if rt == nil || rt.NumTasks() != len(p.Tasks) {

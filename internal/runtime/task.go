@@ -1,10 +1,10 @@
 // Package runtime is the single execution core under every tasking
 // layer: the task and lifecycle-event vocabulary (§5.4–5.5's CreateTask
 // model), one streaming dependency-resolving scheduler shared by the
-// tasking/futures/stages adapters, and a compiled task-program IR —
-// flat arrays with int32 dependency edges and indegree counters,
-// lowered once from codegen's block output — whose executor skips the
-// per-submit address hashing entirely on repeat runs.
+// tasking/futures/stages adapters, and a compiled task program —
+// lowered once from codegen's blocks into chains, one per statement,
+// each task waiting on (chain, position) pairs — whose executor keeps
+// one progress counter per chain.
 package runtime
 
 import "time"
@@ -36,8 +36,8 @@ type EventKind uint8
 const (
 	// EventSubmit: the task was created (program order).
 	EventSubmit EventKind = iota + 1
-	// EventReady: the task's last predecessor finished and it entered
-	// the ready queue. The gap from Ready to Start is the task's stall.
+	// EventReady: the task's last predecessor finished. The gap from
+	// Ready to Start is the task's stall.
 	EventReady
 	// EventStart: a worker began executing the task body.
 	EventStart

@@ -4,9 +4,13 @@ import (
 	"testing"
 )
 
+// TestSessionHybridScheduleMatchesSequential runs the pipelined mode —
+// static block order within a statement, dynamic across statements —
+// through a session and checks it against sequential and the
+// runtime.chain_fused counter.
 func TestSessionHybridScheduleMatchesSequential(t *testing.T) {
 	p := Listing3(32)
-	sess := NewSession(WithWorkers(2), WithHybridSchedule(), WithRegistry(NewRegistry()))
+	sess := NewSession(WithWorkers(2), WithRegistry(NewRegistry()))
 	want, err := sess.Run(ModeSequential, p)
 	if err != nil {
 		t.Fatal(err)
@@ -15,14 +19,14 @@ func TestSessionHybridScheduleMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Executor != "pipeline-hybrid-sched" {
+	if res.Executor != "pipeline" {
 		t.Fatalf("executor = %q", res.Executor)
 	}
 	if res.Hash != want.Hash {
-		t.Fatalf("hybrid hash %x, want %x", res.Hash, want.Hash)
+		t.Fatalf("pipelined hash %x, want %x", res.Hash, want.Hash)
 	}
 	if res.ChainFused == 0 {
-		t.Fatal("hybrid schedule fused no chains on listing3")
+		t.Fatal("no edge resolved by chain order on listing3")
 	}
 	if got := sess.Registry().Snapshot().Counter("runtime.chain_fused"); got < res.ChainFused {
 		t.Fatalf("runtime.chain_fused = %d, want >= %d", got, res.ChainFused)
@@ -67,7 +71,7 @@ func TestSessionAutotuneRunsAndCaches(t *testing.T) {
 
 func TestSessionAutotuneExplicit(t *testing.T) {
 	p := Listing1(48)
-	sess := NewSession(WithWorkers(2), WithHybridSchedule())
+	sess := NewSession(WithWorkers(2))
 	res, err := sess.Autotune(p)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +80,7 @@ func TestSessionAutotuneExplicit(t *testing.T) {
 		t.Fatalf("result = %+v", res)
 	}
 	if res.Baseline.ChainFused == 0 {
-		t.Fatal("hybrid autotune measured no fused chains")
+		t.Fatal("autotune measured no edges resolved by chain order")
 	}
 	if res.Speedup() <= 0 {
 		t.Fatalf("Speedup = %v", res.Speedup())

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/codegen"
 	"repro/internal/exec"
 	"repro/internal/kernels"
 	"repro/internal/obs"
@@ -48,17 +47,6 @@ func NewRecorder() *Recorder { return obs.NewRecorder() }
 // single atomic operations; see BenchmarkObservationOverhead).
 func Observe(p *Program, workers int, opts Options) (*Metrics, error) {
 	return exec.PipelinedObserved(p, workers, opts, nil)
-}
-
-// ObserveHybrid is Observe under the static/dynamic hybrid schedule
-// (the Session-level WithHybridSchedule, standalone): single-
-// predecessor dependence chains are fused into statically ordered
-// runs, and the snapshot carries runtime.chain_fused alongside the
-// usual runtime.* readings. rec, when non-nil, receives the phase
-// spans and metrics (pass one that already holds autotune.* counters
-// to get a single combined snapshot).
-func ObserveHybrid(p *Program, workers int, opts Options, rec *Recorder) (*Metrics, error) {
-	return exec.PipelinedObservedWith(p, workers, opts, codegen.CompileOptions{HybridSchedule: true}, rec)
 }
 
 // TraceJSON runs the pipelined program with tracing and writes a

@@ -21,6 +21,7 @@ import (
 	"repro/internal/obs/export"
 	"repro/internal/obsd"
 	"repro/internal/par"
+	"repro/internal/runtime"
 	"repro/internal/simsched"
 	"repro/internal/stages"
 	"repro/internal/trace"
@@ -90,7 +91,6 @@ type Session struct {
 	opts         Options
 	backend      string
 	wantBackend  bool
-	hybridSched  bool
 	autotuneOn   bool
 	autotuneBud  int
 	ctx          context.Context
@@ -138,12 +138,10 @@ type Session struct {
 
 // progKey identifies one compiled program: the SCoP instance plus the
 // compile options baked into the task bodies and the IR — the
-// intra-block worker count, the hybrid scheduling mode, and the
-// (autotuned) blocking granularity.
+// intra-block worker count and the (autotuned) blocking granularity.
 type progKey struct {
 	sc         *SCoP
 	intra      int
-	hybrid     bool
 	blockIters int
 }
 
@@ -177,19 +175,6 @@ func WithOptions(opts Options) SessionOption {
 // composes with WithOptions.
 func WithBackend(name string) SessionOption {
 	return func(s *Session) { s.backend, s.wantBackend = name, true }
-}
-
-// WithHybridSchedule switches pipelined execution to the hybrid
-// static/dynamic schedule: at IR lowering, single-predecessor
-// producer→consumer pairs (PPN-style point-to-point channels) are
-// fused into static chains the finishing worker runs inline — no
-// ready-queue insertion, no atomic indegree traffic — while every
-// cross-chain edge stays on the work-stealing scheduler. Results are
-// bit-identical to the dynamic schedule; runs report the
-// "pipeline-hybrid-sched" executor and the runtime.chain_fused
-// counter (docs/PERFORMANCE.md, "Autotuning & hybrid scheduling").
-func WithHybridSchedule() SessionOption {
-	return func(s *Session) { s.hybridSched = true }
 }
 
 // WithAutotune enables profile-guided block-size tuning: the first
@@ -530,7 +515,7 @@ func (s *Session) compile(p *Program, intraWorkers int) (*codegen.TaskProgram, e
 		}
 		blockIters = b
 	}
-	key := progKey{sc: p.SCoP, intra: intraWorkers, hybrid: s.hybridSched, blockIters: blockIters}
+	key := progKey{sc: p.SCoP, intra: intraWorkers, blockIters: blockIters}
 	s.progMu.Lock()
 	prog, ok := s.programs[key]
 	s.progMu.Unlock()
@@ -543,7 +528,7 @@ func (s *Session) compile(p *Program, intraWorkers int) (*codegen.TaskProgram, e
 		if err != nil {
 			return nil, fmt.Errorf("exec: detect: %w", err)
 		}
-		prog, err = codegen.CompileWithOptions(info, codegen.CompileOptions{IntraBlockWorkers: intraWorkers, HybridSchedule: s.hybridSched, Obs: s.opts.Obs})
+		prog, err = codegen.CompileWithOptions(info, codegen.CompileOptions{IntraBlockWorkers: intraWorkers, Obs: s.opts.Obs})
 		if err != nil {
 			return nil, fmt.Errorf("exec: compile: %w", err)
 		}
@@ -564,13 +549,13 @@ func (s *Session) compile(p *Program, intraWorkers int) (*codegen.TaskProgram, e
 
 // execCompiled executes a compiled program on the unified runtime with
 // the session's live telemetry attached: with a registry the runtime.*
-// instrument catalogue (steal_count, queue_depth, deps_resolved, stall
+// instrument catalogue (deps_resolved, chain_fused, queue_depth, stall
 // and task histograms) lands on it, and with introspection the trace
 // collector is reset and re-armed so /debug/trace shows this run. The
 // timed region covers execution only, like exec.RunCompiled.
 func (s *Session) execCompiled(p *Program, prog *codegen.TaskProgram, workers int, executor string) Result {
 	ir := prog.Lower()
-	eo := prog.ExecOpts()
+	var eo runtime.ExecOptions
 	if s.registry != nil {
 		eo.Reg = s.registry
 	}
@@ -614,11 +599,7 @@ func (s *Session) Run(mode Mode, p *Program) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		name := "pipeline"
-		if s.hybridSched {
-			name = "pipeline-hybrid-sched"
-		}
-		return s.execCompiled(p, prog, workers, name), nil
+		return s.execCompiled(p, prog, workers, "pipeline"), nil
 	case ModeFutures:
 		prog, err := s.compile(p, 0)
 		if err != nil {
@@ -658,10 +639,9 @@ func (s *Session) tunedBlockIters(p *Program) (int, error) {
 }
 
 // Autotune runs the profile-guided block-size search on p under the
-// session's configuration (workers, detection options, hybrid
-// scheduling mode) and returns the full result: the tuned
-// MinBlockIters, the baseline and best samples, and every evaluated
-// candidate's measured profile. The choice is cached per program, so
+// session's configuration (workers and detection options) and returns
+// the full result: the tuned MinBlockIters, the baseline and best
+// samples, and every evaluated candidate's measured profile. The choice is cached per program, so
 // later WithAutotune compiles reuse it without searching again. The
 // search executes p repeatedly; its arrays are left in the final
 // run's state (Run resets them anyway). With a session registry the
@@ -677,7 +657,6 @@ func (s *Session) Autotune(p *Program) (*AutotuneResult, error) {
 	res, err := autotune.Tune(p, autotune.Config{
 		Workers: par.Workers(s.workers),
 		Detect:  s.opts,
-		Hybrid:  s.hybridSched,
 		Budget:  s.autotuneBud,
 		Obs:     s.opts.Obs,
 	})
