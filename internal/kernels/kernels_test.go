@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/deps"
 	"repro/internal/exec"
+	"repro/internal/isl"
 	"repro/internal/kernels"
 )
 
@@ -202,6 +203,23 @@ func TestProgramString(t *testing.T) {
 	p := kernels.Listing1(8)
 	if !strings.Contains(p.String(), "listing1") {
 		t.Fatalf("String = %q", p.String())
+	}
+}
+
+// TestTable9BodiesAllocateNothing pins the Table 9 hot path: a
+// statement body and a Reset cost no heap allocation.
+func TestTable9BodiesAllocateNothing(t *testing.T) {
+	iv := isl.Vec{0, 0}
+	for _, spec := range kernels.Table9 {
+		p := kernels.BuildTable9(spec, 8, 2)
+		for _, st := range p.SCoP.Stmts {
+			if a := testing.AllocsPerRun(20, func() { st.Body(iv) }); a != 0 {
+				t.Errorf("%s %s: %v allocations per body call", spec.Name, st.Name, a)
+			}
+		}
+		if a := testing.AllocsPerRun(5, p.Reset); a != 0 {
+			t.Errorf("%s: %v allocations per Reset", spec.Name, a)
+		}
 	}
 }
 

@@ -151,8 +151,14 @@ func T9SpecByName(name string) (T9Spec, bool) {
 	return T9Spec{}, false
 }
 
+// maxT9Inputs is the widest fan-in of a Table 9 body: the two
+// serializing neighbours plus up to three cross reads (P5, P6). The
+// body's inputs live in a stack array of this size.
+const maxT9Inputs = 5
+
 // BuildTable9 instantiates one Table 9 program with N×N matrices whose
-// cells hold size multi-precision integers.
+// cells hold size multi-precision integers. It panics when a nest has
+// more than maxT9Inputs inputs.
 func BuildTable9(spec T9Spec, n, size int) *Program {
 	if n < 8 {
 		panic("kernels: Table 9 programs require n >= 8")
@@ -188,6 +194,9 @@ func BuildTable9(spec T9Spec, n, size int) *Program {
 			Reads(matName(k), aff.Var(2, 0), aff.Linear(1, 0, 1)).
 			Reads(matName(k), aff.Linear(1, 1, 0), aff.Linear(1, 0, 1))
 		crossReads := spec.Reads[k-1]
+		if 2+len(crossReads) > maxT9Inputs {
+			panic(fmt.Sprintf("kernels: %s nest %d has %d inputs, more than %d", spec.Name, k, 2+len(crossReads), maxT9Inputs))
+		}
 		for _, cr := range crossReads {
 			row, col := cr.Pat.exprs()
 			sb.Reads(matName(cr.Src), row, col)
@@ -198,8 +207,8 @@ func BuildTable9(spec T9Spec, n, size int) *Program {
 		srcMats := mats
 		sb.Body(func(iv isl.Vec) {
 			i, j := iv[0], iv[1]
-			inputs := make([]*mpint.Data, 0, 2+len(crs))
-			inputs = append(inputs, dst.At(i, j+1), dst.At(i+1, j+1))
+			var buf [maxT9Inputs]*mpint.Data // Work does not retain it
+			inputs := append(buf[:0], dst.At(i, j+1), dst.At(i+1, j+1))
 			for _, cr := range crs {
 				src := srcMats[cr.Src]
 				switch cr.Pat {
