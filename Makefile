@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet fmt-check bench-module race crosscheck crosscheck-symbolic autotune-smoke aot-smoke obsd-smoke serve-smoke bench bench-cache bench-gate bench-exec bench-exec-gate bench-autotune bench-serve bench-serve-gate stats serve clean
+.PHONY: check build test vet fmt-check bench-module race crosscheck crosscheck-symbolic autotune-smoke aot-smoke obsd-smoke serve-smoke bench bench-cache bench-gate bench-exec bench-exec-gate bench-autotune bench-serve bench-serve-gate size stats serve clean
 
 ## check: the full gate — vet, gofmt cleanliness, build, the
 ## race-enabled test suite (the chain executor's stress under
@@ -99,8 +99,8 @@ bench-gate:
 	$(GO) run ./cmd/bench-pipeline -bench-gate -sizes 32,64,128
 
 ## bench-exec: the execution runtime benchmark — serial reference,
-## the chain executor through the compiled IR, the profile-guided autotuned blocking, the futures/stages adapters,
-## IR lowering first-vs-reuse, and the AOT backend (emitted-binary vs
+## the chain executor through the compiled IR, the profile-guided
+## autotuned blocking, IR lowering first-vs-reuse, and the AOT backend (emitted-binary vs
 ## in-process steady state plus compile-time ns/op, passes on/off), on
 ## P4/P7/P10 at n=32/64/128. Regenerates the committed
 ## BENCH_exec.json.
@@ -117,7 +117,7 @@ bench-exec-gate:
 
 ## bench-autotune: the profile-guided block-size search, human-readable
 ## — per kernel, every candidate granularity with its measured wall
-## time / critical path / stall / steal / fused-chain profile, and the
+## time / critical path / stall / fused-chain profile, and the
 ## chosen block size (docs/PERFORMANCE.md, "Autotuning").
 bench-autotune:
 	$(GO) run ./cmd/bench-pipeline -autotune -autotune-sizes 32 -autotune-budget 8
@@ -164,6 +164,13 @@ bench-serve:
 ## 15% against the committed BENCH_serve.json (tune with -gate-tol).
 bench-serve-gate:
 	$(GO) run ./cmd/serveload -gate
+
+## size: the two numbers the tree's size budget tracks — non-test Go
+## lines outside the nested benchmark module and its build directory,
+## and the number of packages directly under internal/.
+size:
+	@echo "non-test Go lines: $$(find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l)"
+	@echo "internal packages: $$(ls -d internal/*/ | wc -l)"
 
 ## stats: one observed run with the full breakdown + trace.json.
 stats:

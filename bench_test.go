@@ -26,13 +26,13 @@ import (
 	"repro/internal/interp"
 	"repro/internal/kernels"
 	"repro/internal/runtime"
-	"repro/internal/tasking"
 	"repro/polypipe"
 )
 
 // benchOverhead models per-task scheduling cost in simulated
-// schedules; 500ns is what BenchmarkTaskingOverhead measures on this
-// runtime within a small factor.
+// schedules. It lies between BenchmarkTaskingOverhead's two readings at
+// four workers on a 2-vCPU Xeon: ≈ 50 ns per task on one chain,
+// ≈ 1.7 µs per task when every task is a chain of its own.
 const benchOverhead = 500 * time.Nanosecond
 
 // BenchmarkFigure10 regenerates the Figure 10 grid: for every Table 9
@@ -163,27 +163,43 @@ func BenchmarkAblationGranularity(b *testing.B) {
 	}
 }
 
-// BenchmarkTaskingOverhead measures the runtime's per-task cost with
-// empty bodies — the constant the granularity trade-off is against.
+// overheadTasks is the size of the program BenchmarkTaskingOverhead
+// executes once per op.
+const overheadTasks = 1024
+
+// BenchmarkTaskingOverhead measures the chain executor's per-task cost
+// with empty bodies at four workers — the constant the granularity
+// trade-off is against. The program is built through runtime.Builder
+// before the timer starts; each op executes it once, and ns/task
+// divides the op by its task count. "independent" tasks have no
+// dependencies, each a chain of its own; "chained" tasks read the
+// address the previous one wrote and share one serial key, so they
+// form a single chain.
 func BenchmarkTaskingOverhead(b *testing.B) {
-	b.Run("independent", func(b *testing.B) {
-		r := tasking.New(4)
-		defer r.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r.Submit(tasking.Task{Fn: func() {}, Out: i % 1024, Serial: tasking.NoSerial})
-		}
-		r.Wait()
-	})
-	b.Run("chained", func(b *testing.B) {
-		r := tasking.New(4)
-		defer r.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r.Submit(tasking.Task{Fn: func() {}, Out: 0, In: []int{0}, Serial: 0})
-		}
-		r.Wait()
-	})
+	for _, tc := range []struct {
+		name string
+		task func(i int) runtime.Task
+	}{
+		{"independent", func(i int) runtime.Task {
+			return runtime.Task{Fn: func() {}, Out: i, Serial: runtime.NoSerial}
+		}},
+		{"chained", func(int) runtime.Task {
+			return runtime.Task{Fn: func() {}, Out: 0, In: []int{0}, Serial: 0}
+		}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			bld := runtime.NewBuilder(overheadTasks)
+			for i := 0; i < overheadTasks; i++ {
+				bld.Add(tc.task(i))
+			}
+			p := bld.Build()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.Execute(4, runtime.ExecOptions{})
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*overheadTasks), "ns/task")
+		})
+	}
 }
 
 // BenchmarkScaling sweeps the simulated worker count on a 4-stage
@@ -230,30 +246,6 @@ func TestScalingCeiling(t *testing.T) {
 	}
 	if s1 > 1.01 {
 		t.Errorf("1-worker speed-up = %.2f, want ~1", s1)
-	}
-}
-
-// BenchmarkTaskingLayers compares the two tasking back ends (§7's
-// retargeting claim): the OpenMP-style dependency-table runtime vs the
-// futures layer, running the same compiled Listing 3 program.
-func BenchmarkTaskingLayers(b *testing.B) {
-	p := polypipe.Listing3(32)
-	s := polypipe.NewSession(polypipe.WithWorkers(4))
-	for _, layer := range []struct {
-		label string
-		mode  polypipe.Mode
-	}{
-		{"openmp-style", polypipe.ModePipelined},
-		{"futures", polypipe.ModeFutures},
-		{"stages", polypipe.ModeStages},
-	} {
-		b.Run(layer.label, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Run(layer.mode, p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -12,18 +12,15 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/futures"
 	"repro/internal/kernels"
-	"repro/internal/stages"
 )
 
 // execMeasure is one (kernel, mode) execution benchmark measurement.
 // Modes: "serial" (the sequential reference), "pipelined" (the unified
 // runtime executor driven through the compiled IR), "autotuned"
-// (profile-guided MinBlockIters search),
-// "futures" / "stages" (the same IR streamed through the adapter
-// layers), "lower_first" (building the runtime IR from the task
-// program), and "lower_reuse" (serving the memoized IR).
+// (profile-guided MinBlockIters search), "lower_first" (building the
+// runtime IR from the task program), and "lower_reuse" (serving the
+// memoized IR).
 //
 // GoMaxProcs records the parallelism the row was measured under so
 // rows from differently-shaped hosts are never gate-compared;
@@ -221,16 +218,6 @@ func measureExec(sizes []int, workers int, tune tuneOpts) ([]execMeasure, error)
 				}
 			}))
 		}
-		record(c.name, "futures", workers, tasks, 0, testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				exec.RunOnLayer(c.p, c.prog, futures.New(workers))
-			}
-		}))
-		record(c.name, "stages", workers, tasks, 0, testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				exec.RunOnLayer(c.p, c.prog, stages.New(workers))
-			}
-		}))
 	}
 	// IR lowering cost: first lowering (resolving every dependency
 	// address into the CSR edge arrays) vs serving the memoized IR.
@@ -277,7 +264,7 @@ func runExecBench(out string, sizes []int, workers int, tune tuneOpts, aot aotOp
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Workers:    workers,
-		Note: "pipelined/futures/stages all execute the compiled runtime IR; \"autotuned\" adds profile-guided " +
+		Note: "pipelined executes the compiled runtime IR; \"autotuned\" adds profile-guided " +
 			"MinBlockIters; \"aot_binary\" is the emitted standalone program's steady-state " +
 			"pipelined time vs \"aot_inprocess\" on the same synthetic-bodied kernel, and " +
 			"\"aot_compile\"/\"aot_compile_noopt\" time the gogen backend with passes on/off; " +
@@ -415,7 +402,7 @@ func runExecGate(gateFile string, tol float64, sizes []int, workers int, tune tu
 // runAutotuneReport runs the profile-guided block-size search on the
 // benchmark kernels and prints the full evaluation trail per kernel:
 // every candidate granularity with its measured wall time, realized
-// critical path, stalls, steals, and fused chains, then the
+// critical path, stalls, and fused chains, then the
 // before/after verdict. This is the -autotune mode without
 // -exec-bench: a human-readable view of what the tuner saw.
 func runAutotuneReport(sizes []int, workers int, budget int) error {
@@ -438,9 +425,9 @@ func runAutotuneReport(sizes []int, workers int, budget int) error {
 			if s.BlockIters == res.Chosen {
 				marker = "*"
 			}
-			fmt.Printf(" %s block_iters=%-5d %12v  tasks=%-6d critical=%-12v stall=%-12v steals=%-4d fused=%d\n",
+			fmt.Printf(" %s block_iters=%-5d %12v  tasks=%-6d critical=%-12v stall=%-12v fused=%d\n",
 				marker, s.BlockIters, s.Elapsed, s.Tasks,
-				s.Critical, time.Duration(s.StallNs), s.Steals, s.ChainFused)
+				s.Critical, time.Duration(s.StallNs), s.ChainFused)
 		}
 		fmt.Printf("  chosen block_iters=%d after %d evals (converged=%v): %v -> %v (%.2fx)\n\n",
 			res.Chosen, res.Evals, res.Converged,

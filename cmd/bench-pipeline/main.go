@@ -86,7 +86,7 @@ func main() {
 	benchGate := flag.Bool("bench-gate", false, "re-run the detection benchmark and exit non-zero if any kernel's ns/op regressed beyond -gate-tol against -gate-file")
 	gateFile := flag.String("gate-file", "BENCH_detect.json", "committed benchmark file the -bench-gate run compares against")
 	gateTol := flag.Float64("gate-tol", 0.15, "fractional ns/op regression tolerance for -bench-gate/-exec-gate (0.15 = 15%)")
-	execBench := flag.Bool("exec-bench", false, "benchmark the execution runtime (serial/pipelined/futures/stages plus IR lowering) on the P4/P7/P10 kernels and emit BENCH_exec.json-shaped output")
+	execBench := flag.Bool("exec-bench", false, "benchmark the execution runtime (serial/pipelined plus IR lowering) on the P4/P7/P10 kernels and emit BENCH_exec.json-shaped output")
 	execOut := flag.String("exec-out", "", "with -exec-bench, write the JSON here instead of stdout (e.g. BENCH_exec.json)")
 	execGate := flag.Bool("exec-gate", false, "re-run the execution benchmark and exit non-zero if any row's ns/op regressed beyond -gate-tol against -exec-gate-file")
 	execGateFile := flag.String("exec-gate-file", "BENCH_exec.json", "committed benchmark file the -exec-gate run compares against")

@@ -1,7 +1,7 @@
 // Command pipeline-stats runs one of the built-in workloads with the
 // full observability layer enabled and prints where the time goes: the
 // detection/compile phase breakdown (§4's analysis cost), the run-time
-// behaviour of the tasking layer (stall, queue, per-worker
+// behaviour of the chain executor (stall, queue, per-worker
 // utilization), and the realized critical path of the executed task
 // DAG compared against the Eq. 5/6 bounds. It also writes the
 // execution as a Chrome/Perfetto trace_event file.

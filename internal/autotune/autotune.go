@@ -1,7 +1,7 @@
 // Package autotune closes the feedback loop the observability layer
 // opened: it executes a program's detected block pipeline under
 // instrumentation, reads the realized critical path and the
-// stall/steal/queue-depth profile back out of internal/obs, scores
+// stall/queue-depth profile back out of internal/obs, scores
 // the blocking, and re-derives the block program at a different
 // MinBlockIters granularity (re-entering core.Detect and codegen
 // with the candidate) until the search converges on a per-kernel
@@ -39,7 +39,7 @@ const DefaultBudget = 12
 // Sample is one evaluated candidate granularity with the profile the
 // instrumented run measured: wall time (best of Config.Reps), the
 // realized critical path of the executed DAG, and the runtime.*
-// stall/steal/queue-depth/chain-fusion readings.
+// stall/queue-depth/chain-fusion readings.
 type Sample struct {
 	BlockIters int           `json:"block_iters"`
 	Elapsed    time.Duration `json:"elapsed_ns"`
@@ -47,7 +47,6 @@ type Sample struct {
 	Edges      int           `json:"edges"`
 	Critical   time.Duration `json:"critical_ns"`
 	StallNs    int64         `json:"stall_ns"`
-	Steals     int64         `json:"steals"`
 	ChainFused int64         `json:"chain_fused"`
 	QueuePeak  int64         `json:"queue_peak"`
 }
@@ -307,7 +306,6 @@ func evaluate(p *kernels.Program, b, workers, reps int, cfg Config, want uint64)
 		s.Critical = trace.ComputeCriticalPath(an.Spans, edges).Length
 		snap := reg.Snapshot()
 		s.StallNs = snap.Counter("runtime.stall_ns_total")
-		s.Steals = snap.Counter("runtime.steal_count")
 		s.ChainFused = snap.Counter("runtime.chain_fused")
 		s.QueuePeak = snap.Gauge("runtime.queue_depth_peak")
 	}

@@ -1,10 +1,11 @@
 // Package codegen lowers a detected pipeline structure to an
-// executable task program for the tasking runtime, mirroring the
-// paper's code-generation phase (§5.4): every pipeline block becomes
-// one task whose body runs the block's iterations in order, and the
-// block-leader vectors of the dependency relations are converted to
-// unique integer dependency addresses paired with a per-statement
-// writer index.
+// executable task program, mirroring the paper's code-generation phase
+// (§5.4): every pipeline block becomes one task whose body runs the
+// block's iterations in order. In process the tasks run as one chain
+// per statement (BuildIR); for an emitted program, Addresses converts
+// the block-leader vectors of the dependency relations to unique
+// integer dependency addresses paired with a per-statement writer
+// index.
 package codegen
 
 import (
@@ -17,10 +18,9 @@ import (
 	"repro/internal/runtime"
 	"repro/internal/schedtree"
 	"repro/internal/scop"
-	"repro/internal/tasking"
 )
 
-// TaskSpec is one generated task before submission to the runtime: the
+// TaskSpec is one generated task, before lowering to the runtime: the
 // block detection built (StmtInfo.Blocks), positions First..Last of the
 // statement's sorted domain led by Leader, which is shared and
 // read-only.
@@ -28,9 +28,6 @@ type TaskSpec struct {
 	Stmt        *scop.Statement
 	Leader      isl.Vec
 	First, Last int32
-	Out         int
-	In          []int
-	Serial      int
 	// ParallelBody marks tasks whose members may run concurrently
 	// (the statement has no intra-nest conflicts); set only when
 	// CompileOptions.IntraBlockWorkers > 1.
@@ -66,11 +63,10 @@ type CompileOptions struct {
 }
 
 // TaskProgram is the compiled pipelined program: tasks in creation
-// (program) order plus the address-encoding parameters.
+// (program) order.
 type TaskProgram struct {
 	SCoP   *scop.SCoP
 	Tasks  []TaskSpec
-	Coder  VecCoder
 	Opts   CompileOptions
 	blocks int
 
@@ -115,10 +111,10 @@ func (c VecCoder) Encode(stmtIndex int, leader isl.Vec) int {
 
 // newCoder sizes the digits from the coordinates of every block
 // leader, the only vectors ever encoded.
-func newCoder(info *core.Info) VecCoder {
+func newCoder(stmts []*core.StmtInfo, numStmts int) VecCoder {
 	var lo []int
 	least, hi := 0, 0
-	for _, si := range info.Stmts {
+	for _, si := range stmts {
 		for b := range si.Blocks {
 			for d, x := range si.Blocks[b].Leader {
 				if d == len(lo) {
@@ -129,7 +125,42 @@ func newCoder(info *core.Info) VecCoder {
 			}
 		}
 	}
-	return VecCoder{Stride: hi - least + 2, NumStmts: len(info.SCoP.Stmts), Lo: lo}
+	return VecCoder{Stride: hi - least + 2, NumStmts: numStmts, Lo: lo}
+}
+
+// Addresses returns the program's §5.4 dependency interface, the
+// depend(out/in) clauses an emitted program creates its tasks with:
+// the coder, task i's out address out[i] (the encoded leader of its
+// block), and in[i], the out addresses of the source blocks task i
+// waits on, in in-dependency order. The in lists share one backing
+// array and are capped at their length. Nothing executed in process
+// reads the addresses — BuildIR lowers from the in-dependency columns
+// directly — so they are computed here, on demand, for emission.
+func (p *TaskProgram) Addresses() (coder VecCoder, out []int, in [][]int) {
+	coder = newCoder(p.stmts, len(p.SCoP.Stmts))
+	out = make([]int, len(p.Tasks))
+	in = make([][]int, len(p.Tasks))
+	edges := 0
+	for _, si := range p.stmts {
+		for i := range si.InDeps {
+			edges += si.InDeps[i].Edges()
+		}
+	}
+	ins := make([]int, 0, edges)
+	for i := range p.Tasks {
+		t := &p.Tasks[i]
+		s := t.Stmt.Index
+		b := i - p.base[s]
+		first := len(ins)
+		for _, dep := range p.stmts[s].InDeps {
+			if q := dep.To[b]; q >= 0 {
+				ins = append(ins, coder.Encode(dep.Src.Index, p.stmts[dep.Src.Index].Blocks[q].Leader))
+			}
+		}
+		out[i] = coder.Encode(s, t.Leader)
+		in[i] = ins[first:len(ins):len(ins)]
+	}
+	return coder, out, in
 }
 
 // Compile lowers the detection result to a task program. Every
@@ -148,8 +179,9 @@ func CompileWithOptions(info *core.Info, opts CompileOptions) (*TaskProgram, err
 	return compileTasks(info, opts)
 }
 
-// CompileForEmission lowers the task structure only — block leaders,
-// members, and the §5.4 dependency addresses — without requiring (or
+// CompileForEmission lowers the task structure only — block leaders
+// and members, from which Addresses derives the §5.4 dependency
+// addresses — without requiring (or
 // ever touching) statement bodies. It is the seam the AOT back end
 // (internal/ir, internal/gogen) compiles through: emitted programs
 // carry their own statement bodies, so attaching interpreter bodies to
@@ -161,8 +193,7 @@ func CompileForEmission(info *core.Info) (*TaskProgram, error) {
 }
 
 func compileTasks(info *core.Info, opts CompileOptions) (*TaskProgram, error) {
-	coder := newCoder(info)
-	prog := &TaskProgram{SCoP: info.SCoP, Coder: coder, Opts: opts, stmts: info.Stmts, base: make([]int, len(info.Stmts))}
+	prog := &TaskProgram{SCoP: info.SCoP, Opts: opts, stmts: info.Stmts, base: make([]int, len(info.Stmts))}
 
 	parallelBody := make([]bool, len(info.SCoP.Stmts))
 	if opts.IntraBlockWorkers > 1 {
@@ -178,19 +209,9 @@ func compileTasks(info *core.Info, opts CompileOptions) (*TaskProgram, error) {
 
 	stop = opts.Obs.Phase("codegen.lower")
 	defer stop()
-	// One spec per block detection built, in schedule-tree order; the
-	// in-edge addresses of all tasks share one backing array sized from
-	// the in-dependencies, so a compile allocates per program, not per
-	// task. An in-address is the out-address of the source block To
-	// names.
+	// One spec per block detection built, in schedule-tree order, so a
+	// compile allocates per program, not per task.
 	instances := schedtree.Flatten(tree)
-	edges := 0
-	for _, si := range info.Stmts {
-		for i := range si.InDeps {
-			edges += si.InDeps[i].Edges()
-		}
-	}
-	ins := make([]int, 0, edges)
 	prog.Tasks = make([]TaskSpec, len(instances))
 	for i, inst := range instances {
 		stmt := inst.Task.Stmt
@@ -198,20 +219,11 @@ func compileTasks(info *core.Info, opts CompileOptions) (*TaskProgram, error) {
 		if inst.Block == 0 {
 			prog.base[stmt.Index] = i
 		}
-		first := len(ins)
-		for _, dep := range inst.Task.InDeps {
-			if q := dep.To[inst.Block]; q >= 0 {
-				ins = append(ins, coder.Encode(dep.Src.Index, info.Stmts[dep.Src.Index].Blocks[q].Leader))
-			}
-		}
 		prog.Tasks[i] = TaskSpec{
 			Stmt:         stmt,
 			Leader:       blk.Leader,
 			First:        blk.First,
 			Last:         blk.Last,
-			Out:          coder.Encode(stmt.Index, blk.Leader),
-			In:           ins[first:len(ins):len(ins)],
-			Serial:       stmt.Index,
 			ParallelBody: parallelBody[stmt.Index],
 		}
 	}
@@ -262,40 +274,6 @@ func (p *TaskProgram) SerialEdges() [][2]int {
 // critical-path analysis walks.
 func (p *TaskProgram) PrecedenceEdges() [][2]int {
 	return append(p.DataEdges(), p.SerialEdges()...)
-}
-
-// Layer is the minimal tasking interface a back end must provide; the
-// transformation targets it rather than any specific runtime (§7's
-// "tasking layer is independent" design). Both the OpenMP-style
-// runtime (package tasking) and the futures runtime (package futures)
-// satisfy it.
-type Layer interface {
-	Submit(tasking.Task)
-	Wait()
-	Close()
-}
-
-// Submit creates all tasks on the given tasking layer in program
-// order.
-func (p *TaskProgram) Submit(r Layer) {
-	for i := range p.Tasks {
-		t := p.task(i)
-		t.Label = p.Tasks[i].Label()
-		r.Submit(t)
-	}
-}
-
-// task materializes task i — body closure plus dependency interface,
-// unlabelled — for submission to a streaming layer.
-func (p *TaskProgram) task(i int) runtime.Task {
-	spec := &p.Tasks[i]
-	members := spec.Members()
-	return runtime.Task{
-		Fn:     func() { p.runBlock(spec, members) },
-		Out:    spec.Out,
-		In:     spec.In,
-		Serial: spec.Serial,
-	}
 }
 
 // runBlock executes a block's members in order, or spread over
@@ -410,7 +388,7 @@ func (p *TaskProgram) Run(workers int) {
 
 // RunTraced executes the program's compiled IR with a tracing callback
 // installed.
-func (p *TaskProgram) RunTraced(workers int, trace func(tasking.Event)) (executed, maxConcurrent int) {
+func (p *TaskProgram) RunTraced(workers int, trace func(runtime.Event)) (executed, maxConcurrent int) {
 	st := p.Lower().Execute(workers, runtime.ExecOptions{Trace: trace})
 	return st.Executed, st.MaxConcurrent
 }

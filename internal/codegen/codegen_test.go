@@ -12,8 +12,8 @@ import (
 	"repro/internal/isl"
 	"repro/internal/isl/aff"
 	"repro/internal/kernels"
+	"repro/internal/runtime"
 	"repro/internal/scop"
-	"repro/internal/tasking"
 )
 
 // runSequential executes a program's statements nest by nest in
@@ -80,14 +80,15 @@ func TestCompileListing1(t *testing.T) {
 		lastStmt = task.Stmt.Index
 	}
 	// Every in-address must match the out-address of an earlier task.
-	outs := map[int]bool{}
-	for _, task := range prog.Tasks {
-		for _, in := range task.In {
-			if !outs[in] {
-				t.Fatalf("task %s depends on address %d with no earlier writer", task.Label(), in)
+	_, outs, ins := prog.Addresses()
+	written := map[int]bool{}
+	for i := range prog.Tasks {
+		for _, in := range ins[i] {
+			if !written[in] {
+				t.Fatalf("task %s depends on address %d with no earlier writer", prog.Tasks[i].Label(), in)
 			}
 		}
-		outs[task.Out] = true
+		written[outs[i]] = true
 	}
 }
 
@@ -147,8 +148,8 @@ func TestRunTracedReportsConcurrency(t *testing.T) {
 	prog := compile(t, p, core.Options{})
 	p.Reset()
 	var mu sync.Mutex
-	events := map[tasking.EventKind]int{}
-	executed, maxRun := prog.RunTraced(4, func(e tasking.Event) {
+	events := map[runtime.EventKind]int{}
+	executed, maxRun := prog.RunTraced(4, func(e runtime.Event) {
 		mu.Lock()
 		events[e.Kind]++
 		mu.Unlock()
@@ -157,7 +158,7 @@ func TestRunTracedReportsConcurrency(t *testing.T) {
 		t.Fatalf("executed = %d, want %d", executed, prog.NumTasks())
 	}
 	// Every task passes through the full submit/ready/start/end cycle.
-	for _, k := range []tasking.EventKind{tasking.EventSubmit, tasking.EventReady, tasking.EventStart, tasking.EventEnd} {
+	for _, k := range []runtime.EventKind{runtime.EventSubmit, runtime.EventReady, runtime.EventStart, runtime.EventEnd} {
 		if events[k] != prog.NumTasks() {
 			t.Fatalf("%v events = %d, want %d", k, events[k], prog.NumTasks())
 		}
@@ -186,14 +187,16 @@ func TestQuickAddressUniqueness(t *testing.T) {
 			t.Fatal(err)
 		}
 		seen := map[int]string{}
-		for _, task := range prog.Tasks {
-			if task.Out < 0 {
-				t.Fatalf("seed %d: %s has negative address %d", seed, task.Label(), task.Out)
+		_, outs, _ := prog.Addresses()
+		for i, out := range outs {
+			label := prog.Tasks[i].Label()
+			if out < 0 {
+				t.Fatalf("seed %d: %s has negative address %d", seed, label, out)
 			}
-			if prev, dup := seen[task.Out]; dup {
-				t.Fatalf("seed %d: address %d used by %s and %s", seed, task.Out, prev, task.Label())
+			if prev, dup := seen[out]; dup {
+				t.Fatalf("seed %d: address %d used by %s and %s", seed, out, prev, label)
 			}
-			seen[task.Out] = task.Label()
+			seen[out] = label
 		}
 	}
 }
@@ -231,12 +234,12 @@ func TestHybridCompileRunInPackage(t *testing.T) {
 
 // TestCompileAllocsProportionalToTasks is the compile path's complexity
 // guard, free of any clock: Compile allocates per program — the task
-// array, the shared in-edge array, the schedule tree's handful of
-// sets — and never per task, so its allocation count stays under one
-// line c·tasks + c′ at two sizes a factor of four apart. A label
-// formatted per task, an In slice grown per task, or a block re-derived
-// from the contraction would each add at least one allocation per task
-// and break the bound at both sizes.
+// array and the schedule tree's handful of sets — and never per task,
+// so its allocation count stays under one line c·tasks + c′ at two
+// sizes a factor of four apart. A label formatted per task, an address
+// list grown per task, or a block re-derived from the contraction
+// would each add at least one allocation per task and break the bound
+// at both sizes.
 func TestCompileAllocsProportionalToTasks(t *testing.T) {
 	const perTask, fixed = 1.0 / 8, 400
 	for _, n := range []int{16, 32} {
@@ -284,19 +287,20 @@ func negativeProgram() *kernels.Program {
 func TestNegativeBoundsAddresses(t *testing.T) {
 	p := negativeProgram()
 	prog := compile(t, p, core.Options{})
+	_, outs, ins := prog.Addresses()
 	seen := map[int]string{}
-	for i := range prog.Tasks {
-		task := &prog.Tasks[i]
-		if task.Out < 0 {
-			t.Fatalf("task %s has negative address %d", task.Label(), task.Out)
+	for i, out := range outs {
+		label := prog.Tasks[i].Label()
+		if out < 0 {
+			t.Fatalf("task %s has negative address %d", label, out)
 		}
-		if prev, dup := seen[task.Out]; dup {
-			t.Fatalf("address %d used by %s and %s", task.Out, prev, task.Label())
+		if prev, dup := seen[out]; dup {
+			t.Fatalf("address %d used by %s and %s", out, prev, label)
 		}
-		seen[task.Out] = task.Label()
-		for _, in := range task.In {
+		seen[out] = label
+		for _, in := range ins[i] {
 			if _, ok := seen[in]; !ok {
-				t.Fatalf("task %s waits on address %d with no earlier writer", task.Label(), in)
+				t.Fatalf("task %s waits on address %d with no earlier writer", label, in)
 			}
 		}
 	}

@@ -16,30 +16,32 @@ import (
 )
 
 // builderReplay is how BuildIR lowered before it read the columns:
-// every task through runtime.Builder, its §5.4 addresses and Serial key
-// resolved against the last-writer and last-serial tables.
+// every task through runtime.Builder, its §5.4 addresses and its
+// statement's serial key resolved against the last-writer and
+// last-serial tables.
 func builderReplay(p *TaskProgram) *runtime.Program {
+	_, outs, ins := p.Addresses()
 	b := runtime.NewBuilder(len(p.Tasks))
 	for i := range p.Tasks {
-		t := &p.Tasks[i]
-		b.Add(runtime.Task{Out: t.Out, In: t.In, Serial: t.Serial})
+		b.Add(runtime.Task{Out: outs[i], In: ins[i], Serial: p.Tasks[i].Stmt.Index})
 	}
 	return b.Build()
 }
 
 // replayDataEdges and replaySerialEdges are the map-based DataEdges and
-// SerialEdges: each In address resolved against the last earlier task
-// writing it, each Serial key against the last earlier task holding it.
+// SerialEdges: each in-address resolved against the last earlier task
+// writing it, each serial key against the last earlier task holding it.
 func replayDataEdges(p *TaskProgram) [][2]int {
+	_, outs, ins := p.Addresses()
 	lastWriter := map[int]int{}
 	var edges [][2]int
 	for i := range p.Tasks {
-		for _, addr := range p.Tasks[i].In {
+		for _, addr := range ins[i] {
 			if j, ok := lastWriter[addr]; ok {
 				edges = append(edges, [2]int{j, i})
 			}
 		}
-		lastWriter[p.Tasks[i].Out] = i
+		lastWriter[outs[i]] = i
 	}
 	return edges
 }
@@ -48,7 +50,7 @@ func replaySerialEdges(p *TaskProgram) [][2]int {
 	lastSerial := map[int]int{}
 	var edges [][2]int
 	for i := range p.Tasks {
-		key := p.Tasks[i].Serial
+		key := p.Tasks[i].Stmt.Index
 		if j, ok := lastSerial[key]; ok {
 			edges = append(edges, [2]int{j, i})
 		}

@@ -15,12 +15,10 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/deps"
-	"repro/internal/futures"
 	"repro/internal/isl"
 	"repro/internal/kernels"
 	"repro/internal/runtime"
 	"repro/internal/scop"
-	"repro/internal/stages"
 )
 
 // Result reports one execution.
@@ -105,51 +103,6 @@ func PipelinedHybrid(p *kernels.Program, workers, intraWorkers int, opts core.Op
 	res := RunCompiled(p, prog, workers)
 	res.Executor = "pipeline-hybrid"
 	return res, nil
-}
-
-// RunOnLayer executes a compiled task program on an arbitrary tasking
-// layer (the §7 retargeting hook). The layer is closed afterwards.
-func RunOnLayer(p *kernels.Program, prog *codegen.TaskProgram, layer codegen.Layer) Result {
-	p.Reset()
-	start := time.Now()
-	prog.Submit(layer)
-	layer.Wait()
-	elapsed := time.Since(start)
-	layer.Close()
-	return Result{
-		Executor: "pipeline-layer",
-		Elapsed:  elapsed,
-		Hash:     p.Hash(),
-		Tasks:    prog.NumTasks(),
-	}
-}
-
-// PipelinedOnFutures runs the pipelined program on the futures-based
-// tasking layer instead of the OpenMP-style dependency-table runtime.
-func PipelinedOnFutures(p *kernels.Program, workers int, opts core.Options) (Result, error) {
-	info, err := core.Detect(p.SCoP, opts)
-	if err != nil {
-		return Result{}, fmt.Errorf("exec: detect: %w", err)
-	}
-	prog, err := codegen.Compile(info)
-	if err != nil {
-		return Result{}, fmt.Errorf("exec: compile: %w", err)
-	}
-	return RunOnLayer(p, prog, futures.New(workers)), nil
-}
-
-// PipelinedOnStages runs the pipelined program on the stage-per-nest
-// channel layer.
-func PipelinedOnStages(p *kernels.Program, poolWorkers int, opts core.Options) (Result, error) {
-	info, err := core.Detect(p.SCoP, opts)
-	if err != nil {
-		return Result{}, fmt.Errorf("exec: detect: %w", err)
-	}
-	prog, err := codegen.Compile(info)
-	if err != nil {
-		return Result{}, fmt.Errorf("exec: compile: %w", err)
-	}
-	return RunOnLayer(p, prog, stages.New(poolWorkers)), nil
 }
 
 // ParLoop is the Polly baseline: each nest runs on its own, with the

@@ -175,26 +175,6 @@ func TestPipelinedRowChain(t *testing.T) {
 	}
 }
 
-func TestFuturesLayerMatchesSequential(t *testing.T) {
-	for _, prog := range []*kernels.Program{
-		kernels.Listing1(16),
-		kernels.Listing3(16),
-		kernels.MMChain(3, 12, kernels.GMM),
-	} {
-		want := Sequential(prog).Hash
-		res, err := PipelinedOnFutures(prog, 4, core.Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", prog.Name, err)
-		}
-		if res.Hash != want {
-			t.Errorf("%s: futures-layer hash differs from sequential", prog.Name)
-		}
-		if res.Tasks == 0 {
-			t.Errorf("%s: no tasks", prog.Name)
-		}
-	}
-}
-
 func TestHybridMatchesSequential(t *testing.T) {
 	// mm chains are conflict-free per nest: hybrid runs members in
 	// parallel inside blocks; results must stay bit-identical.

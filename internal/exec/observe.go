@@ -33,8 +33,8 @@ type Observation struct {
 // PipelinedObserved is Pipelined with the full observability layer
 // threaded through the stack: detection, codegen, and IR-lowering
 // phases are timed into rec's phase list, the unified runtime core
-// reports queue depth, stall, steal counts, and per-worker busy time
-// into rec's registry under the "runtime." prefix, a collector gathers
+// reports queue depth, stall, dependency counts, and per-worker busy
+// time into rec's registry under the "runtime." prefix, a collector gathers
 // per-task spans, and the executed DAG's critical path is computed.
 // rec may be nil; a fresh recorder is created.
 func PipelinedObserved(p *kernels.Program, workers int, opts core.Options, rec *obs.Recorder) (*Observation, error) {

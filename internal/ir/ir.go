@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/codegen"
 	"repro/internal/isl"
 	"repro/internal/isl/aff"
 	"repro/internal/obs"
@@ -237,7 +236,6 @@ func (c *CSR) NumEdges() int { return len(c.Succs) }
 type Program struct {
 	Name    string
 	Workers int
-	Coder   codegen.VecCoder
 	Arrays  []Array
 	Stmts   []Stmt
 	Tasks   []Task

@@ -29,7 +29,6 @@ func Lower(info *core.Info, tp *codegen.TaskProgram, opt Options) (*Program, err
 	p := &Program{
 		Name:       info.SCoP.Name,
 		Workers:    workers,
-		Coder:      tp.Coder,
 		ArrayIndex: map[string]int{},
 	}
 	if err := lowerArrays(p, info); err != nil {
@@ -168,8 +167,11 @@ func lowerStmts(p *Program, info *core.Info) error {
 // each — into single-unit IR tasks, materializing the lexicographic
 // From bound the same way the in-process block runners do: the
 // previous block's leader, or a below-minimum sentinel for a
-// statement's first block.
+// statement's first block. Each task's §5.4 addresses are encoded
+// here, the one place they are needed; the out and in lists are
+// capped subslices of shared arrays, so a fusing append copies them.
 func lowerTasks(p *Program, info *core.Info, tp *codegen.TaskProgram) {
+	_, outs, ins := tp.Addresses()
 	prevLeader := map[int]isl.Vec{}
 	for i := range tp.Tasks {
 		spec := &tp.Tasks[i]
@@ -191,9 +193,9 @@ func lowerTasks(p *Program, info *core.Info, tp *codegen.TaskProgram) {
 				First: spec.First,
 				Last:  spec.Last,
 			}},
-			Outs:    []int{spec.Out},
-			Ins:     append([]int(nil), spec.In...),
-			Serials: []int{spec.Serial},
+			Outs:    outs[i : i+1 : i+1],
+			Ins:     ins[i],
+			Serials: []int{spec.Stmt.Index},
 		}
 		p.Tasks = append(p.Tasks, t)
 		prevLeader[spec.Stmt.Index] = spec.Leader

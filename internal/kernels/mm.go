@@ -14,7 +14,7 @@ import (
 // vector–matrix multiplications: one statement instance computes one
 // row of the chain's next matrix, so iteration domains are
 // 1-dimensional and memory is modelled at row granularity (exactly the
-// granularity the tasking layer synchronizes on).
+// granularity the pipeline tasks synchronize on).
 //
 // Variants:
 //

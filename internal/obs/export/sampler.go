@@ -69,8 +69,7 @@ type Sampler struct {
 
 // NewSampler builds a sampler over src (typically Registry.Snapshot of
 // a session registry, which already carries the detect/cache/runtime
-// families — scheduler steal_count, queue_depth, deps_resolved
-// included). interval <= 0 means DefaultSampleInterval; capacity <= 0
+// families — runtime queue_depth and deps_resolved included). interval <= 0 means DefaultSampleInterval; capacity <= 0
 // means DefaultSampleCapacity.
 func NewSampler(src func() obs.Snapshot, interval time.Duration, capacity int) *Sampler {
 	if interval <= 0 {

@@ -13,7 +13,7 @@ import (
 
 func TestSamplerDeltasAndGauges(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := reg.Counter("runtime.steal_count")
+	c := reg.Counter("runtime.deps_resolved")
 	g := reg.Gauge("runtime.queue_depth")
 	h := reg.Histogram("runtime.task_ns", []int64{10, 100})
 
@@ -33,13 +33,13 @@ func TestSamplerDeltasAndGauges(t *testing.T) {
 	if got[0].When.After(got[1].When) {
 		t.Fatal("samples not in chronological order")
 	}
-	if got[0].Counters["runtime.steal_count"] != 5 || got[0].Deltas["runtime.steal_count"] != 5 {
+	if got[0].Counters["runtime.deps_resolved"] != 5 || got[0].Deltas["runtime.deps_resolved"] != 5 {
 		t.Errorf("first sample counter/delta = %d/%d, want 5/5",
-			got[0].Counters["runtime.steal_count"], got[0].Deltas["runtime.steal_count"])
+			got[0].Counters["runtime.deps_resolved"], got[0].Deltas["runtime.deps_resolved"])
 	}
-	if got[1].Counters["runtime.steal_count"] != 8 || got[1].Deltas["runtime.steal_count"] != 3 {
+	if got[1].Counters["runtime.deps_resolved"] != 8 || got[1].Deltas["runtime.deps_resolved"] != 3 {
 		t.Errorf("second sample counter/delta = %d/%d, want 8/3",
-			got[1].Counters["runtime.steal_count"], got[1].Deltas["runtime.steal_count"])
+			got[1].Counters["runtime.deps_resolved"], got[1].Deltas["runtime.deps_resolved"])
 	}
 	if got[0].Gauges["runtime.queue_depth"] != 2 || got[1].Gauges["runtime.queue_depth"] != 7 {
 		t.Error("gauges not instantaneous per sample")

@@ -6,7 +6,7 @@
 // operations so instrumented executions stay within a few percent of
 // uninstrumented ones.
 //
-// Metric names are flat dotted strings ("tasking.queue_depth"); the
+// Metric names are flat dotted strings ("runtime.queue_depth"); the
 // registry shards its name tables by hash so lookups from many worker
 // goroutines do not serialize on one mutex. See docs/OBSERVABILITY.md
 // for the catalogue of names the pipeline emits.

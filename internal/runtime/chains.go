@@ -92,7 +92,7 @@ func (p *Program) execute(workers int, opts ExecOptions) *run {
 		return r
 	}
 	if opts.Reg != nil {
-		r.m = newMetrics(opts.Reg, "runtime", workers)
+		r.m = newMetrics(opts.Reg, workers)
 		r.m.submitted.Add(int64(n))
 	}
 	if opts.Trace != nil || opts.Reg != nil {

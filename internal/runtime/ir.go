@@ -7,11 +7,10 @@ import (
 	"repro/internal/obs"
 )
 
-// Builder lowers a stream of tasks (submitted in program order, the
-// same order a Layer sees them) into a compiled Program: the §5.5
-// dependency addresses are resolved against the last-writer and
-// last-serial tables exactly once, here, instead of on every submit of
-// every run. Edges are deduplicated, so a task reading the same
+// Builder lowers a stream of tasks, added in program order, into a
+// compiled Program: the §5.5 dependency addresses are resolved against
+// the last-writer and last-serial tables exactly once, here, instead of
+// on every run. Edges are deduplicated, so a task reading the same
 // address through several access relations carries one edge. It is the
 // general-DAG constructor; a lowering that already knows its chains
 // fills a ChainSpec instead, and the tests hold the two equal.
@@ -302,8 +301,8 @@ func (p *Program) Roots() []int32 {
 
 // ExecOptions tunes one execution of a compiled program.
 type ExecOptions struct {
-	// Trace, when non-nil, receives the same lifecycle events the
-	// streaming scheduler emits: submit with Worker = -1; ready, with
+	// Trace, when non-nil, receives every task's lifecycle events:
+	// submit, all up front, with Worker = -1; ready, with
 	// Worker = -1 and When = the end of the task's last predecessor (or
 	// the start of the run), just before its start; start and end with
 	// the executing worker.
@@ -325,9 +324,7 @@ type ExecStats struct {
 	Executed int
 	// MaxConcurrent is the most chains workers held at once.
 	MaxConcurrent int
-	// Steals is always 0: workers claim chains, they never steal tasks.
-	Steals       int64
-	DepsResolved int64
+	DepsResolved  int64
 	// ChainFused counts the dependency edges resolved by chain order
 	// alone — a task's serial edge to the task before it in its chain —
 	// rather than by checking another chain's counter.

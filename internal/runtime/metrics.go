@@ -6,18 +6,14 @@ import (
 	"repro/internal/obs"
 )
 
-// metrics caches the registry instruments the scheduler and the
-// compiled executor update on their hot paths; nil fields (no Observe
-// call) cost one branch per site. Instrument names are prefixed with
-// the owning layer's name ("tasking", "futures", "stages", or
-// "runtime" for the compiled IR executor) so every layer reports the
-// same catalogue (see docs/OBSERVABILITY.md).
+// metrics caches the registry instruments the executor updates on its
+// hot paths; nil fields (no ExecOptions.Reg) cost one branch per site.
+// Every instrument is named "runtime.*" (see docs/OBSERVABILITY.md).
 type metrics struct {
 	submitted  *obs.Counter
 	executed   *obs.Counter
 	stallNs    *obs.Counter
 	busyNs     *obs.Counter
-	steals     *obs.Counter
 	deps       *obs.Counter
 	chainFused *obs.Counter
 	queueDepth *obs.Gauge
@@ -29,14 +25,14 @@ type metrics struct {
 	workerBusy []*obs.Counter
 }
 
-// newMetrics wires the full instrument set under the given name prefix.
-func newMetrics(reg *obs.Registry, name string, workers int) metrics {
+// newMetrics wires the full instrument set.
+func newMetrics(reg *obs.Registry, workers int) metrics {
+	const name = "runtime"
 	m := metrics{
 		submitted:  reg.Counter(name + ".submitted"),
 		executed:   reg.Counter(name + ".executed"),
 		stallNs:    reg.Counter(name + ".stall_ns_total"),
 		busyNs:     reg.Counter(name + ".busy_ns_total"),
-		steals:     reg.Counter(name + ".steal_count"),
 		deps:       reg.Counter(name + ".deps_resolved"),
 		chainFused: reg.Counter(name + ".chain_fused"),
 		queueDepth: reg.Gauge(name + ".queue_depth"),

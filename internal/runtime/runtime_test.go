@@ -193,22 +193,3 @@ func TestExecutePanicsOnBadWorkers(t *testing.T) {
 	}()
 	chainProgram(1, new([]int32)).Execute(0, ExecOptions{})
 }
-
-func TestSchedulerShardPolicy(t *testing.T) {
-	var hits atomic.Int64
-	s := NewScheduler(Config{
-		Workers: 2,
-		Name:    "test",
-		Shard:   func(id, serial, workers int) int { hits.Add(1); return 0 },
-	})
-	for i := 0; i < 4; i++ {
-		s.Submit(Task{Fn: func() {}, Out: -1, Serial: NoSerial})
-	}
-	s.Close()
-	if hits.Load() != 4 {
-		t.Fatalf("shard policy hits = %d", hits.Load())
-	}
-	if executed, _ := s.Stats(); executed != 4 {
-		t.Fatalf("executed = %d", executed)
-	}
-}

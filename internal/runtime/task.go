@@ -1,10 +1,11 @@
-// Package runtime is the single execution core under every tasking
-// layer: the task and lifecycle-event vocabulary (§5.4–5.5's CreateTask
-// model), one streaming dependency-resolving scheduler shared by the
-// tasking/futures/stages adapters, and a compiled task program —
-// lowered once from codegen's blocks into chains, one per statement,
-// each task waiting on (chain, position) pairs — whose executor keeps
-// one progress counter per chain.
+// Package runtime is the in-process execution core: the task and
+// lifecycle-event vocabulary (§5.4–5.5's CreateTask model) and a
+// compiled task program — built once, either by Builder, which
+// resolves the depend(in/out) addresses and funcCount serial keys of a
+// general task stream, or straight from codegen's blocks as chains,
+// one per statement — whose executor keeps one progress counter per
+// chain and has each task wait on (chain, position) pairs. Nothing is
+// resolved while a program runs.
 package runtime
 
 import "time"

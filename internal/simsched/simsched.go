@@ -6,9 +6,9 @@
 // P-processor greedy list schedule over the real dependency DAG is
 // then computed in virtual time.
 //
-// The simulated executions use exactly the task graphs the tasking
-// runtime would execute — the same blocks, dependency addresses, and
-// per-nest serialization — so who-wins comparisons and crossover
+// The simulated executions use exactly the task graphs the chain
+// executor runs — the same blocks, dependency edges, and per-nest
+// serialization — so who-wins comparisons and crossover
 // points match what a real multi-core run observes, without wall-clock
 // nondeterminism.
 package simsched

@@ -14,7 +14,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/tasking"
+	"repro/internal/runtime"
 )
 
 // Span is one completed task execution.
@@ -40,11 +40,11 @@ func (s Span) Stall() time.Duration {
 	return s.Start.Sub(s.Ready)
 }
 
-// Collector accumulates tasking events into spans. Install Hook on a
-// runtime before submitting tasks.
+// Collector accumulates runtime lifecycle events into spans. Pass Hook
+// as runtime.ExecOptions.Trace.
 type Collector struct {
 	mu             sync.Mutex
-	open           map[int]tasking.Event
+	open           map[int]runtime.Event
 	ready          map[int]time.Time
 	spans          []Span
 	dropped        int
@@ -54,7 +54,7 @@ type Collector struct {
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
 	return &Collector{
-		open:  make(map[int]tasking.Event),
+		open:  make(map[int]runtime.Event),
 		ready: make(map[int]time.Time),
 	}
 }
@@ -89,17 +89,17 @@ func (c *Collector) Reset() {
 	clear(c.ready)
 }
 
-// Hook returns the tracing callback to install with Runtime.SetTrace.
-func (c *Collector) Hook() func(tasking.Event) {
-	return func(e tasking.Event) {
+// Hook returns the tracing callback for runtime.ExecOptions.Trace.
+func (c *Collector) Hook() func(runtime.Event) {
+	return func(e runtime.Event) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		switch e.Kind {
-		case tasking.EventReady:
+		case runtime.EventReady:
 			c.ready[e.TaskID] = e.When
-		case tasking.EventStart:
+		case runtime.EventStart:
 			c.open[e.TaskID] = e
-		case tasking.EventEnd:
+		case runtime.EventEnd:
 			s, ok := c.open[e.TaskID]
 			if !ok {
 				// An end with no matching start: the hook was installed

@@ -12,8 +12,8 @@ import (
 	"repro/internal/isl/aff"
 	"repro/internal/kernels"
 	"repro/internal/obs"
+	"repro/internal/runtime"
 	"repro/internal/scop"
-	"repro/internal/tasking"
 )
 
 // synthetic spans: S0 runs [0,10) and [10,20); S1 runs [5,15) and
@@ -121,7 +121,7 @@ func TestCollectorCountsUnmatchedFinish(t *testing.T) {
 	reg := obs.NewRegistry()
 	c.SetRegistry(reg)
 	hook := c.Hook()
-	hook(tasking.Event{Kind: tasking.EventEnd, TaskID: 7, When: time.Now()})
+	hook(runtime.Event{Kind: runtime.EventEnd, TaskID: 7, When: time.Now()})
 	if len(c.Spans()) != 0 {
 		t.Fatal("unmatched finish produced a span")
 	}
@@ -140,10 +140,10 @@ func TestCollectorStallFromReadyEvents(t *testing.T) {
 	c := NewCollector()
 	hook := c.Hook()
 	base := time.Unix(2000, 0)
-	hook(tasking.Event{Kind: tasking.EventSubmit, TaskID: 1, Label: "a", When: base})
-	hook(tasking.Event{Kind: tasking.EventReady, TaskID: 1, Label: "a", When: base.Add(time.Millisecond)})
-	hook(tasking.Event{Kind: tasking.EventStart, TaskID: 1, Label: "a", Worker: 0, When: base.Add(3 * time.Millisecond)})
-	hook(tasking.Event{Kind: tasking.EventEnd, TaskID: 1, Label: "a", Worker: 0, When: base.Add(7 * time.Millisecond)})
+	hook(runtime.Event{Kind: runtime.EventSubmit, TaskID: 1, Label: "a", When: base})
+	hook(runtime.Event{Kind: runtime.EventReady, TaskID: 1, Label: "a", When: base.Add(time.Millisecond)})
+	hook(runtime.Event{Kind: runtime.EventStart, TaskID: 1, Label: "a", Worker: 0, When: base.Add(3 * time.Millisecond)})
+	hook(runtime.Event{Kind: runtime.EventEnd, TaskID: 1, Label: "a", Worker: 0, When: base.Add(7 * time.Millisecond)})
 	spans := c.Spans()
 	if len(spans) != 1 {
 		t.Fatalf("spans = %d", len(spans))
@@ -261,12 +261,12 @@ func TestCollectorConcurrentReaders(t *testing.T) {
 				when := base.Add(time.Duration(id) * time.Microsecond)
 				if i%10 == 9 {
 					// Orphan end: must count as a drop, never a span.
-					hook(tasking.Event{Kind: tasking.EventEnd, TaskID: -id - 1, Worker: w, When: when})
+					hook(runtime.Event{Kind: runtime.EventEnd, TaskID: -id - 1, Worker: w, When: when})
 					continue
 				}
-				hook(tasking.Event{Kind: tasking.EventReady, TaskID: id, Worker: -1, When: when})
-				hook(tasking.Event{Kind: tasking.EventStart, TaskID: id, Serial: w, Worker: w, When: when})
-				hook(tasking.Event{Kind: tasking.EventEnd, TaskID: id, Worker: w, When: when.Add(time.Microsecond)})
+				hook(runtime.Event{Kind: runtime.EventReady, TaskID: id, Worker: -1, When: when})
+				hook(runtime.Event{Kind: runtime.EventStart, TaskID: id, Serial: w, Worker: w, When: when})
+				hook(runtime.Event{Kind: runtime.EventEnd, TaskID: id, Worker: w, When: when.Add(time.Microsecond)})
 			}
 		}(w)
 	}
@@ -318,7 +318,7 @@ func TestSetRegistryBackfillsDrops(t *testing.T) {
 	hook := c.Hook()
 	now := time.Now()
 	for i := 0; i < 3; i++ {
-		hook(tasking.Event{Kind: tasking.EventEnd, TaskID: i, When: now})
+		hook(runtime.Event{Kind: runtime.EventEnd, TaskID: i, When: now})
 	}
 	reg := obs.NewRegistry()
 	c.SetRegistry(reg)
@@ -326,7 +326,7 @@ func TestSetRegistryBackfillsDrops(t *testing.T) {
 		t.Fatalf("backfilled counter = %d, want 3", got)
 	}
 	// Post-installation drops keep the mirror in sync.
-	hook(tasking.Event{Kind: tasking.EventEnd, TaskID: 99, When: now})
+	hook(runtime.Event{Kind: runtime.EventEnd, TaskID: 99, When: now})
 	if got := reg.Snapshot().Counters["trace.events_dropped"]; got != 4 {
 		t.Fatalf("counter after new drop = %d, want 4", got)
 	}

@@ -3,7 +3,6 @@ package polypipe
 import (
 	"repro/internal/isl"
 	"repro/internal/isl/aff"
-	"repro/internal/tasking"
 )
 
 // Affine-construction surface re-exported from the internal aff and
@@ -41,7 +40,3 @@ func NewDomain(name string, bounds ...LoopBound) *Domain { return aff.NewDomain(
 
 // ConstBound is the constant half-open bound [lo, hi) for dimension d.
 func ConstBound(d, lo, hi int) LoopBound { return aff.ConstBound(d, lo, hi) }
-
-// NewRuntime starts a dependency-aware task runtime with the given
-// worker count (the minimal tasking layer of §5.5); see Runtime.
-func NewRuntime(workers int) *Runtime { return tasking.New(workers) }

@@ -39,16 +39,6 @@ func TestFacadeBuilderSurface(t *testing.T) {
 	}
 }
 
-func TestFacadeRuntimeSurface(t *testing.T) {
-	r := NewRuntime(2)
-	done := false
-	r.Submit(Task{Fn: func() { done = true }, Out: 0, Serial: -1})
-	r.Close()
-	if !done {
-		t.Fatal("task did not run")
-	}
-}
-
 func TestFacadeEmitGo(t *testing.T) {
 	sc, err := Parse("gen", `
 for (i = 0; i < 5; i++)
@@ -132,22 +122,6 @@ for (i = 0; i < 4; i++)
 	}
 }
 
-func TestFacadeFuturesLayer(t *testing.T) {
-	p := Listing1(12)
-	s := NewSession(WithWorkers(3))
-	seq, err := s.Run(ModeSequential, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run(ModeFutures, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Hash != seq.Hash {
-		t.Fatal("futures layer differs")
-	}
-}
-
 func TestFacadeErrorPropagation(t *testing.T) {
 	// A hazardous SCoP must surface detection errors through every
 	// entry point.
@@ -161,7 +135,7 @@ func TestFacadeErrorPropagation(t *testing.T) {
 	}
 	p := &Program{Name: "hazard", SCoP: sc, Reset: func() {}, Hash: func() uint64 { return 0 }}
 	s := NewSession(WithWorkers(2), WithIntraWorkers(2))
-	for _, mode := range []Mode{ModePipelined, ModeFutures, ModeStages, ModeHybrid} {
+	for _, mode := range []Mode{ModePipelined, ModeHybrid} {
 		if _, err := s.Run(mode, p); err == nil {
 			t.Errorf("Run(%v) accepted hazardous scop", mode)
 		}
@@ -187,22 +161,6 @@ func TestFacadeErrorPropagation(t *testing.T) {
 	}
 	if err := EmitGo(&sb, &Info{SCoP: sc}, 2); err == nil {
 		t.Error("EmitGo accepted incomplete info")
-	}
-}
-
-func TestFacadeStagesLayer(t *testing.T) {
-	p := Listing3(14)
-	s := NewSession(WithWorkers(2))
-	seq, err := s.Run(ModeSequential, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run(ModeStages, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Hash != seq.Hash {
-		t.Fatal("stages layer differs")
 	}
 }
 

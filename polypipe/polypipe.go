@@ -5,13 +5,14 @@
 //
 // The library detects pipeline patterns between consecutive for-loop
 // nests of a static control program and executes them as dependent
-// tasks on a minimal OpenMP-tasks-like runtime. Programs enter the
+// tasks, one chain of block tasks per statement, in process or as an
+// emitted standalone Go program. Programs enter the
 // system either through the scop builder (programmatic) or the small
 // C-like DSL (textual); the full pipeline is
 //
 //	SCoP → Detect (pipeline/blocking/dependency maps, Algorithm 1)
 //	     → schedule tree (Algorithm 2) → annotated AST (Figure 6)
-//	     → task program → tasking runtime.
+//	     → task program → chain executor (or emitted Go program).
 //
 // Typical use:
 //
@@ -44,7 +45,6 @@ import (
 	"repro/internal/lang"
 	"repro/internal/schedtree"
 	"repro/internal/scop"
-	"repro/internal/tasking"
 )
 
 // Re-exported core types: the facade is the supported import surface.
@@ -66,17 +66,13 @@ type (
 	Result = exec.Result
 	// Variant selects the matrix-chain kernel flavour.
 	Variant = kernels.Variant
-	// Task is a unit of work for the tasking runtime.
-	Task = tasking.Task
-	// Runtime is the OpenMP-tasks-like dependency-aware executor.
-	Runtime = tasking.Runtime
 	// AutotuneResult is the outcome of a profile-guided block-size
 	// search (Session.Autotune / WithAutotune): the tuned
 	// MinBlockIters plus every evaluated candidate's measured profile.
 	AutotuneResult = autotune.Result
 	// AutotuneSample is one evaluated candidate granularity with its
-	// instrumented-run profile (elapsed, critical path, stall, steals,
-	// queue peak, fused chains).
+	// instrumented-run profile (elapsed, critical path, stall, queue
+	// peak, fused chains).
 	AutotuneSample = autotune.Sample
 )
 

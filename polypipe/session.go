@@ -14,7 +14,6 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/futures"
 	"repro/internal/gogen"
 	"repro/internal/isl"
 	"repro/internal/obs"
@@ -23,27 +22,22 @@ import (
 	"repro/internal/par"
 	"repro/internal/runtime"
 	"repro/internal/simsched"
-	"repro/internal/stages"
 	"repro/internal/trace"
 )
 
 // Mode selects the executor a Session.Run call uses. The modes cover
 // the paper's evaluation matrix: the sequential reference, the
-// cross-loop pipelined executor on its three tasking layers, the
-// hybrid pipeline+intra-block executor, and the Polly-style per-loop
-// baseline.
+// cross-loop pipelined executor, the hybrid pipeline+intra-block
+// executor, and the Polly-style per-loop baseline. The emitted program
+// (Session.EmitGo) is the pipeline's second back end.
 type Mode int
 
 const (
 	// ModeSequential runs nests in program order (the reference).
 	ModeSequential Mode = iota
-	// ModePipelined runs the detected pipeline on the OpenMP-tasks-like
-	// dependency-table runtime.
+	// ModePipelined runs the detected pipeline on the chain executor:
+	// one chain of block tasks per statement.
 	ModePipelined
-	// ModeFutures runs the pipeline on the futures tasking layer.
-	ModeFutures
-	// ModeStages runs the pipeline on the stage-per-nest channel layer.
-	ModeStages
 	// ModeHybrid combines the pipeline with intra-block parallelism for
 	// conflict-free statements (see WithIntraWorkers).
 	ModeHybrid
@@ -58,10 +52,6 @@ func (m Mode) String() string {
 		return "sequential"
 	case ModePipelined:
 		return "pipelined"
-	case ModeFutures:
-		return "futures"
-	case ModeStages:
-		return "stages"
 	case ModeHybrid:
 		return "hybrid"
 	case ModeParLoop:
@@ -180,7 +170,7 @@ func WithBackend(name string) SessionOption {
 // WithAutotune enables profile-guided block-size tuning: the first
 // pipelined compile of each program runs the internal/autotune
 // search — instrumented executions scored by wall time with the
-// realized critical path and stall/steal/queue-depth profile read
+// realized critical path and stall/queue-depth profile read
 // back from obs, converging by doubling plus golden-section
 // refinement — and every later compile reuses the tuned
 // MinBlockIters in place of the fixed Eq. 3 granularity. budget caps
@@ -244,7 +234,7 @@ func WithIntrospection(addr string) SessionOption {
 
 // WithSampler configures the continuous time-series sampler: every
 // interval the session registry (detect/cache/runtime families,
-// scheduler steal/queue-depth/deps counters included) is snapshotted
+// runtime queue-depth/deps counters included) is snapshotted
 // into a fixed ring of capacity timestamped samples, served at
 // /debug/series. interval <= 0 means export.DefaultSampleInterval;
 // capacity <= 0 means export.DefaultSampleCapacity. A sampler implies
@@ -600,18 +590,6 @@ func (s *Session) Run(mode Mode, p *Program) (Result, error) {
 			return Result{}, err
 		}
 		return s.execCompiled(p, prog, workers, "pipeline"), nil
-	case ModeFutures:
-		prog, err := s.compile(p, 0)
-		if err != nil {
-			return Result{}, err
-		}
-		return exec.RunOnLayer(p, prog, futures.New(workers)), nil
-	case ModeStages:
-		prog, err := s.compile(p, 0)
-		if err != nil {
-			return Result{}, err
-		}
-		return exec.RunOnLayer(p, prog, stages.New(workers)), nil
 	case ModeHybrid:
 		prog, err := s.compile(p, s.intraWorkers)
 		if err != nil {
@@ -744,8 +722,7 @@ func (s *Session) TraceSVG(w io.Writer, p *Program) error {
 // SimConfig configures Session.Simulate, consolidating the Sim* family
 // behind one call.
 type SimConfig struct {
-	// Mode selects what to simulate: ModePipelined (the default; also
-	// accepted as ModeFutures/ModeStages, which share the task graph),
+	// Mode selects what to simulate: ModePipelined (the default),
 	// ModeHybrid (intra-block scaling per WithIntraWorkers), or
 	// ModeParLoop (the Polly-style baseline).
 	Mode Mode

@@ -18,7 +18,7 @@ func TestSessionRunModesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []Mode{ModePipelined, ModeFutures, ModeStages, ModeHybrid, ModeParLoop} {
+	for _, mode := range []Mode{ModePipelined, ModeHybrid, ModeParLoop} {
 		res, err := s.Run(mode, p)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
