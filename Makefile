@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet fmt-check bench-module race crosscheck crosscheck-symbolic autotune-smoke aot-smoke obsd-smoke serve-smoke bench bench-cache bench-gate bench-exec bench-exec-gate bench-autotune bench-serve bench-serve-gate size stats serve clean
+.PHONY: check build test vet fmt-check bench-module race crosscheck crosscheck-symbolic autotune-smoke aot-smoke obsd-smoke serve-smoke bench bench-autotune fuzz size stats serve clean
 
 ## check: the full gate — vet, gofmt cleanliness, build, the
 ## race-enabled test suite (the chain executor's stress under
@@ -80,40 +80,11 @@ race:
 
 ## bench: regenerate the paper's evaluation numbers plus the detection
 ## micro-benchmarks (serial vs parallel core.Detect; see
-## docs/PERFORMANCE.md and BENCH_detect.json).
+## docs/PERFORMANCE.md). Gated end-to-end performance numbers come from
+## `bash benchmark/run.sh` (BENCHMARK.json), not from this target.
 bench:
 	$(GO) test -bench . -benchmem .
 	$(GO) test -bench=Detect -benchmem -run='^$$' ./internal/core/
-
-## bench-cache: the detection cache's serving path — hot Session.Detect
-## on a cached kernel vs cold core.Detect (docs/PERFORMANCE.md,
-## "Serving and the detection cache"). Add -detect-bench and
-## -detect-out BENCH_detect.json to regenerate the committed file.
-bench-cache:
-	$(GO) run ./cmd/bench-pipeline -cache-bench
-
-## bench-gate: performance regression gate — re-run the detection
-## benchmark and fail if any kernel's ns/op regressed more than 15%
-## against the committed BENCH_detect.json (tune with -gate-tol).
-bench-gate:
-	$(GO) run ./cmd/bench-pipeline -bench-gate -sizes 32,64,128
-
-## bench-exec: the execution runtime benchmark — serial reference,
-## the chain executor through the compiled IR, the profile-guided
-## autotuned blocking, IR lowering first-vs-reuse, and the AOT backend (emitted-binary vs
-## in-process steady state plus compile-time ns/op, passes on/off), on
-## P4/P7/P10 at n=32/64/128. Regenerates the committed
-## BENCH_exec.json.
-bench-exec:
-	$(GO) run ./cmd/bench-pipeline -exec-bench -autotune -aot-bench -exec-out BENCH_exec.json
-
-## bench-exec-gate: performance regression gate — re-run the execution
-## benchmark (including the autotuned and AOT rows)
-## and fail if any row's ns/op regressed more than 15% against the
-## committed BENCH_exec.json (tune with -gate-tol). Committed rows
-## measured under a different GOMAXPROCS than this host are skipped.
-bench-exec-gate:
-	$(GO) run ./cmd/bench-pipeline -exec-gate -autotune -aot-bench
 
 ## bench-autotune: the profile-guided block-size search, human-readable
 ## — per kernel, every candidate granularity with its measured wall
@@ -151,19 +122,12 @@ obsd-smoke:
 serve-smoke:
 	GO="$(GO)" ./scripts/serve-smoke.sh
 
-## bench-serve: the detection-service load benchmark — replayable
-## zipf-skewed traffic over the Table 9 + nmm corpus against an
-## in-process pipelined, cold pass then cache-warm pass; regenerates
-## the committed BENCH_serve.json (p50/p99 latency, throughput, shed
-## rate).
-bench-serve:
-	$(GO) run ./cmd/serveload -out BENCH_serve.json
-
-## bench-serve-gate: performance regression gate — re-run the serving
-## benchmark and fail if p50 or p99 of either pass regressed more than
-## 15% against the committed BENCH_serve.json (tune with -gate-tol).
-bench-serve-gate:
-	$(GO) run ./cmd/serveload -gate
+## fuzz: run the native fuzz target on the SCoP wire decoder
+## (scop.FromJSON) for 30 seconds — it must never panic, and every
+## document it accepts must survive a ToJSON round trip with the same
+## fingerprint. `go test ./...` runs only the seed corpus.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzFromJSON -fuzztime 30s ./internal/scop/
 
 ## size: the two numbers the tree's size budget tracks — non-test Go
 ## lines outside the nested benchmark module and its build directory,

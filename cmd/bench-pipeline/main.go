@@ -39,8 +39,8 @@ type cellResult struct {
 	Utilization   float64 `json:"utilization"`
 }
 
-// runResult is the whole bench run as one JSON object, so trajectories
-// can be collected as BENCH_*.json without scraping the text table.
+// runResult is the whole bench run as one JSON object, so a run can be
+// consumed without scraping the text table.
 type runResult struct {
 	Workers int          `json:"workers"`
 	Mode    string       `json:"mode"`
@@ -79,23 +79,8 @@ func main() {
 	overhead := flag.Duration("task-overhead", 500*time.Nanosecond, "per-task scheduling overhead modelled in sim mode")
 	table9 := flag.Bool("table9", false, "print the Table 9 program specifications (Figure 9) and exit")
 	jsonOut := flag.Bool("json", false, "emit the run's results (speedups plus observed stall/utilization metrics) as one JSON object on stdout")
-	detectBench := flag.Bool("detect-bench", false, "benchmark core.Detect serial vs parallel on the P4/P7/P10/fuzzstress kernels and emit BENCH_detect.json-shaped output")
-	cacheBench := flag.Bool("cache-bench", false, "benchmark the detection cache's serving path (hot Session.Detect vs cold Detect) on the same kernels; combine with -detect-bench for the full BENCH_detect.json")
-	detectOut := flag.String("detect-out", "", "with -detect-bench/-cache-bench, write the JSON here instead of stdout (e.g. BENCH_detect.json)")
-	detectSizes := flag.String("sizes", "32", "with -detect-bench/-bench-gate, comma-separated problem sizes for the P4/P7/P10 kernels (e.g. 32,64,128 for the scaling sweep)")
-	benchGate := flag.Bool("bench-gate", false, "re-run the detection benchmark and exit non-zero if any kernel's ns/op regressed beyond -gate-tol against -gate-file")
-	gateFile := flag.String("gate-file", "BENCH_detect.json", "committed benchmark file the -bench-gate run compares against")
-	gateTol := flag.Float64("gate-tol", 0.15, "fractional ns/op regression tolerance for -bench-gate/-exec-gate (0.15 = 15%)")
-	execBench := flag.Bool("exec-bench", false, "benchmark the execution runtime (serial/pipelined plus IR lowering) on the P4/P7/P10 kernels and emit BENCH_exec.json-shaped output")
-	execOut := flag.String("exec-out", "", "with -exec-bench, write the JSON here instead of stdout (e.g. BENCH_exec.json)")
-	execGate := flag.Bool("exec-gate", false, "re-run the execution benchmark and exit non-zero if any row's ns/op regressed beyond -gate-tol against -exec-gate-file")
-	execGateFile := flag.String("exec-gate-file", "BENCH_exec.json", "committed benchmark file the -exec-gate run compares against")
-	execSizes := flag.String("exec-sizes", "32,64,128", "with -exec-bench/-exec-gate, comma-separated problem sizes for the P4/P7/P10 kernels")
-	aotBench := flag.Bool("aot-bench", false, "benchmark the AOT backend: emitted-binary vs in-process steady state plus compile-time ns/op (passes on/off); alone, print the rows as JSON; with -exec-bench/-exec-gate, merge them into the BENCH_exec.json flow")
-	aotSizes := flag.String("aot-sizes", "32", "with -aot-bench, comma-separated problem sizes that get an emitted binary (each costs one `go build` per kernel)")
-	aotRepsFlag := flag.Int("aot-reps", aotReps, "with -aot-bench, steady-state repetitions per measurement (best time wins)")
-	autotuneFlag := flag.Bool("autotune", false, "run the profile-guided block-size search: alone, print the per-kernel search trail; with -exec-bench/-exec-gate, add \"autotuned\" rows for the -autotune-sizes kernels")
-	autotuneSizes := flag.String("autotune-sizes", "32", "with -exec-bench/-exec-gate -autotune, problem sizes that get autotuned rows (the search re-runs the kernel per candidate, so keep this small)")
+	autotuneFlag := flag.Bool("autotune", false, "run the profile-guided block-size search on P4/P7/P10 and print the per-kernel search trail")
+	autotuneSizes := flag.String("autotune-sizes", "32", "with -autotune, comma-separated problem sizes to search (the search re-runs the kernel per candidate, so keep this small)")
 	autotuneBudget := flag.Int("autotune-budget", 8, "candidate-evaluation budget per kernel for -autotune")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken at the end of the run to this file")
@@ -104,76 +89,20 @@ func main() {
 		fmt.Print(table9Spec())
 		return
 	}
+	if *reps < 1 {
+		fatal(fmt.Errorf("-reps %d, want >= 1", *reps))
+	}
 	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
 	if err != nil {
 		fatal(err)
 	}
 	defer stopProfiles()
-	if *execBench || *execGate {
-		sizeVals, err := parseInts(*execSizes)
-		if err != nil {
-			fatal(err)
-		}
-		tune := tuneOpts{Enabled: *autotuneFlag, Budget: *autotuneBudget}
-		if tune.Enabled {
-			if tune.Sizes, err = parseInts(*autotuneSizes); err != nil {
-				fatal(err)
-			}
-		}
-		aot := aotOpts{Enabled: *aotBench, Reps: *aotRepsFlag}
-		if aot.Enabled {
-			if aot.Sizes, err = parseInts(*aotSizes); err != nil {
-				fatal(err)
-			}
-		}
-		if *execGate {
-			if err := runExecGate(*execGateFile, *gateTol, sizeVals, *workers, tune, aot); err != nil {
-				stopProfiles()
-				fatal(err)
-			}
-			return
-		}
-		if err := runExecBench(*execOut, sizeVals, *workers, tune, aot); err != nil {
-			stopProfiles()
-			fatal(err)
-		}
-		return
-	}
-	if *aotBench {
-		sizeVals, err := parseInts(*aotSizes)
-		if err != nil {
-			fatal(err)
-		}
-		if err := runAOTBench(aotOpts{Enabled: true, Sizes: sizeVals, Reps: *aotRepsFlag}, *workers); err != nil {
-			stopProfiles()
-			fatal(err)
-		}
-		return
-	}
 	if *autotuneFlag {
 		sizeVals, err := parseInts(*autotuneSizes)
 		if err != nil {
 			fatal(err)
 		}
 		if err := runAutotuneReport(sizeVals, *workers, *autotuneBudget); err != nil {
-			stopProfiles()
-			fatal(err)
-		}
-		return
-	}
-	if *detectBench || *cacheBench || *benchGate {
-		sizeVals, err := parseInts(*detectSizes)
-		if err != nil {
-			fatal(err)
-		}
-		if *benchGate {
-			if err := runBenchGate(*gateFile, *gateTol, sizeVals); err != nil {
-				stopProfiles()
-				fatal(err)
-			}
-			return
-		}
-		if err := runDetectBench(*detectOut, *detectBench, *cacheBench, sizeVals); err != nil {
 			stopProfiles()
 			fatal(err)
 		}
@@ -226,7 +155,10 @@ func main() {
 		rowLabels = append(rowLabels, spec.Name)
 		row := make([]float64, 0, len(cfgs))
 		for _, c := range cfgs {
-			p := kernels.BuildTable9(spec, c.n, c.size)
+			p, err := kernels.Table9Program(spec.Name, c.n, c.size)
+			if err != nil {
+				fatal(err)
+			}
 			sess := polypipe.NewSession(polypipe.WithWorkers(*workers))
 			if err := sess.Verify(p); err != nil {
 				fatal(fmt.Errorf("%s N=%d SIZE=%d: %w", spec.Name, c.n, c.size, err))

@@ -11,8 +11,7 @@ import (
 
 // benchSCoPs lists the detection benchmark inputs: three Table 9
 // programs spanning the access-pattern space (identity, strided,
-// shifted reads) plus one large fuzz-generated stress SCoP, the same
-// set cmd/bench-pipeline -detect-bench records into BENCH_detect.json.
+// shifted reads) plus one large fuzz-generated stress SCoP.
 func benchSCoPs() []struct {
 	name string
 	sc   *scop.SCoP
@@ -36,9 +35,9 @@ func mustSpec(name string) kernels.T9Spec {
 	return spec
 }
 
-// BenchmarkDetect measures Algorithm 1 end to end. The serial/parallel
-// split is what BENCH_detect.json records per PR; allocs/op tracks the
-// isl layer's allocation behaviour on Map.Add-heavy workloads.
+// BenchmarkDetect measures Algorithm 1 end to end, serial and parallel;
+// allocs/op tracks the isl layer's allocation behaviour on
+// Map.Add-heavy workloads.
 func BenchmarkDetect(b *testing.B) {
 	for _, bc := range benchSCoPs() {
 		for _, workers := range []int{1, 0} {

@@ -153,8 +153,8 @@ func Random(r *rand.Rand, cfg Config) *scop.SCoP {
 }
 
 // Stress deterministically generates the large fuzz SCoP the detection
-// benchmarks use (core's BenchmarkDetect and cmd/bench-pipeline
-// -detect-bench record it as "fuzzstress"): the first seed whose
+// benchmarks use (core's BenchmarkDetect records it as "fuzzstress"):
+// the first seed whose
 // program has at least seven statements, so the per-pair and
 // per-statement detection phases have real fan-out.
 func Stress() *scop.SCoP {

@@ -76,6 +76,11 @@ func TestTable9SpecsWellFormed(t *testing.T) {
 	if _, err := kernels.Table9Program("nope", 8, 2); err == nil {
 		t.Error("expected error for unknown program")
 	}
+	for _, n := range []int{-1, 0, 4, 7} {
+		if _, err := kernels.Table9Program("P1", n, 2); err == nil {
+			t.Errorf("Table9Program(P1, %d): expected error below n = 8", n)
+		}
+	}
 }
 
 func TestTable9ProgramsVerify(t *testing.T) {

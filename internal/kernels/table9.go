@@ -157,8 +157,9 @@ func T9SpecByName(name string) (T9Spec, bool) {
 const maxT9Inputs = 5
 
 // BuildTable9 instantiates one Table 9 program with N×N matrices whose
-// cells hold size multi-precision integers. It panics when a nest has
-// more than maxT9Inputs inputs.
+// cells hold size multi-precision integers. It panics when n < 8 or a
+// nest has more than maxT9Inputs inputs; Table9Program is the checked
+// entry point for caller-supplied sizes.
 func BuildTable9(spec T9Spec, n, size int) *Program {
 	if n < 8 {
 		panic("kernels: Table 9 programs require n >= 8")
@@ -247,11 +248,15 @@ func BuildTable9(spec T9Spec, n, size int) *Program {
 	}
 }
 
-// Table9Program builds the named Table 9 program.
+// Table9Program builds the named Table 9 program, returning an error
+// where BuildTable9 would panic on n < 8.
 func Table9Program(name string, n, size int) (*Program, error) {
 	spec, ok := T9SpecByName(name)
 	if !ok {
 		return nil, fmt.Errorf("kernels: unknown Table 9 program %q", name)
+	}
+	if n < 8 {
+		return nil, fmt.Errorf("kernels: Table 9 program %s needs n >= 8, got %d", name, n)
 	}
 	return BuildTable9(spec, n, size), nil
 }

@@ -64,12 +64,34 @@ func exprToJSON(e aff.Expr) jsonExpr {
 	return je
 }
 
-func exprFromJSON(je jsonExpr) aff.Expr {
-	e := aff.Expr{NVars: je.NVars, Const: je.Const, Coeffs: je.Coeffs}
-	for _, d := range je.Divs {
-		e.Divs = append(e.Divs, aff.DivTerm{Coef: d.Coef, Inner: exprFromJSON(d.Inner), Den: d.Den})
+// exprFromJSON rebuilds one quasi-affine expression, enforcing the
+// invariants aff assumes rather than checks on every evaluation: a
+// coefficient vector that is absent or has one entry per variable,
+// positive floor-division denominators, and div numerators over the
+// same variables as the expression that holds them.
+func exprFromJSON(je jsonExpr) (aff.Expr, error) {
+	if n := len(je.Coeffs); n != 0 && n != je.NVars {
+		return aff.Expr{}, fmt.Errorf("expression has %d coefficients over %d variables", n, je.NVars)
 	}
-	return e
+	e := aff.Expr{NVars: je.NVars, Const: je.Const}
+	if len(je.Coeffs) != 0 {
+		e.Coeffs = je.Coeffs
+	}
+	for _, d := range je.Divs {
+		if d.Den < 1 {
+			return aff.Expr{}, fmt.Errorf("floor division by %d, want a denominator >= 1", d.Den)
+		}
+		if d.Inner.NVars != je.NVars {
+			return aff.Expr{}, fmt.Errorf("floor division numerator over %d variables inside an expression over %d",
+				d.Inner.NVars, je.NVars)
+		}
+		inner, err := exprFromJSON(d.Inner)
+		if err != nil {
+			return aff.Expr{}, err
+		}
+		e.Divs = append(e.Divs, aff.DivTerm{Coef: d.Coef, Inner: inner, Den: d.Den})
+	}
+	return e, nil
 }
 
 // ToJSON serializes the SCoP's polyhedral description.
@@ -144,27 +166,47 @@ func FromJSON(data []byte) (*SCoP, error) {
 				return nil, fmt.Errorf("scop: statement %q bound %d has arity lo=%d hi=%d, want %d",
 					js.Name, d, jb.Lo.NVars, jb.Hi.NVars, d)
 			}
-			bounds[d] = aff.LoopBound{Lo: exprFromJSON(jb.Lo), Hi: exprFromJSON(jb.Hi)}
+			lo, err := exprFromJSON(jb.Lo)
+			if err != nil {
+				return nil, fmt.Errorf("scop: statement %q bound %d: %w", js.Name, d, err)
+			}
+			hi, err := exprFromJSON(jb.Hi)
+			if err != nil {
+				return nil, fmt.Errorf("scop: statement %q bound %d: %w", js.Name, d, err)
+			}
+			bounds[d] = aff.LoopBound{Lo: lo, Hi: hi}
 		}
 		sb := b.Stmt(js.Name, aff.NewDomain(js.Name, bounds...))
 		if js.Write != nil {
+			idx, err := exprsFromJSON(js.Write.Index)
+			if err != nil {
+				return nil, fmt.Errorf("scop: statement %q write: %w", js.Name, err)
+			}
 			if js.Write.MayOverwrite {
-				sb.WritesOverwriting(js.Write.Array, exprsFromJSON(js.Write.Index)...)
+				sb.WritesOverwriting(js.Write.Array, idx...)
 			} else {
-				sb.Writes(js.Write.Array, exprsFromJSON(js.Write.Index)...)
+				sb.Writes(js.Write.Array, idx...)
 			}
 		}
 		for _, rd := range js.Reads {
-			sb.Reads(rd.Array, exprsFromJSON(rd.Index)...)
+			idx, err := exprsFromJSON(rd.Index)
+			if err != nil {
+				return nil, fmt.Errorf("scop: statement %q read of %q: %w", js.Name, rd.Array, err)
+			}
+			sb.Reads(rd.Array, idx...)
 		}
 	}
 	return b.Build()
 }
 
-func exprsFromJSON(jes []jsonExpr) []aff.Expr {
+func exprsFromJSON(jes []jsonExpr) ([]aff.Expr, error) {
 	out := make([]aff.Expr, len(jes))
 	for i, je := range jes {
-		out[i] = exprFromJSON(je)
+		e, err := exprFromJSON(je)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = e
 	}
-	return out
+	return out, nil
 }

@@ -81,11 +81,33 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// MalformedExprDocs are one-statement documents whose expressions break
+// an invariant the aff layer assumes: each used to panic inside
+// FromJSON rather than return an error. Exported for FuzzFromJSON's
+// seed corpus.
+var MalformedExprDocs = map[string]string{
+	"zeroDenInIndex": `{"name":"x","arrays":[{"name":"A","dim":1}],"statements":[{"name":"S",` +
+		`"bounds":[{"lo":{"nvars":0},"hi":{"nvars":0,"const":4}}],` +
+		`"write":{"array":"A","index":[{"nvars":1,"divs":[{"coef":1,"inner":{"nvars":1,"coeffs":[1]},"den":0}]}]}}]}`,
+	"zeroDenInBound": `{"name":"x","arrays":[{"name":"A","dim":1}],"statements":[{"name":"S",` +
+		`"bounds":[{"lo":{"nvars":0},"hi":{"nvars":0,"divs":[{"coef":1,"inner":{"nvars":0,"const":8},"den":0}]}}],` +
+		`"write":{"array":"A","index":[{"nvars":1,"coeffs":[1]}]}}]}`,
+	"divInnerArity": `{"name":"x","arrays":[{"name":"A","dim":1}],"statements":[{"name":"S",` +
+		`"bounds":[{"lo":{"nvars":0},"hi":{"nvars":0,"const":4}}],` +
+		`"write":{"array":"A","index":[{"nvars":1,"divs":[{"coef":1,"inner":{"nvars":4,"coeffs":[1,0,0,0]},"den":2}]}]}}]}`,
+	"emptyCoeffs": `{"name":"x","arrays":[{"name":"A","dim":1}],"statements":[{"name":"S",` +
+		`"bounds":[{"lo":{"nvars":0},"hi":{"nvars":0,"const":4}}],` +
+		`"write":{"array":"A","index":[{"nvars":1,"coeffs":[]}]}}]}`,
+}
+
 func TestFromJSONErrors(t *testing.T) {
 	cases := map[string]string{
 		"garbage":   `{]`,
 		"badArity":  `{"name":"x","arrays":[{"name":"A","dim":1}],"statements":[{"name":"S","bounds":[{"lo":{"nvars":1},"hi":{"nvars":0,"const":4}}],"write":{"array":"A","index":[{"nvars":1,"coeffs":[1]}]}}]}`,
 		"undeclArr": `{"name":"x","arrays":[],"statements":[{"name":"S","bounds":[{"lo":{"nvars":0},"hi":{"nvars":0,"const":4}}],"write":{"array":"A","index":[{"nvars":1,"coeffs":[1]}]}}]}`,
+	}
+	for name, src := range MalformedExprDocs {
+		cases[name] = src
 	}
 	for name, src := range cases {
 		if _, err := FromJSON([]byte(src)); err == nil {

@@ -195,6 +195,40 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 }
 
+// TestMalformedExpressionIsBadRequest: a document whose floor division
+// has a zero denominator is refused with a 400 on /v1/detect and as a
+// per-item error in a batch, rather than panicking the handler.
+func TestMalformedExpressionIsBadRequest(t *testing.T) {
+	_, ts, _ := newTestServer(t, Limits{})
+	bad := `{"name":"x","arrays":[{"name":"A","dim":1}],"statements":[{"name":"S",` +
+		`"bounds":[{"lo":{"nvars":0},"hi":{"nvars":0,"const":4}}],` +
+		`"write":{"array":"A","index":[{"nvars":1,"divs":[{"coef":1,"inner":{"nvars":1,"coeffs":[1]},"den":0}]}]}}]}`
+	resp, out := post(t, ts.URL+"/v1/detect", "", []byte(`{"schema":"scop/v1","scop":`+bad+`}`))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d: %v", resp.StatusCode, out)
+	}
+	if code := errCode(t, out); code != CodeBadRequest {
+		t.Fatalf("code %q, want %q", code, CodeBadRequest)
+	}
+
+	good, err := scop.ToJSON(kernels.Listing3(16).SCoP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, out = post(t, ts.URL+"/v1/detect/batch", "", []byte(fmt.Sprintf(`{"schema":"scop/v1","scops":[%s,%s]}`, good, bad)))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d: %v", resp.StatusCode, out)
+	}
+	results := out["results"].([]any)
+	if len(results) != 2 || results[0] == nil || results[1] != nil {
+		t.Fatalf("batch results = %v", results)
+	}
+	errs := out["errors"].([]any)
+	if len(errs) != 1 || errs[0].(map[string]any)["index"].(float64) != 1 {
+		t.Fatalf("batch errors = %v", errs)
+	}
+}
+
 func TestQuotaExhaustion(t *testing.T) {
 	_, ts, reg := newTestServer(t, Limits{TenantRate: 0.001, TenantBurst: 2})
 	body := envelopedKernel(t)

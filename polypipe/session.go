@@ -728,7 +728,8 @@ type SimConfig struct {
 	Mode Mode
 	// Procs lists the processor counts to schedule at; all counts share
 	// one set of measured task costs, so the points are comparable.
-	// Empty means one point at the session's worker count.
+	// Empty means one point at the session's worker count; an entry
+	// below 1 is an error.
 	Procs []int
 	// Overhead models per-task scheduling cost in virtual time.
 	Overhead time.Duration
@@ -748,6 +749,11 @@ func (s *Session) Simulate(p *Program, cfg SimConfig) ([]float64, error) {
 	}
 	if err := s.ctx.Err(); err != nil {
 		return nil, wrapCtxErr(err)
+	}
+	for _, pr := range cfg.Procs {
+		if pr < 1 {
+			return nil, fmt.Errorf("polypipe: simulated processor count %d, want >= 1", pr)
+		}
 	}
 	procs := cfg.Procs
 	if len(procs) == 0 {

@@ -169,6 +169,11 @@ func TestSessionSimulateConsolidation(t *testing.T) {
 	if _, err := s.Simulate(p, SimConfig{Mode: ModeParLoop, Potential: true}); err == nil {
 		t.Fatal("Potential+ParLoop accepted")
 	}
+	for _, mode := range []Mode{ModePipelined, ModeHybrid, ModeParLoop} {
+		if _, err := s.Simulate(p, SimConfig{Mode: mode, Procs: []int{2, 0}}); err == nil {
+			t.Fatalf("mode %v: procs 0 accepted", mode)
+		}
+	}
 }
 
 // TestSessionCoversLegacySurface: every operation the removed free
