@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -29,17 +30,42 @@ import (
 )
 
 func main() {
-	rows := flag.Int("rows", 192, "matrix dimension (rows == cols)")
-	allThreads := flag.Int("all-threads", 8, "thread count for the polly_8 series")
-	reps := flag.Int("reps", 3, "repetitions per kernel (best result wins)")
-	mode := flag.String("mode", "sim", "sim (virtual time) or real (wall clock)")
-	overhead := flag.Duration("task-overhead", 500*time.Nanosecond, "per-task scheduling overhead modelled in sim mode")
-	flag.Parse()
-	if *mode != "sim" && *mode != "real" {
-		fatal(fmt.Errorf("unknown mode %q", *mode))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, prints the Figure 11 table to stdout and progress
+// to stderr, and returns the exit code: 0, or 1 after a message on
+// stderr for a bad flag, a size the kernels cannot take, or a failed
+// kernel.
+func run(args []string, stdout, stderr io.Writer) int {
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "bench-mm:", err)
+		return 1
+	}
+	flags := flag.NewFlagSet("bench-mm", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	rows := flags.Int("rows", 192, "matrix dimension (rows == cols)")
+	allThreads := flags.Int("all-threads", 8, "thread count for the polly_8 series")
+	reps := flags.Int("reps", 3, "repetitions per kernel (best result wins)")
+	mode := flags.String("mode", "sim", "sim (virtual time) or real (wall clock)")
+	overhead := flags.Duration("task-overhead", 500*time.Nanosecond, "per-task scheduling overhead modelled in sim mode")
+	if err := flags.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 1
+	}
+	switch {
+	case *mode != "sim" && *mode != "real":
+		return fail(fmt.Errorf("unknown mode %q", *mode))
+	case *rows < 2:
+		return fail(fmt.Errorf("-rows %d, want >= 2", *rows))
+	case *reps < 1:
+		return fail(fmt.Errorf("-reps %d, want >= 1", *reps))
+	case *allThreads < 1:
+		return fail(fmt.Errorf("-all-threads %d, want >= 1", *allThreads))
 	}
 
-	fmt.Printf("Figure 11 reproduction: log2 speed-up vs sequential (rows=%d, reps=%d, mode=%s)\n\n",
+	fmt.Fprintf(stdout, "Figure 11 reproduction: log2 speed-up vs sequential (rows=%d, reps=%d, mode=%s)\n\n",
 		*rows, *reps, *mode)
 	t := report.NewTable("kernel", "pipeline", "polly", fmt.Sprintf("polly_%d", *allThreads))
 
@@ -47,13 +73,13 @@ func main() {
 		for _, v := range []polypipe.Variant{polypipe.MM, polypipe.MMT, polypipe.GMM, polypipe.GMMT} {
 			p := polypipe.MMChain(n, *rows, v)
 			if err := polypipe.NewSession(polypipe.WithWorkers(n)).Verify(p); err != nil {
-				fatal(fmt.Errorf("%s: %w", p.Name, err))
+				return fail(fmt.Errorf("%s: %w", p.Name, err))
 			}
 			var pipe, polly, polly8 float64
 			for r := 0; r < *reps; r++ {
 				a, b, c, err := measure(p, n, *allThreads, *mode, *overhead)
 				if err != nil {
-					fatal(err)
+					return fail(err)
 				}
 				pipe, polly, polly8 = max2(pipe, a), max2(polly, b), max2(polly8, c)
 			}
@@ -61,11 +87,12 @@ func main() {
 				fmt.Sprintf("%+.2f", report.Log2(pipe)),
 				fmt.Sprintf("%+.2f", report.Log2(polly)),
 				fmt.Sprintf("%+.2f", report.Log2(polly8)))
-			fmt.Fprintf(os.Stderr, ".")
+			fmt.Fprintf(stderr, ".")
 		}
 	}
-	fmt.Fprintln(os.Stderr)
-	fmt.Println(t.String())
+	fmt.Fprintln(stderr)
+	fmt.Fprintln(stdout, t.String())
+	return 0
 }
 
 // measure returns the three speed-ups for one repetition.
@@ -112,9 +139,4 @@ func max2(a, b float64) float64 {
 		return a
 	}
 	return b
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "bench-mm:", err)
-	os.Exit(1)
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -36,5 +37,27 @@ func TestMeasureRealMode(t *testing.T) {
 	}
 	if pipe <= 0 || polly <= 0 || polly8 <= 0 {
 		t.Fatalf("speedups = %f %f %f", pipe, polly, polly8)
+	}
+}
+
+// TestRunRejectsBadFlags: sizes the kernels cannot take exit 1 with a
+// message before any table is printed.
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-rows", "1"},
+		{"-reps", "0"},
+		{"-all-threads", "0"},
+		{"-mode", "fast"},
+	} {
+		var out, errOut strings.Builder
+		if code := run(args, &out, &errOut); code != 1 {
+			t.Errorf("%v: exit %d, want 1", args, code)
+		}
+		if !strings.HasPrefix(errOut.String(), "bench-mm: ") {
+			t.Errorf("%v: stderr %q", args, errOut.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: printed %q", args, out.String())
+		}
 	}
 }

@@ -217,11 +217,9 @@ func TestPrintAOTStats(t *testing.T) {
 		"AOT backend (internal/ir pass pipeline):",
 		"ir tasks",
 		"blocks fused",
-		"dep addresses hoisted",
 		"bodies specialized",
 		"arrays narrowed",
 		"ir.pass.fuse",
-		"ir.pass.hoist",
 		"ir.pass.specialize",
 		"ir.pass.narrow",
 	} {
@@ -229,7 +227,7 @@ func TestPrintAOTStats(t *testing.T) {
 			t.Errorf("-aot output missing %q:\n%s", want, out)
 		}
 	}
-	for _, row := range []string{"dep addresses hoisted", "bodies specialized"} {
+	for _, row := range []string{"bodies specialized"} {
 		if strings.Contains(out, row+"  0 ") {
 			t.Errorf("%s reported zero effect:\n%s", row, out)
 		}

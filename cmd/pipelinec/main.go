@@ -11,7 +11,7 @@
 //	pipelinec [-dump report|tree|ast|all] [-min-block-iters N] file.loop
 //	pipelinec -example listing1            # run on a built-in example
 //	pipelinec -gogen out.go file.loop      # emit a standalone Go program
-//	pipelinec -dump-ir -passes fuse,hoist file.loop
+//	pipelinec -dump-ir -passes fuse file.loop
 //
 // With no file and no -example, the program is read from stdin.
 //

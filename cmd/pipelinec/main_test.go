@@ -130,7 +130,7 @@ func TestDumpIRFlag(t *testing.T) {
 	if code != exitOK {
 		t.Fatalf("exit %d: %s", code, errOut)
 	}
-	for _, want := range []string{"== block-program IR ==", "passes: fuse", "hoist", "specialize", "narrow", "task "} {
+	for _, want := range []string{"== block-program IR ==", "passes: fuse, specialize, narrow", "task ", "preds=["} {
 		if !strings.Contains(out, want) {
 			t.Errorf("optimized -dump-ir output missing %q", want)
 		}
@@ -181,8 +181,8 @@ func TestGogenFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), "func resolveDeps()") {
-		t.Error("-opt=false emitted program missing startup dependency resolution")
+	if !strings.Contains(string(data), "var succOff = []int32{") || strings.Contains(string(data), "resolveDeps") {
+		t.Error("-opt=false emitted program does not embed the task DAG")
 	}
 }
 

@@ -1,11 +1,11 @@
 // Package codegen lowers a detected pipeline structure to an
 // executable task program, mirroring the paper's code-generation phase
 // (§5.4): every pipeline block becomes one task whose body runs the
-// block's iterations in order. In process the tasks run as one chain
-// per statement (BuildIR); for an emitted program, Addresses converts
-// the block-leader vectors of the dependency relations to unique
-// integer dependency addresses paired with a per-statement writer
-// index.
+// block's iterations in order. The tasks run as one chain per
+// statement (BuildIR), and an emitted program embeds the same DAG;
+// Addresses converts the block-leader vectors of the dependency
+// relations to the paper's unique integer dependency addresses, the
+// reference the tests resolve that DAG against.
 package codegen
 
 import (
@@ -129,13 +129,14 @@ func newCoder(stmts []*core.StmtInfo, numStmts int) VecCoder {
 }
 
 // Addresses returns the program's §5.4 dependency interface, the
-// depend(out/in) clauses an emitted program creates its tasks with:
-// the coder, task i's out address out[i] (the encoded leader of its
+// depend(out/in) clauses the paper's generated code creates its tasks
+// with: the coder, task i's out address out[i] (the encoded leader of its
 // block), and in[i], the out addresses of the source blocks task i
 // waits on, in in-dependency order. The in lists share one backing
-// array and are capped at their length. Nothing executed in process
+// array and are capped at their length. Nothing executed or emitted
 // reads the addresses — BuildIR lowers from the in-dependency columns
-// directly — so they are computed here, on demand, for emission.
+// directly — so they are computed here, on demand, as the reference
+// runtime.Builder resolves in the tests.
 func (p *TaskProgram) Addresses() (coder VecCoder, out []int, in [][]int) {
 	coder = newCoder(p.stmts, len(p.SCoP.Stmts))
 	out = make([]int, len(p.Tasks))
@@ -179,10 +180,9 @@ func CompileWithOptions(info *core.Info, opts CompileOptions) (*TaskProgram, err
 	return compileTasks(info, opts)
 }
 
-// CompileForEmission lowers the task structure only — block leaders
-// and members, from which Addresses derives the §5.4 dependency
-// addresses — without requiring (or
-// ever touching) statement bodies. It is the seam the AOT back end
+// CompileForEmission lowers the task structure only — block leaders,
+// members and the in-dependency columns the task DAG is read off —
+// without requiring (or ever touching) statement bodies. It is the seam the AOT back end
 // (internal/ir, internal/gogen) compiles through: emitted programs
 // carry their own statement bodies, so attaching interpreter bodies to
 // the caller's SCoP, as gogen.Emit once did as a side effect, is

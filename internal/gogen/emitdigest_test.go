@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -14,6 +15,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fuzzscop"
+	"repro/internal/interp"
+	"repro/internal/ir"
 	"repro/internal/kernels"
 	"repro/internal/scop"
 )
@@ -22,7 +25,7 @@ import (
 // detection result, so a refactor of task compilation or lowering must
 // leave it unchanged byte for byte. Each corpus program is emitted at
 // two workers with the default pass pipeline and with Passes "none"
-// (whose address tables print the §5.4 dependency addresses), and the
+// (both embed the task DAG as CSR arrays, unfused and fused), and the
 // SHA-256 of every output is compared against the committed file.
 //
 // Regenerate it with:
@@ -106,6 +109,65 @@ func TestEmitDigests(t *testing.T) {
 		}
 		if g != w {
 			t.Errorf("%s: emitted source digest %s, committed %s", key, g, w)
+		}
+	}
+}
+
+// TestPassSubsetsEmbedDAG: under every subset of the passes, the
+// emitted source embeds the task DAG and carries no dependency-address
+// table or start-up resolver, and the IR evaluator reproduces the
+// interpreter's hash on every program of the digest corpus.
+func TestPassSubsetsEmbedDAG(t *testing.T) {
+	names, scs := emitDigestCorpus()
+	all := ir.Passes()
+	for k, sc := range scs {
+		ref := interp.Programify(sc)
+		ref.Reset()
+		for _, s := range sc.Stmts {
+			for _, iv := range s.Domain.Elements() {
+				s.Body(iv)
+			}
+		}
+		want := ref.Hash()
+		info, err := core.Detect(sc, core.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", names[k], err)
+		}
+		for mask := 0; mask < 1<<len(all); mask++ {
+			passes := "none"
+			for i, ps := range all {
+				if mask&(1<<i) == 0 {
+					continue
+				}
+				if passes == "none" {
+					passes = ps.Name
+				} else {
+					passes += "," + ps.Name
+				}
+			}
+			p, err := Compile(info, EmitOptions{Workers: 2, Passes: passes})
+			if err != nil {
+				t.Fatalf("%s passes=%s: %v", names[k], passes, err)
+			}
+			var b strings.Builder
+			if err := Print(&b, p); err != nil {
+				t.Fatal(err)
+			}
+			if len(p.Applied) != bits.OnesCount(uint(mask)) {
+				t.Fatalf("passes=%s applied %v", passes, p.Applied)
+			}
+			src := b.String()
+			if !strings.Contains(src, "var succOff = []int32{") {
+				t.Errorf("%s passes=%s: no embedded task DAG", names[k], passes)
+			}
+			for _, reject := range []string{"resolveDeps", "depIns"} {
+				if strings.Contains(src, reject) {
+					t.Errorf("%s passes=%s: emitted source contains %q", names[k], passes, reject)
+				}
+			}
+			if first, second := ir.NewEvaluator(p).RunTwice(); first != want || second != want {
+				t.Errorf("%s passes=%s: evaluator hashes %x, %x, interpreter %x", names[k], passes, first, second, want)
+			}
 		}
 	}
 }

@@ -11,9 +11,9 @@
 // result. The emitted file contains the program's arrays (and sink
 // accumulators), the statement bodies with the same deterministic
 // synthetic semantics as package interp (the internal/interp seam),
-// per-task execution code, the dependency DAG — embedded as compiled
-// CSR arrays when the hoist pass ran, or as §5.4 address tables
-// resolved once at startup when it did not — a minimal tasking
+// per-task execution code, the task DAG — embedded as CSR arrays built
+// from the predecessors the IR takes from the chain program's
+// in-dependency columns, whatever passes ran — a minimal tasking
 // runtime, and a main function that runs the program sequentially and
 // pipelined and compares the result hashes. Because the semantics
 // match package interp bit for bit, the hash printed by the emitted
@@ -41,8 +41,6 @@ type EmitOptions struct {
 	// pass, "none" emits the unoptimized program, otherwise a
 	// comma-separated subset of ir pass names.
 	Passes string
-	// FuseThreshold caps fused-task iterations (0 = ir default).
-	FuseThreshold int
 	// Obs receives compile phases and ir.* pass metrics.
 	Obs *obs.Recorder
 }
@@ -79,11 +77,7 @@ func Compile(info *core.Info, opts EmitOptions) (*ir.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	iropt := ir.Options{
-		Workers:       opts.Workers,
-		FuseThreshold: opts.FuseThreshold,
-		Obs:           opts.Obs,
-	}
+	iropt := ir.Options{Workers: opts.Workers, Obs: opts.Obs}
 	p, err := ir.Lower(info, tp, iropt)
 	if err != nil {
 		return nil, err

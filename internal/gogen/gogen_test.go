@@ -92,7 +92,7 @@ func TestGeneratedSourceParses(t *testing.T) {
 	for _, want := range []string{
 		"func task_0()",
 		"var tasks = []func(){",
-		"var succOff = []int32{", // hoist pass: embedded CSR
+		"var succOff = []int32{", // embedded task DAG
 		"func runPipelined(workers int)",
 	} {
 		if !strings.Contains(src, want) {
@@ -100,9 +100,8 @@ func TestGeneratedSourceParses(t *testing.T) {
 		}
 	}
 	for _, reject := range []string{
-		"func stmt_S(",     // specialize pass inlines bodies
-		"func resolveDeps", // hoist pass removes startup resolution
-		"lexLE(",           // specialize pass removes guarded scans
+		"func stmt_S(", // specialize pass inlines bodies
+		"lexLE(",       // specialize pass removes guarded scans
 	} {
 		if strings.Contains(src, reject) {
 			t.Errorf("optimized source still contains %q", reject)
@@ -120,9 +119,7 @@ func TestGeneratedSourceUnoptimized(t *testing.T) {
 		"func stmt_S(i0 int, i1 int)",
 		"func stmt_R(i0 int, i1 int)",
 		"func runBlock_S(",
-		"func resolveDeps()",
-		"var depOuts = [][]int{",
-		"var depSerials = [][]int{",
+		"var succOff = []int32{", // the task DAG is embedded without passes too
 		"func runPipelined(workers int)",
 	} {
 		if !strings.Contains(src, want) {

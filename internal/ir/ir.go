@@ -21,9 +21,10 @@
 //     the original loop bounds, the same interval as positions of the
 //     statement's sorted points, and — after the specialize pass —
 //     run-length segments that iterate only the block's own points;
-//   - the §5.4 integer dependency interface (Outs/Ins/Serials
-//     addresses) and, after the hoist pass, the fully resolved
-//     dependency DAG in CSR form.
+//   - the task DAG as each task's predecessor list, read off the
+//     chain program the in-process executor runs (Eq. 4's in-dependency
+//     columns plus the per-statement serial edges), so no pass and no
+//     emitted program resolves dependency addresses.
 //
 // Passes (see passes.go) transform the Program in place; the pass
 // manager reports what each pass did through ir.* metrics on an
@@ -38,7 +39,6 @@ import (
 	"repro/internal/isl"
 	"repro/internal/isl/aff"
 	"repro/internal/obs"
-	"repro/internal/runtime"
 )
 
 // DefaultFuseThreshold is the tiny-block fusion limit: chains are
@@ -50,9 +50,6 @@ type Options struct {
 	// Workers is the worker count baked into the emitted main (the
 	// emitted binary can override it with its first argument).
 	Workers int
-	// FuseThreshold caps the iteration count of a fused task
-	// (0 means DefaultFuseThreshold).
-	FuseThreshold int
 	// Obs, when non-nil, receives lowering phases and the ir.* pass
 	// metrics.
 	Obs *obs.Recorder
@@ -198,16 +195,14 @@ func (p *Program) Members(u *Unit) []isl.Vec {
 }
 
 // Task is one runtime task: its units (more than one after fusion, run
-// back to back) and its §5.4 dependency interface. Outs/Ins/Serials
-// aggregate the units' addresses; internal producer→consumer addresses
-// between units of the same task are kept (resolution skips
-// self-edges).
+// back to back) and the ids of the tasks it waits on. Every
+// predecessor id is smaller than the task's own, and a list holds no
+// duplicates; before fusion the list is the chain program's PredsOf,
+// shared and read-only.
 type Task struct {
-	Label   string
-	Units   []Unit
-	Outs    []int
-	Ins     []int
-	Serials []int
+	Label string
+	Units []Unit
+	Preds []int32
 }
 
 // Iters returns the task's total iteration count.
@@ -219,19 +214,6 @@ func (t *Task) Iters() int {
 	return n
 }
 
-// CSR is the resolved dependency DAG (successor adjacency + initial
-// indegrees), produced by the hoist pass; nil until it runs, in which
-// case the emitted program resolves the address tables at startup.
-type CSR struct {
-	SuccOff []int32
-	Succs   []int32
-	Indeg0  []int32
-	Roots   []int32
-}
-
-// NumEdges returns the edge count.
-func (c *CSR) NumEdges() int { return len(c.Succs) }
-
 // Program is the lowered block program.
 type Program struct {
 	Name    string
@@ -239,7 +221,6 @@ type Program struct {
 	Arrays  []Array
 	Stmts   []Stmt
 	Tasks   []Task
-	CSR     *CSR
 	// Applied lists the passes run on this program, in order.
 	Applied []string
 
@@ -248,10 +229,6 @@ type Program struct {
 	// Sinks lists sink statement names in sorted order (the hash
 	// order, matching interp.State).
 	Sinks []string
-
-	// rt is the compiled runtime DAG of the unfused task program; the
-	// fuse pass consumes its FuseChains classification.
-	rt *runtime.Program
 }
 
 // NumIters returns the total iteration count across all tasks.
@@ -263,11 +240,20 @@ func (p *Program) NumIters() int {
 	return n
 }
 
+// NumEdges returns the dependency-edge count of the task DAG.
+func (p *Program) NumEdges() int {
+	n := 0
+	for i := range p.Tasks {
+		n += len(p.Tasks[i].Preds)
+	}
+	return n
+}
+
 // Dump writes a human-readable listing of the program (the -dump-ir
 // output of pipelinec).
 func (p *Program) Dump(w *strings.Builder) {
-	fmt.Fprintf(w, "program %q workers=%d tasks=%d stmts=%d arrays=%d\n",
-		p.Name, p.Workers, len(p.Tasks), len(p.Stmts), len(p.Arrays))
+	fmt.Fprintf(w, "program %q workers=%d tasks=%d edges=%d stmts=%d arrays=%d\n",
+		p.Name, p.Workers, len(p.Tasks), p.NumEdges(), len(p.Stmts), len(p.Arrays))
 	if len(p.Applied) > 0 {
 		fmt.Fprintf(w, "passes: %s\n", strings.Join(p.Applied, ", "))
 	} else {
@@ -309,8 +295,8 @@ func (p *Program) Dump(w *strings.Builder) {
 	}
 	for i := range p.Tasks {
 		t := &p.Tasks[i]
-		fmt.Fprintf(w, "task %d %s iters=%d units=%d outs=%v ins=%v serials=%v\n",
-			i, t.Label, t.Iters(), len(t.Units), t.Outs, t.Ins, t.Serials)
+		fmt.Fprintf(w, "task %d %s iters=%d units=%d preds=%v\n",
+			i, t.Label, t.Iters(), len(t.Units), t.Preds)
 		for j := range t.Units {
 			u := &t.Units[j]
 			seg := ""
@@ -320,11 +306,6 @@ func (p *Program) Dump(w *strings.Builder) {
 			fmt.Fprintf(w, "  unit %s (%v, %v] iters=%d%s\n",
 				p.Stmts[u.Stmt].Name, u.From, u.To, u.Iters(), seg)
 		}
-	}
-	if p.CSR != nil {
-		fmt.Fprintf(w, "csr: edges=%d roots=%d (hoisted)\n", p.CSR.NumEdges(), len(p.CSR.Roots))
-	} else {
-		fmt.Fprintf(w, "csr: unresolved (emitted program resolves addresses at startup)\n")
 	}
 }
 

@@ -1,16 +1,21 @@
 package ir
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/codegen"
 	"repro/internal/core"
+	"repro/internal/fuzzscop"
 	"repro/internal/interp"
 	"repro/internal/isl"
 	"repro/internal/isl/aff"
+	"repro/internal/kernels"
 	"repro/internal/lang"
 	"repro/internal/obs"
+	"repro/internal/runtime"
 	"repro/internal/scop"
 )
 
@@ -172,15 +177,19 @@ func TestParsePasses(t *testing.T) {
 	if _, err := ParsePasses("fuse,bogus"); err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Fatalf("unknown pass not rejected: %v", err)
 	}
+	// The task DAG is lowered, not resolved by a pass.
+	if _, err := ParsePasses("hoist"); err == nil || !strings.Contains(err.Error(), "have fuse, specialize, narrow") {
+		t.Fatalf("hoist not rejected with the pass list: %v", err)
+	}
 }
 
 func TestFusePass(t *testing.T) {
 	rec := obs.NewRecorder()
-	opt := Options{Workers: 2, FuseThreshold: 64, Obs: rec}
+	opt := Options{Workers: 2, Obs: rec}
 	before, _ := lowerSrc(t, listing1Src, "none", Options{Workers: 2})
 	p, sc := lowerSrc(t, listing1Src, "fuse", opt)
-	if len(p.Tasks) >= len(before.Tasks) {
-		t.Fatalf("fusion did not reduce tasks: %d -> %d", len(before.Tasks), len(p.Tasks))
+	if len(before.Tasks) != 51 || len(p.Tasks) != 30 {
+		t.Fatalf("listing 1 fused %d -> %d tasks, want 51 -> 30", len(before.Tasks), len(p.Tasks))
 	}
 	fused := rec.Snapshot().Counters["ir.blocks_fused"]
 	if int(fused) != len(before.Tasks)-len(p.Tasks) {
@@ -190,8 +199,8 @@ func TestFusePass(t *testing.T) {
 	for i := range p.Tasks {
 		if n := len(p.Tasks[i].Units); n > 1 {
 			multi++
-			if iters := p.Tasks[i].Iters(); iters > opt.FuseThreshold {
-				t.Fatalf("fused task %d has %d iters, threshold %d", i, iters, opt.FuseThreshold)
+			if iters := p.Tasks[i].Iters(); iters > DefaultFuseThreshold {
+				t.Fatalf("fused task %d has %d iters, threshold %d", i, iters, DefaultFuseThreshold)
 			}
 		}
 	}
@@ -201,78 +210,222 @@ func TestFusePass(t *testing.T) {
 	checkAgainstInterp(t, p, sc)
 }
 
-// TestHoistPassMatchesRuntime proves the compile-time address
-// resolution is the runtime.Builder resolution: without fusion, the
-// hoisted CSR must be identical, element for element, to the DAG the
-// in-process runtime lowers from the same task program.
-func TestHoistPassMatchesRuntime(t *testing.T) {
-	rec := obs.NewRecorder()
-	p, sc := lowerSrc(t, listing1Src, "hoist", Options{Workers: 2, Obs: rec})
-	if p.CSR == nil {
-		t.Fatal("hoist pass did not resolve the CSR")
+// chainProgram is a program of one-iteration tasks with the given
+// predecessor lists, for exercising the fuse pass's classification.
+func chainProgram(preds ...[]int32) *Program {
+	p := &Program{}
+	for i, ps := range preds {
+		p.Tasks = append(p.Tasks, Task{
+			Label: fmt.Sprintf("t%d", i),
+			Units: []Unit{{First: int32(i), Last: int32(i)}},
+			Preds: ps,
+		})
 	}
-	if rec.Snapshot().Counters["ir.addrs_hoisted"] == 0 {
-		t.Fatal("ir.addrs_hoisted not recorded")
-	}
-
-	// Re-lower the same program and compare against the runtime DAG.
-	scRef, err := lang.Parse("ir", listing1Src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := core.Detect(scRef, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp, err := codegen.CompileForEmission(info)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := tp.Lower()
-	if rt.NumTasks() != len(p.Tasks) {
-		t.Fatalf("task counts differ: runtime %d, ir %d", rt.NumTasks(), len(p.Tasks))
-	}
-	for i := 0; i < rt.NumTasks(); i++ {
-		if got, want := p.CSR.Indeg0[i], int32(rt.Indegree0(i)); got != want {
-			t.Fatalf("task %d indegree %d != runtime %d", i, got, want)
-		}
-		got := p.CSR.Succs[p.CSR.SuccOff[i]:p.CSR.SuccOff[i+1]]
-		want := rt.SuccsOf(i)
-		if len(got) != len(want) {
-			t.Fatalf("task %d successor count %d != runtime %d", i, len(got), len(want))
-		}
-		for k := range got {
-			if got[k] != want[k] {
-				t.Fatalf("task %d successor %d: %d != runtime %d", i, k, got[k], want[k])
-			}
-		}
-	}
-	if len(p.CSR.Roots) != len(rt.Roots()) {
-		t.Fatalf("root count %d != runtime %d", len(p.CSR.Roots), len(rt.Roots()))
-	}
-	checkAgainstInterp(t, p, sc)
+	return p
 }
 
-// TestHoistAfterFuse checks the resolved DAG of a fused program stays
-// acyclic-consistent: every edge points forward in creation order and
-// internal (intra-task) producer→consumer addresses create no
-// self-edges.
-func TestHoistAfterFuse(t *testing.T) {
-	p, sc := lowerSrc(t, listing1Src, "fuse,hoist", Options{Workers: 2, FuseThreshold: 64})
-	if p.CSR == nil {
-		t.Fatal("no CSR after fuse,hoist")
+// fusedMembers lists, per task of a chainProgram after fusion, the
+// original task ids its units came from.
+func fusedMembers(p *Program) [][]int32 {
+	out := make([][]int32, len(p.Tasks))
+	for k := range p.Tasks {
+		for _, u := range p.Tasks[k].Units {
+			out[k] = append(out[k], u.First)
+		}
 	}
-	for i := range p.Tasks {
-		for _, s := range p.CSR.Succs[p.CSR.SuccOff[i]:p.CSR.SuccOff[i+1]] {
-			if int(s) == i {
-				t.Fatalf("task %d has a self-edge", i)
+	return out
+}
+
+func TestFuseClassification(t *testing.T) {
+	// 0 → 1 → 2 (pure chain), 0 → 3, {2,3} → 4 (join, two
+	// predecessors). Task 0 has two single-predecessor successors, 1
+	// and 3; the lowest id wins, so 3 keeps its edge and nothing fuses
+	// past the join.
+	p := chainProgram(nil, []int32{0}, []int32{1}, []int32{0}, []int32{2, 3})
+	fusePass(p, Options{})
+	if got, want := fmt.Sprint(fusedMembers(p)), "[[0 1 2] [3] [4]]"; got != want {
+		t.Fatalf("fused members %s, want %s", got, want)
+	}
+	if got, want := fmt.Sprint(p.Tasks[0].Preds, p.Tasks[1].Preds, p.Tasks[2].Preds), "[] [0] [0 1]"; got != want {
+		t.Fatalf("fused preds %s, want %s", got, want)
+	}
+	if p.Tasks[0].Label != "t0+2" || p.Tasks[1].Label != "t3" {
+		t.Fatalf("labels %q %q, want t0+2 t3", p.Tasks[0].Label, p.Tasks[1].Label)
+	}
+
+	// A chain longer than the threshold is cut into runs of at most
+	// DefaultFuseThreshold iterations; each cut keeps its one edge.
+	preds := [][]int32{nil}
+	for i := 1; i < DefaultFuseThreshold+4; i++ {
+		preds = append(preds, []int32{int32(i - 1)})
+	}
+	p = chainProgram(preds...)
+	fusePass(p, Options{})
+	if len(p.Tasks) != 2 || len(p.Tasks[0].Units) != DefaultFuseThreshold || len(p.Tasks[1].Units) != 4 {
+		t.Fatalf("long chain fused into %v", fusedMembers(p))
+	}
+	if fmt.Sprint(p.Tasks[1].Preds) != "[0]" {
+		t.Fatalf("second run preds %v, want [0]", p.Tasks[1].Preds)
+	}
+}
+
+// dagCase is one program of the DAG corpus, detected under opts.
+type dagCase struct {
+	name string
+	sc   *scop.SCoP
+	opts core.Options
+}
+
+// dagCorpus is Table 9 P1–P10 at n = 16 and 32, 3mm, and 200 random
+// SCoPs, every other one with shifted loop bounds, each detected with
+// MinBlockIters 1 and 4. The random programs are built once per
+// MinBlockIters value: detection annotates them.
+func dagCorpus(t *testing.T) []dagCase {
+	t.Helper()
+	seeds := 200
+	if testing.Short() {
+		seeds = 20
+	}
+	var out []dagCase
+	for _, mbi := range []int{1, 4} {
+		opts := core.Options{MinBlockIters: mbi}
+		for _, spec := range kernels.Table9 {
+			for _, n := range []int{16, 32} {
+				out = append(out, dagCase{fmt.Sprintf("%s_n%d/mbi%d", spec.Name, n, mbi), kernels.BuildTable9(spec, n, 1).SCoP, opts})
 			}
-			if int(s) < i {
-				t.Fatalf("edge %d -> %d points backward", i, s)
+		}
+		out = append(out, dagCase{fmt.Sprintf("3mm/mbi%d", mbi), kernels.MMChain(3, 6, kernels.MM).SCoP, opts})
+		for seed := int64(1); seed <= int64(seeds); seed++ {
+			cfg := fuzzscop.Config{Shifted: seed%2 == 0}
+			out = append(out, dagCase{fmt.Sprintf("fuzz_%d/mbi%d", seed, mbi), fuzzscop.Random(rand.New(rand.NewSource(seed)), cfg), opts})
+		}
+	}
+	return out
+}
+
+// lowerCase detects and compiles one corpus program and lowers it
+// twice: without passes and with fusion.
+func lowerCase(t *testing.T, c dagCase) (tp *codegen.TaskProgram, plain, fused *Program) {
+	t.Helper()
+	info, err := core.Detect(c.sc, c.opts)
+	if err != nil {
+		t.Fatalf("%s: %v", c.name, err)
+	}
+	tp, err = codegen.CompileForEmission(info)
+	if err != nil {
+		t.Fatalf("%s: %v", c.name, err)
+	}
+	if plain, err = Lower(info, tp, Options{}); err != nil {
+		t.Fatalf("%s: %v", c.name, err)
+	}
+	if fused, err = Lower(info, tp, Options{}); err != nil {
+		t.Fatalf("%s: %v", c.name, err)
+	}
+	fusePass(fused, Options{})
+	return tp, plain, fused
+}
+
+// TestLowerPredsMatchRuntime: without fusion, every task's predecessor
+// list is, element for element, the one runtime.Builder resolves from
+// the §5.4 dependency addresses (last writer of each in-address, then
+// the last task of the same statement).
+func TestLowerPredsMatchRuntime(t *testing.T) {
+	for _, c := range dagCorpus(t) {
+		tp, p, _ := lowerCase(t, c)
+		_, outs, ins := tp.Addresses()
+		b := runtime.NewBuilder(len(tp.Tasks))
+		for i := range tp.Tasks {
+			b.Add(runtime.Task{Out: outs[i], In: ins[i], Serial: tp.Tasks[i].Stmt.Index})
+		}
+		ref := b.Build()
+		if len(p.Tasks) != ref.NumTasks() {
+			t.Fatalf("%s: %d tasks, runtime %d", c.name, len(p.Tasks), ref.NumTasks())
+		}
+		for i := range p.Tasks {
+			if got, want := fmt.Sprint(p.Tasks[i].Preds), fmt.Sprint(ref.PredsOf(i)); got != want {
+				t.Fatalf("%s: task %d preds %s, runtime %s", c.name, i, got, want)
 			}
 		}
 	}
-	checkAgainstInterp(t, p, sc)
+}
+
+// TestFusedDAGIsQuotient: after fusion the fused tasks partition the
+// unfused ones — each holding its members in id order, ordered by
+// their first member — and the fused DAG's edge set is exactly the
+// unfused DAG's with both ends mapped to their fused task, computed
+// here by brute force, self-edges dropped — with no duplicate and no
+// backward edge.
+func TestFusedDAGIsQuotient(t *testing.T) {
+	fusedSome := 0
+	corpus := dagCorpus(t)
+	for _, c := range corpus {
+		_, p, f := lowerCase(t, c)
+		if len(f.Tasks) < len(p.Tasks) {
+			fusedSome++
+		}
+		// A unit is identified by its statement and first position.
+		orig := map[[2]int32]int32{}
+		for i := range p.Tasks {
+			u := &p.Tasks[i].Units[0]
+			orig[[2]int32{int32(u.Stmt), u.First}] = int32(i)
+		}
+		group := make([]int32, len(p.Tasks))
+		for i := range group {
+			group[i] = -1
+		}
+		held, prevFirst := 0, int32(-1)
+		for k := range f.Tasks {
+			last := int32(-1)
+			for _, u := range f.Tasks[k].Units {
+				i, ok := orig[[2]int32{int32(u.Stmt), u.First}]
+				if !ok || group[i] >= 0 || i <= last {
+					t.Fatalf("%s: fused task %d: unit of task %d (known %v) repeated or out of order", c.name, k, i, ok)
+				}
+				if last < 0 {
+					if i <= prevFirst {
+						t.Fatalf("%s: fused task %d starts at task %d, not after %d", c.name, k, i, prevFirst)
+					}
+					prevFirst = i
+				}
+				group[i], last = int32(k), i
+				held++
+			}
+		}
+		if held != len(p.Tasks) {
+			t.Fatalf("%s: fused tasks hold %d of %d tasks", c.name, held, len(p.Tasks))
+		}
+		want := map[[2]int32]bool{}
+		for i := range p.Tasks {
+			for _, q := range p.Tasks[i].Preds {
+				if group[q] != group[i] {
+					want[[2]int32{group[q], group[i]}] = true
+				}
+			}
+		}
+		got := map[[2]int32]bool{}
+		for k := range f.Tasks {
+			for _, q := range f.Tasks[k].Preds {
+				e := [2]int32{q, int32(k)}
+				if q >= int32(k) {
+					t.Fatalf("%s: edge %d -> %d is a self or backward edge", c.name, q, k)
+				}
+				if got[e] {
+					t.Fatalf("%s: duplicate edge %d -> %d", c.name, q, k)
+				}
+				if !want[e] {
+					t.Fatalf("%s: edge %d -> %d is not in the quotient DAG", c.name, q, k)
+				}
+				got[e] = true
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: fused DAG has %d edges, quotient %d", c.name, len(got), len(want))
+		}
+	}
+	if fusedSome == 0 {
+		t.Fatal("no corpus program fused")
+	}
+	t.Logf("%d of %d programs fused", fusedSome, len(corpus))
 }
 
 func TestSpecializePass(t *testing.T) {
@@ -387,9 +540,6 @@ func TestFullPipelineMatchesInterp(t *testing.T) {
 			if len(p.Applied) != len(Passes()) {
 				t.Fatalf("applied %v", p.Applied)
 			}
-			if p.CSR == nil {
-				t.Fatal("full pipeline left CSR unresolved")
-			}
 			checkAgainstInterp(t, p, sc)
 		})
 	}
@@ -398,7 +548,7 @@ func TestFullPipelineMatchesInterp(t *testing.T) {
 func TestDumpListsProgram(t *testing.T) {
 	p, _ := lowerSrc(t, listing1Src, "all", Options{Workers: 2})
 	dump := p.String()
-	for _, want := range []string{"program \"ir\"", "passes: fuse, hoist, specialize, narrow", "stmt S", "stmt R", "task 0", "csr: edges="} {
+	for _, want := range []string{"program \"ir\"", "passes: fuse, specialize, narrow", "stmt S", "stmt R", "task 0", "preds=[0]"} {
 		if !strings.Contains(dump, want) {
 			t.Errorf("dump missing %q:\n%s", want, dump)
 		}

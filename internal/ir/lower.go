@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/codegen"
@@ -37,10 +38,10 @@ func Lower(info *core.Info, tp *codegen.TaskProgram, opt Options) (*Program, err
 	if err := lowerStmts(p, info); err != nil {
 		return nil, err
 	}
-	lowerTasks(p, info, tp)
-	p.rt = tp.Lower()
+	lowerTasks(p, tp)
 
 	opt.Obs.SetGauge("ir.tasks", int64(len(p.Tasks)))
+	opt.Obs.SetGauge("ir.edges", int64(p.NumEdges()))
 	opt.Obs.SetGauge("ir.stmts", int64(len(p.Stmts)))
 	opt.Obs.SetGauge("ir.arrays", int64(len(p.Arrays)))
 	return p, nil
@@ -167,11 +168,11 @@ func lowerStmts(p *Program, info *core.Info) error {
 // each — into single-unit IR tasks, materializing the lexicographic
 // From bound the same way the in-process block runners do: the
 // previous block's leader, or a below-minimum sentinel for a
-// statement's first block. Each task's §5.4 addresses are encoded
-// here, the one place they are needed; the out and in lists are
-// capped subslices of shared arrays, so a fusing append copies them.
-func lowerTasks(p *Program, info *core.Info, tp *codegen.TaskProgram) {
-	_, outs, ins := tp.Addresses()
+// statement's first block. Each task's predecessors are those of the
+// chain program the in-process executor runs, as capped subslices of
+// its shared storage, so an append copies them.
+func lowerTasks(p *Program, tp *codegen.TaskProgram) {
+	rt := tp.Lower()
 	prevLeader := map[int]isl.Vec{}
 	for i := range tp.Tasks {
 		spec := &tp.Tasks[i]
@@ -193,9 +194,7 @@ func lowerTasks(p *Program, info *core.Info, tp *codegen.TaskProgram) {
 				First: spec.First,
 				Last:  spec.Last,
 			}},
-			Outs:    outs[i : i+1 : i+1],
-			Ins:     ins[i],
-			Serials: []int{spec.Stmt.Index},
+			Preds: slices.Clip(rt.PredsOf(i)),
 		}
 		p.Tasks = append(p.Tasks, t)
 		prevLeader[spec.Stmt.Index] = spec.Leader

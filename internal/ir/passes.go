@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/isl"
@@ -10,8 +11,7 @@ import (
 // Pass is one IR-to-IR transformation. Passes run in the canonical
 // pipeline order (the order Passes returns) regardless of how a
 // subset was selected, because later passes consume what earlier ones
-// produce: hoisting resolves the post-fusion task list, and
-// specialization inlines the bodies fused tasks iterate.
+// produce: specialization segments the units fused tasks iterate.
 type Pass struct {
 	Name string
 	Desc string
@@ -23,13 +23,8 @@ func Passes() []Pass {
 	return []Pass{
 		{
 			Name: "fuse",
-			Desc: "merge tiny blocks along single-predecessor chains (runtime.FuseChains classification)",
+			Desc: "merge tiny blocks along single-predecessor chains of the task DAG",
 			run:  fusePass,
-		},
-		{
-			Name: "hoist",
-			Desc: "resolve the §5.4 dependency addresses once at compile time into a CSR DAG",
-			run:  hoistPass,
 		},
 		{
 			Name: "specialize",
@@ -98,172 +93,78 @@ func RunPasses(p *Program, passes []Pass, opt Options) {
 	}
 }
 
-// fusePass merges tiny blocks along the single-predecessor chains
-// runtime.FuseChains classifies (consumer whose only predecessor is its
-// producer). Walking each chain head-to-tail, consecutive tasks are
-// merged while the merged task stays at or below the fusion threshold
-// in iterations; a merged task runs its units back to back, a handoff
-// that needs no synchronization, so results are unchanged while the
-// emitted program carries fewer, meatier tasks.
+// fusePass merges tiny blocks along single-predecessor chains, a
+// point-to-point handoff in the manner of Alias's polyhedral process
+// networks ("Improving Communication Patterns in Polyhedral Process
+// Networks"). A task with exactly one predecessor is that producer's
+// fused successor, and a producer adopts only its lowest-id such
+// consumer, so chains strictly increase in task id. Walking each chain
+// head to tail, consecutive tasks are merged while the merged task
+// stays at or below DefaultFuseThreshold iterations. A merged task
+// runs its units back to back and waits on the fused tasks its members
+// waited on, so results are unchanged while the emitted program
+// carries fewer, meatier tasks.
 func fusePass(p *Program, opt Options) {
-	rt := p.rt
-	if rt == nil || rt.NumTasks() != len(p.Tasks) {
-		// Lowered task list no longer matches the runtime DAG the
-		// classification was computed from (fuse already ran).
-		return
-	}
-	threshold := opt.FuseThreshold
-	if threshold <= 0 {
-		threshold = DefaultFuseThreshold
-	}
-	rt.FuseChains()
 	n := len(p.Tasks)
-	group := make([]int, n)
-	for i := range group {
-		group[i] = i
+	next := make([]int32, n) // fused successor, or -1
+	fusedIn := make([]bool, n)
+	for i := range next {
+		next[i] = -1
 	}
-	for i := 0; i < n; i++ {
-		if rt.FusedIn(i) {
+	for j := range p.Tasks {
+		if preds := p.Tasks[j].Preds; len(preds) == 1 && next[preds[0]] < 0 {
+			next[preds[0]], fusedIn[j] = int32(j), true
+		}
+	}
+	head := make([]int32, n) // first task of each task's merged run
+	for i := range p.Tasks {
+		if fusedIn[i] {
 			continue // interior of a chain; handled from its head
 		}
-		head := i
-		total := p.Tasks[i].Iters()
-		for next := rt.ChainNext(i); next >= 0; next = rt.ChainNext(next) {
-			iters := p.Tasks[next].Iters()
-			if total+iters <= threshold {
-				group[next] = head
+		h, total := int32(i), p.Tasks[i].Iters()
+		head[i] = h
+		for j := next[i]; j >= 0; j = next[j] {
+			if iters := p.Tasks[j].Iters(); total+iters <= DefaultFuseThreshold {
 				total += iters
 			} else {
-				head = next
-				total = iters
+				h, total = j, iters
 			}
+			head[j] = h
 		}
 	}
-	members := map[int][]int{}
-	for id, head := range group {
-		members[head] = append(members[head], id)
-	}
+	// Every predecessor and every head precedes its task, so one pass
+	// in id order maps each task to its merged task before any later
+	// task refers to it.
+	id := make([]int32, n)
 	var tasks []Task
-	fusedAway := 0
-	for id := 0; id < n; id++ {
-		if group[id] != id {
-			continue
-		}
-		ids := members[id]
-		if len(ids) == 1 {
-			tasks = append(tasks, p.Tasks[id])
-			continue
-		}
-		fusedAway += len(ids) - 1
-		merged := Task{Label: fmt.Sprintf("%s+%d", p.Tasks[id].Label, len(ids)-1)}
-		for _, m := range ids {
-			t := &p.Tasks[m]
-			merged.Units = append(merged.Units, t.Units...)
-			merged.Outs = appendUnique(merged.Outs, t.Outs)
-			merged.Ins = appendUnique(merged.Ins, t.Ins)
-			merged.Serials = appendUnique(merged.Serials, t.Serials)
-		}
-		tasks = append(tasks, merged)
-	}
-	p.Tasks = tasks
-	// The pre-fusion runtime DAG no longer matches the task list.
-	p.rt = nil
-	opt.Obs.Count("ir.blocks_fused", int64(fusedAway))
-	opt.Obs.SetGauge("ir.tasks", int64(len(p.Tasks)))
-}
-
-func appendUnique(dst []int, src []int) []int {
-	for _, v := range src {
-		dup := false
-		for _, w := range dst {
-			if w == v {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			dst = append(dst, v)
-		}
-	}
-	return dst
-}
-
-// hoistPass resolves the §5.4 dependency addresses once, at compile
-// time, with exactly the runtime.Builder algorithm (In addresses
-// against the last writer, serial keys against the last task of the
-// same statement, in creation order), and freezes the result as the
-// CSR DAG the emitted program embeds. Without it the emitted program
-// ships the address tables and replays the resolution at startup —
-// per-address map lookups the pass makes disappear entirely.
-func hoistPass(p *Program, opt Options) {
-	n := len(p.Tasks)
-	preds := make([][]int32, n)
-	lastWriter := map[int]int32{}
-	lastSerial := map[int]int32{}
-	addrs := 0
+	var merged []int
 	for i := range p.Tasks {
 		t := &p.Tasks[i]
-		add := func(q int32) {
-			if int(q) == i {
-				return // producer fused into this very task
-			}
-			for _, have := range preds[i] {
-				if have == q {
-					return
-				}
-			}
-			preds[i] = append(preds[i], q)
+		if head[i] == int32(i) {
+			id[i] = int32(len(tasks))
+			tasks = append(tasks, Task{Label: t.Label})
+			merged = append(merged, 0)
+		} else {
+			id[i] = id[head[i]]
 		}
-		for _, addr := range t.Ins {
-			if w, ok := lastWriter[addr]; ok {
-				add(w)
+		f := &tasks[id[i]]
+		f.Units = append(f.Units, t.Units...)
+		merged[id[i]]++
+		for _, q := range t.Preds {
+			if g := id[q]; g != id[i] && !slices.Contains(f.Preds, g) {
+				f.Preds = append(f.Preds, g)
 			}
-		}
-		for _, key := range t.Serials {
-			if key < 0 {
-				continue
-			}
-			if q, ok := lastSerial[key]; ok {
-				add(q)
-			}
-			lastSerial[key] = int32(i)
-		}
-		for _, addr := range t.Outs {
-			if addr >= 0 {
-				lastWriter[addr] = int32(i)
-			}
-		}
-		addrs += len(t.Ins) + len(t.Outs) + len(t.Serials)
-	}
-	csr := &CSR{
-		SuccOff: make([]int32, n+1),
-		Indeg0:  make([]int32, n),
-	}
-	counts := make([]int32, n)
-	for i := 0; i < n; i++ {
-		csr.Indeg0[i] = int32(len(preds[i]))
-		if len(preds[i]) == 0 {
-			csr.Roots = append(csr.Roots, int32(i))
-		}
-		for _, q := range preds[i] {
-			counts[q]++
 		}
 	}
-	for i := 0; i < n; i++ {
-		csr.SuccOff[i+1] = csr.SuccOff[i] + counts[i]
-	}
-	csr.Succs = make([]int32, csr.SuccOff[n])
-	fill := make([]int32, n)
-	copy(fill, csr.SuccOff[:n])
-	for i := 0; i < n; i++ {
-		for _, q := range preds[i] {
-			csr.Succs[fill[q]] = int32(i)
-			fill[q]++
+	for k, m := range merged {
+		if m > 1 {
+			tasks[k].Label = fmt.Sprintf("%s+%d", tasks[k].Label, m-1)
 		}
 	}
-	p.CSR = csr
-	opt.Obs.Count("ir.addrs_hoisted", int64(addrs))
-	opt.Obs.SetGauge("ir.edges", int64(csr.NumEdges()))
+	p.Tasks = tasks
+	opt.Obs.Count("ir.blocks_fused", int64(n-len(tasks)))
+	opt.Obs.SetGauge("ir.tasks", int64(len(tasks)))
+	opt.Obs.SetGauge("ir.edges", int64(p.NumEdges()))
 }
 
 // specializePass converts every unit from "scan the full domain behind

@@ -11,40 +11,6 @@ import (
 	"repro/internal/obs"
 )
 
-func TestFuseChainsClassification(t *testing.T) {
-	// 0 → 1 → 2 (pure chain), 0 → 3, {2,3} → 4 (join, indeg 2).
-	b := NewBuilder(5)
-	b.Add(Task{Out: 0, Serial: NoSerial})
-	b.Add(Task{Out: 1, In: []int{0}, Serial: NoSerial})
-	b.Add(Task{Out: 2, In: []int{1}, Serial: NoSerial})
-	b.Add(Task{Out: 3, In: []int{0}, Serial: NoSerial})
-	b.Add(Task{Out: 4, In: []int{2, 3}, Serial: NoSerial})
-	p := b.Build()
-
-	if got := p.FuseChains(); got != 2 {
-		t.Fatalf("FuseChains = %d, want 2", got)
-	}
-	// Task 0 has two single-pred successors (1 and 3); the lowest id
-	// wins deterministically.
-	if p.ChainNext(0) != 1 || p.ChainNext(1) != 2 {
-		t.Fatalf("chain = 0→%d→%d, want 0→1→2", p.ChainNext(0), p.ChainNext(1))
-	}
-	if p.ChainNext(2) != -1 || p.ChainNext(3) != -1 || p.ChainNext(4) != -1 {
-		t.Fatalf("unexpected fusion past the join: %d %d %d", p.ChainNext(2), p.ChainNext(3), p.ChainNext(4))
-	}
-	if !p.FusedIn(1) || !p.FusedIn(2) || p.FusedIn(0) || p.FusedIn(3) || p.FusedIn(4) {
-		t.Fatalf("fusedIn wrong: %v %v %v %v %v", p.FusedIn(0), p.FusedIn(1), p.FusedIn(2), p.FusedIn(3), p.FusedIn(4))
-	}
-	chains, longest := p.ChainProfile()
-	if chains != 1 || longest != 3 {
-		t.Fatalf("ChainProfile = (%d, %d), want (1, 3)", chains, longest)
-	}
-	// Memoized: a second call must not reclassify.
-	if got := p.FuseChains(); got != 2 {
-		t.Fatalf("second FuseChains = %d", got)
-	}
-}
-
 // serialChain builds n tasks under one Serial key, each appending its
 // id to order: a single chain.
 func serialChain(n int, order *[]int32) *Program {

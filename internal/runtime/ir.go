@@ -191,20 +191,13 @@ type Program struct {
 	predOff, predChain, predPos []int32
 
 	// The CSR adjacency, derived from the columns on first use by the
-	// consumers that want a general DAG (ir's fuse pass, simsched,
+	// consumers that want a general DAG (ir's lowering, simsched,
 	// tests); the executor never builds it.
 	csrOnce sync.Once
 	preds   []int32 // predecessor ids, indexed by predOff
 	succOff []int32
 	succs   []int32
 	roots   []int32
-
-	// FuseChains' single-predecessor classification, computed at most
-	// once and consumed by ir's fuse pass.
-	fuseOnce   sync.Once
-	chainNext  []int32 // fused successor of task i, or -1
-	fusedIn    []bool  // task is the fused successor of its producer
-	fusedEdges int
 }
 
 // NumTasks returns the task count.

@@ -437,8 +437,6 @@ type EmitOptions struct {
 	// pass, "none" emits the unoptimized program, otherwise a
 	// comma-separated subset of pass names (ir.Passes).
 	Passes string
-	// FuseThreshold caps fused-task iterations (0 = ir default).
-	FuseThreshold int
 }
 
 // EmitGo detects sc under the session's options (served from the
@@ -457,10 +455,9 @@ func (s *Session) EmitGo(w io.Writer, sc *SCoP, o EmitOptions) error {
 		workers = par.Workers(s.workers)
 	}
 	return gogen.EmitWith(w, info, gogen.EmitOptions{
-		Workers:       workers,
-		Passes:        o.Passes,
-		FuseThreshold: o.FuseThreshold,
-		Obs:           s.opts.Obs,
+		Workers: workers,
+		Passes:  o.Passes,
+		Obs:     s.opts.Obs,
 	})
 }
 
