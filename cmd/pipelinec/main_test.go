@@ -106,6 +106,7 @@ for (i = 0; i < 5; i++)
 		{"two files", []string{"a.loop", "b.loop"}, exitParse},
 		{"bad DSL", []string{badDSL}, exitParse},
 		{"bad passes", []string{"-passes", "bogus", "-example", "listing1"}, exitParse},
+		{"empty pass subset", []string{"-dump-ir", "-passes", ",", "-example", "listing1"}, exitParse},
 		{"missing input file", []string{missing}, exitIO},
 		{"unwritable gogen output", []string{"-gogen", filepath.Join(dir, "no-dir", "out.go"), "-example", "listing1"}, exitIO},
 		{"not pipelinable", []string{notPipe}, exitNotPipelinable},

@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/isl"
+	"repro/internal/isl/aff"
 	"repro/internal/kernels"
 	"repro/internal/scop"
 )
@@ -36,13 +37,23 @@ func (a *Array) index(idx isl.Vec) int {
 	pos := 0
 	for d, x := range idx {
 		rel := x - a.offset[d]
-		if rel < 0 || rel >= a.extent[d] {
-			panic(fmt.Sprintf("interp: access %s%v outside allocated [%v, %v+%v)",
-				a.name, idx, a.offset, a.offset, a.extent))
+		if uint(rel) >= uint(a.extent[d]) {
+			a.outOfBox(idx, d, x)
 		}
 		pos = pos*a.extent[d] + rel
 	}
 	return pos
+}
+
+// outOfBox panics for an access whose subscript d, x, falls outside
+// the allocation. It formats a copy of idx, so the caller's index
+// vector does not escape to the heap on the in-bounds path.
+//
+//go:noinline
+func (a *Array) outOfBox(idx []int, d, x int) {
+	at := append([]int(nil), idx...)
+	panic(fmt.Sprintf("interp: access %s%v outside allocated [%v, %v+%v): subscript %d is %d",
+		a.name, at, a.offset, a.offset, a.extent, d, x))
 }
 
 // At returns the value at idx.
@@ -50,10 +61,6 @@ func (a *Array) At(idx isl.Vec) float64 { return a.data[a.index(idx)] }
 
 // Set stores v at idx.
 func (a *Array) Set(idx isl.Vec, v float64) { a.data[a.index(idx)] = v }
-
-// maxAccessArity bounds the array dimensionality the synthetic bodies
-// support (stack-allocated index buffers).
-const maxAccessArity = 8
 
 // State holds the arrays of one SCoP plus per-statement sink
 // accumulators: statements without a write access fold an
@@ -206,46 +213,129 @@ func (st *State) Attach(sc *scop.SCoP) {
 	}
 }
 
+// row is one subscript of a compiled access as an integer row over
+// the iteration vector iv: the cell's coordinate relative to the
+// array's allocation is c + Σ coef[k]·iv[k], and it must lie in
+// [0, ext). A quasi-affine subscript (one with floor divisions) keeps
+// its expression and is evaluated per point; c is then -offset.
+type row struct {
+	c     int
+	coef  []int // len == statement depth
+	ext   int
+	quasi *aff.Expr
+}
+
+// access is one read or write of a statement compiled against its
+// array: rows folded row-major give a flat position in data.
+type access struct {
+	arr  *Array
+	data []float64 // arr.data; Reset refills it in place
+	rows []row
+}
+
+// compile lowers access a of statement s to integer rows. It rejects
+// a subscript whose arity differs from the statement's depth, which
+// Expr.Eval would otherwise only catch at the first point (and the
+// unrolled rows not at all).
+func (st *State) compile(s *scop.Statement, a *scop.AccessRef) access {
+	arr := st.arrays[a.Array()]
+	depth := s.Depth()
+	rows := make([]row, len(a.Access.Exprs))
+	for d, e := range a.Access.Exprs {
+		if !overDepth(e, depth) {
+			panic(fmt.Sprintf("interp: statement %s: subscript %d of its access to %s is over %d variables, not the domain's %d",
+				s.Name, d, arr.name, e.NVars, depth))
+		}
+		r := row{c: -arr.offset[d], ext: arr.extent[d]}
+		if len(e.Divs) > 0 {
+			r.quasi = &e
+		} else {
+			r.c += e.Const
+			r.coef = make([]int, depth)
+			copy(r.coef, e.Coeffs)
+		}
+		rows[d] = r
+	}
+	return access{arr: arr, data: arr.data, rows: rows}
+}
+
+// overDepth reports whether e and every floor-division term inside it
+// range over exactly depth variables.
+func overDepth(e aff.Expr, depth int) bool {
+	if e.NVars != depth || (e.Coeffs != nil && len(e.Coeffs) != depth) {
+		return false
+	}
+	for _, t := range e.Divs {
+		if !overDepth(t.Inner, depth) {
+			return false
+		}
+	}
+	return true
+}
+
+// index returns the flat position of the access at iv. The dot
+// product is unrolled for depths 1–3; every subscript keeps its
+// bounds check.
+func (ac *access) index(iv isl.Vec) int {
+	pos := 0
+	for d := range ac.rows {
+		r := &ac.rows[d]
+		rel := r.c
+		switch len(r.coef) {
+		case 0:
+			if r.quasi != nil {
+				rel += r.quasi.Eval(iv)
+			}
+		case 1:
+			rel += r.coef[0] * iv[0]
+		case 2:
+			rel += r.coef[0]*iv[0] + r.coef[1]*iv[1]
+		case 3:
+			rel += r.coef[0]*iv[0] + r.coef[1]*iv[1] + r.coef[2]*iv[2]
+		default:
+			for k, a := range r.coef {
+				rel += a * iv[k]
+			}
+		}
+		if uint(rel) >= uint(r.ext) {
+			ac.outOfBox(iv, d, rel)
+		}
+		pos = pos*r.ext + rel
+	}
+	return pos
+}
+
+// outOfBox panics for a point whose subscript d lies rel cells past
+// the start of the allocation, outside it.
+//
+//go:noinline
+func (ac *access) outOfBox(iv []int, d, rel int) {
+	at := append([]int(nil), iv...)
+	a := ac.arr
+	panic(fmt.Sprintf("interp: access to %s at point %v: subscript %d is %d, outside allocated [%d, %d)",
+		a.name, at, d, rel+a.offset[d], a.offset[d], a.offset[d]+a.extent[d]))
+}
+
+// bodyFor compiles the synthetic body of s: every access becomes
+// integer rows once, so a point costs a few multiply-adds per
+// subscript and allocates nothing. The values come from FoldRead,
+// Finish and SinkFold, the shared semantics.
 func (st *State) bodyFor(s *scop.Statement) scop.Body {
-	type reader struct {
-		arr   *Array
-		exprs []func(isl.Vec) int
-	}
-	compileAccess := func(a *scop.AccessRef) reader {
-		if len(a.Access.Exprs) > maxAccessArity {
-			panic(fmt.Sprintf("interp: access to %q has %d subscripts, max %d",
-				a.Array(), len(a.Access.Exprs), maxAccessArity))
-		}
-		arr := st.arrays[a.Array()]
-		exprs := make([]func(isl.Vec) int, len(a.Access.Exprs))
-		for d := range a.Access.Exprs {
-			e := a.Access.Exprs[d]
-			exprs[d] = e.Eval
-		}
-		return reader{arr: arr, exprs: exprs}
-	}
-	var reads []reader
+	reads := make([]access, len(s.Reads))
 	for i := range s.Reads {
-		reads = append(reads, compileAccess(&s.Reads[i]))
+		reads[i] = st.compile(s, &s.Reads[i])
 	}
-	var write *reader
+	var write *access
 	if s.Write != nil {
-		w := compileAccess(s.Write)
+		w := st.compile(s, s.Write)
 		write = &w
 	}
 	sink := st.sinks[s.Name]
-	eval := func(r reader, iv isl.Vec, idx isl.Vec) isl.Vec {
-		for d := range r.exprs {
-			idx[d] = r.exprs[d](iv)
-		}
-		return idx
-	}
 	return func(iv isl.Vec) {
 		acc := float64(AccInit)
-		var buf [maxAccessArity]int
-		for _, r := range reads {
-			idx := eval(r, iv, buf[:len(r.exprs)])
-			acc = FoldRead(acc, r.arr.At(idx))
+		for i := range reads {
+			r := &reads[i]
+			acc = FoldRead(acc, r.data[r.index(iv)])
 		}
 		lin := 0
 		for _, x := range iv {
@@ -253,8 +343,7 @@ func (st *State) bodyFor(s *scop.Statement) scop.Body {
 		}
 		v := Finish(acc, lin)
 		if write != nil {
-			idx := eval(*write, iv, buf[:len(write.exprs)])
-			write.arr.Set(idx, v)
+			write.data[write.index(iv)] = v
 		} else if sink != nil {
 			// Order-insensitive integer fold: safe under any legal
 			// schedule, including parallel sink iterations, yet

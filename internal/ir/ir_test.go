@@ -177,6 +177,12 @@ func TestParsePasses(t *testing.T) {
 	if _, err := ParsePasses("fuse,bogus"); err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Fatalf("unknown pass not rejected: %v", err)
 	}
+	// A subset that names no pass is not a spelling of "none".
+	for _, spec := range []string{",", " , ,"} {
+		if ps, err := ParsePasses(spec); err == nil || !strings.Contains(err.Error(), "names no pass") {
+			t.Fatalf("selector %q: %d passes, err %v; want a names-no-pass error", spec, len(ps), err)
+		}
+	}
 	// The task DAG is lowered, not resolved by a pass.
 	if _, err := ParsePasses("hoist"); err == nil || !strings.Contains(err.Error(), "have fuse, specialize, narrow") {
 		t.Fatalf("hoist not rejected with the pass list: %v", err)

@@ -42,6 +42,8 @@ func Passes() []Pass {
 // ParsePasses resolves a -passes style selector: "" / "all" selects
 // the whole pipeline, "none" selects nothing, otherwise a
 // comma-separated subset of pass names (returned in canonical order).
+// A subset that names no pass (for example ",") is an error, like an
+// unknown name: "none" is the one spelling of the empty pipeline.
 func ParsePasses(spec string) ([]Pass, error) {
 	switch strings.TrimSpace(spec) {
 	case "", "all", "default":
@@ -49,6 +51,11 @@ func ParsePasses(spec string) ([]Pass, error) {
 	case "none":
 		return nil, nil
 	}
+	var known []string
+	for _, ps := range Passes() {
+		known = append(known, ps.Name)
+	}
+	have := fmt.Sprintf("(have %s, plus \"all\" and \"none\")", strings.Join(known, ", "))
 	want := map[string]bool{}
 	for _, name := range strings.Split(spec, ",") {
 		name = strings.TrimSpace(name)
@@ -56,21 +63,19 @@ func ParsePasses(spec string) ([]Pass, error) {
 			continue
 		}
 		found := false
-		for _, ps := range Passes() {
-			if ps.Name == name {
+		for _, k := range known {
+			if k == name {
 				found = true
 				break
 			}
 		}
 		if !found {
-			var known []string
-			for _, ps := range Passes() {
-				known = append(known, ps.Name)
-			}
-			return nil, fmt.Errorf("ir: unknown pass %q (have %s, plus \"all\" and \"none\")",
-				name, strings.Join(known, ", "))
+			return nil, fmt.Errorf("ir: unknown pass %q %s", name, have)
 		}
 		want[name] = true
+	}
+	if len(want) == 0 {
+		return nil, fmt.Errorf("ir: pass selector %q names no pass %s", spec, have)
 	}
 	var out []Pass
 	for _, ps := range Passes() {
