@@ -76,7 +76,7 @@ test:
 ## DAGs.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -cpu 2,4 -run 'Hybrid|Chain' ./internal/runtime/ ./internal/codegen/ ./internal/exec/ ./polypipe/
+	$(GO) test -race -cpu 2,4 -run 'Hybrid|Chain|CoarsePlanSound' ./internal/runtime/ ./internal/codegen/ ./internal/exec/ ./polypipe/
 
 ## bench: regenerate the paper's evaluation numbers plus the detection
 ## micro-benchmarks (serial vs parallel core.Detect) and the synthetic

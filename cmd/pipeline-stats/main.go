@@ -40,7 +40,7 @@ func main() {
 	n := flag.Int("n", 48, "grid size for listing/P workloads")
 	size := flag.Int("size", 2, "SIZE for P workloads")
 	rows := flag.Int("rows", 96, "rows for matrix-chain workloads")
-	workers := flag.Int("workers", 4, "pipeline workers")
+	workers := flag.Int("workers", 4, "pipeline workers (0 = GOMAXPROCS)")
 	work := flag.Duration("work", time.Millisecond, "extra wall-clock cost per statement instance (the Table 9 SIZE analogue; a timed wait, so overlap is visible on any host); 0 leaves the raw bodies, whose cost is below task overhead")
 	minBlock := flag.Int("min-block-iters", 8, "coarsen blocks to at least this many iterations (Options.MinBlockIters); amortizes per-task handoff")
 	tuneBudget := flag.Int("autotune", 0, "profile-guided block-size search budget before the observed run (0 = off, use -min-block-iters as-is); overrides -min-block-iters with the tuned value")
@@ -95,7 +95,7 @@ func main() {
 	if m.Result.Hash != seq.Hash {
 		fatal(fmt.Errorf("observed run hash %x differs from sequential %x", m.Result.Hash, seq.Hash))
 	}
-	if err := printStats(os.Stdout, p.Name, *workers, seq.Elapsed, m); err != nil {
+	if err := printStats(os.Stdout, p.Name, m.Workers, seq.Elapsed, m); err != nil {
 		fatal(err)
 	}
 	if *cacheDemo {

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/par"
 	"repro/polypipe"
 )
 
@@ -25,7 +26,7 @@ func main() {
 	n := flag.Int("n", 32, "grid size for listing/P workloads")
 	size := flag.Int("size", 2, "SIZE for P workloads")
 	rows := flag.Int("rows", 96, "rows for matrix-chain workloads")
-	workers := flag.Int("workers", 4, "pipeline workers")
+	workers := flag.Int("workers", 4, "pipeline workers (0 = GOMAXPROCS)")
 	format := flag.String("format", "svg", "output format: svg (Gantt timeline) or json (Perfetto trace_event)")
 	out := flag.String("o", "", "output file (default trace.<format>)")
 	flag.Parse()
@@ -54,7 +55,13 @@ func main() {
 	if err := f.Close(); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("wrote %s (%s, %d workers)\n", name, prog.Name, *workers)
+	fmt.Println(summary(name, prog.Name, *workers))
+}
+
+// summary is the line trace-viz ends with, naming the worker count the
+// run resolved -workers to (0 or less means GOMAXPROCS).
+func summary(name, kernel string, workers int) string {
+	return fmt.Sprintf("wrote %s (%s, %d workers)", name, kernel, par.Workers(workers))
 }
 
 // checkFormat validates the -format flag.

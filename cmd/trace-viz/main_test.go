@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"fmt"
+	"runtime"
+	"testing"
+)
 
 func TestBuildKernel(t *testing.T) {
 	cases := []struct {
@@ -51,5 +55,13 @@ func TestFormatFlagParsing(t *testing.T) {
 	}
 	if got := outputName("my.out", "json"); got != "my.out" {
 		t.Errorf("explicit -o not honored: %q", got)
+	}
+}
+
+func TestSummaryResolvesWorkers(t *testing.T) {
+	for workers, want := range map[int]int{0: runtime.GOMAXPROCS(0), -2: runtime.GOMAXPROCS(0), 3: 3} {
+		if got, line := summary("t.svg", "listing3", workers), fmt.Sprintf("wrote t.svg (listing3, %d workers)", want); got != line {
+			t.Errorf("workers=%d: %q, want %q", workers, got, line)
+		}
 	}
 }

@@ -286,7 +286,7 @@ func evaluate(p *kernels.Program, b, workers, reps int, cfg Config, want uint64)
 	}
 	ir := prog.Lower()
 	s := Sample{BlockIters: b, Tasks: ir.NumTasks(), Edges: ir.NumEdges()}
-	edges := prog.PrecedenceEdges()
+	edges, _ := ir.Edges()
 	for r := 0; r < reps; r++ {
 		reg := obs.NewRegistry()
 		c := trace.NewCollector()

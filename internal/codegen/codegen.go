@@ -1,11 +1,13 @@
 // Package codegen lowers a detected pipeline structure to an
 // executable task program, mirroring the paper's code-generation phase
-// (§5.4): every pipeline block becomes one task whose body runs the
-// block's iterations in order. The tasks run as one chain per
-// statement (BuildIR), and an emitted program embeds the same DAG;
-// Addresses converts the block-leader vectors of the dependency
-// relations to the paper's unique integer dependency addresses, the
-// reference the tests resolve that DAG against.
+// (§5.4): every pipeline block becomes one task (Tasks, DataEdges,
+// SerialEdges) whose body runs the block's iterations in order. Both
+// back ends execute a coarser plan of the same DAG: BuildIR lowers one
+// chain per statement whose tasks are runs of consecutive blocks, at
+// most maxChainTasks per chain, and an emitted program embeds that
+// plan (ChainTasks). Addresses converts the block-leader vectors of the
+// dependency relations to the paper's unique integer dependency
+// addresses, the reference the tests resolve the per-block DAG against.
 package codegen
 
 import (
@@ -232,7 +234,8 @@ func compileTasks(info *core.Info, opts CompileOptions) (*TaskProgram, error) {
 	return prog, nil
 }
 
-// NumTasks returns the number of tasks the program creates.
+// NumTasks returns the number of per-block tasks (§5.4); the chain
+// program both back ends run has len(ChainTasks()) tasks.
 func (p *TaskProgram) NumTasks() int { return p.blocks }
 
 // DataEdges returns the cross-statement dependency edges of the task
@@ -289,49 +292,123 @@ func (p *TaskProgram) runBlock(spec *TaskSpec, members []isl.Vec) {
 	}
 }
 
+// maxChainTasks caps the tasks of one statement's chain: BuildIR
+// lowers a statement's blocks in runs of g = ⌈blocks / maxChainTasks⌉
+// consecutive blocks, one task per run. A cap needs no body timing, so
+// it holds for opaque bodies; it spreads the per-task handoff over at
+// least blocks / maxChainTasks blocks; and it bounds pipeline fill and
+// drain at about (S−1)/maxChainTasks of a run of S statements,
+// whatever a body costs. Measured at two workers on a 2-vCPU Xeon with
+// the runtime's yieldEvery = 16 and spinRounds = 1024, summing the
+// fastest-quartile means of each member: light is the six t9_light
+// members (P4/P7/P10, n = 32/64, interpreted bodies, 164 runs), heavy
+// the three t9_heavy ones (n = 32, next_prime bodies, 60 runs), every
+// plan interleaved run by run in one process. The tasks column counts
+// the six light members' chain tasks.
+//
+//	cap                  tasks      light      heavy
+//	none (one per block)  41 962   4.73 ms   20.45 ms
+//	64                     1 348   1.89 ms   20.17 ms
+//	128                    2 673   1.98 ms   20.01 ms
+//	256                    5 231   2.18 ms   19.93 ms
+//
+// With the runtime's earlier knobs (yieldEvery 32, spinRounds 64), one
+// task per block read 4.45 / 20.49 ms. Every cap leaves heavy within
+// 3 % of one task per block; light is fastest at 64.
+const maxChainTasks = 64
+
+// ChainTask is one task of the chain program BuildIR lowers: the run of
+// consecutive blocks Tasks[First..Last] of one statement, whose members
+// are positions Tasks[First].First through Tasks[Last].Last of the
+// statement's sorted domain.
+type ChainTask struct {
+	First, Last int32
+}
+
+// ChainTasks returns the tasks of the chain program BuildIR lowers, in
+// its task-id order: statement by statement, runs in execution order.
+func (p *TaskProgram) ChainTasks() []ChainTask {
+	runs, _ := p.chainTasks(maxChainTasks)
+	return runs
+}
+
+// chainTasks cuts every statement's blocks into runs of at most
+// ⌈blocks / limit⌉, so no chain holds more than limit tasks, and returns
+// the runs with each statement's run length g.
+func (p *TaskProgram) chainTasks(limit int) (runs []ChainTask, g []int) {
+	g = make([]int, len(p.stmts))
+	n := 0
+	for s, si := range p.stmts {
+		g[s] = max((len(si.Blocks)+limit-1)/limit, 1)
+		n += (len(si.Blocks) + g[s] - 1) / g[s]
+	}
+	runs = make([]ChainTask, 0, n)
+	for s, si := range p.stmts {
+		for b := 0; b < len(si.Blocks); b += g[s] {
+			first := p.base[s] + b
+			last := p.base[s] + min(b+g[s], len(si.Blocks)) - 1
+			runs = append(runs, ChainTask{First: int32(first), Last: int32(last)})
+		}
+	}
+	return runs, g
+}
+
 // BuildIR lowers the program to the compiled runtime IR: one chain per
-// statement, one task per block, and each task's predecessors read off
-// the in-dependency columns — (Src, To[b]) for every in-dependency of
-// block b, then the serial predecessor (S, b−1) — in O(blocks +
-// in-dependencies), with no address resolution. BuildIR always lowers
-// afresh; use Lower for the memoized program-lifetime IR.
+// statement and one task per run of its blocks (see maxChainTasks), in
+// O(blocks + in-dependencies), with no address resolution. A run waits
+// on, for every in-dependency, the source run holding the largest
+// To[b] among its blocks — so every block-level edge (Src, To[b]) →
+// (S, b) is implied through the source chain's order — and then on its
+// serial predecessor run. A run's body runs its blocks' members in
+// order through runBlock. BuildIR always lowers afresh; use Lower for
+// the memoized program-lifetime IR.
 func (p *TaskProgram) BuildIR() *runtime.Program {
+	return p.buildIR(maxChainTasks)
+}
+
+// buildIR is BuildIR at a cap of limit tasks per chain. At a limit no
+// statement's block count exceeds, it lowers one task per block: the
+// per-block DAG the tests compare against runtime.Builder.
+func (p *TaskProgram) buildIR(limit int) *runtime.Program {
+	runs, g := p.chainTasks(limit)
 	edges := 0
 	lens := make([]int32, len(p.stmts))
 	elems := make([][]isl.Vec, len(p.stmts))
 	for s, si := range p.stmts {
-		lens[s] = int32(len(si.Blocks))
+		lens[s] = int32((len(si.Blocks) + g[s] - 1) / g[s])
 		elems[s] = si.Stmt.Domain.Elements()
-		edges += max(len(si.Blocks)-1, 0)
-		for i := range si.InDeps {
-			edges += si.InDeps[i].Edges()
-		}
+		edges += int(lens[s]) * (len(si.InDeps) + 1)
 	}
 	spec := runtime.ChainSpec{
 		Lens:      lens,
-		PredOff:   make([]int32, 1, len(p.Tasks)+1),
+		PredOff:   make([]int32, 1, len(runs)+1),
 		PredChain: make([]int32, 0, edges),
 		PredPos:   make([]int32, 0, edges),
 		Run: func(i int) {
-			t := &p.Tasks[i]
-			p.runBlock(t, elems[t.Stmt.Index][t.First:t.Last+1])
+			first := &p.Tasks[runs[i].First]
+			p.runBlock(first, elems[first.Stmt.Index][first.First:p.Tasks[runs[i].Last].Last+1])
 		},
-		Label: func(i int) string { return p.Tasks[i].Label() },
+		Label: func(i int) string { return p.Tasks[runs[i].Last].Label() },
 	}
-	for s, si := range p.stmts {
-		for b := range si.Blocks {
-			for _, dep := range si.InDeps {
-				if q := dep.To[b]; q >= 0 {
-					spec.PredChain = append(spec.PredChain, int32(dep.Src.Index))
-					spec.PredPos = append(spec.PredPos, q)
-				}
+	for _, r := range runs {
+		s := p.Tasks[r.First].Stmt.Index
+		b0, b1 := int(r.First)-p.base[s], int(r.Last)-p.base[s]
+		for _, dep := range p.stmts[s].InDeps {
+			q := int32(-1)
+			for _, to := range dep.To[b0 : b1+1] {
+				q = max(q, to)
 			}
-			if b > 0 {
-				spec.PredChain = append(spec.PredChain, int32(s))
-				spec.PredPos = append(spec.PredPos, int32(b-1))
+			if q >= 0 {
+				src := dep.Src.Index
+				spec.PredChain = append(spec.PredChain, int32(src))
+				spec.PredPos = append(spec.PredPos, q/int32(g[src]))
 			}
-			spec.PredOff = append(spec.PredOff, int32(len(spec.PredChain)))
 		}
+		if b0 > 0 {
+			spec.PredChain = append(spec.PredChain, int32(s))
+			spec.PredPos = append(spec.PredPos, int32(b0/g[s]-1))
+		}
+		spec.PredOff = append(spec.PredOff, int32(len(spec.PredChain)))
 	}
 	return spec.Build()
 }

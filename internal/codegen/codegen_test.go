@@ -146,6 +146,12 @@ func TestCompileRejectsMissingBodies(t *testing.T) {
 func TestRunTracedReportsConcurrency(t *testing.T) {
 	p := kernels.Listing3(16)
 	prog := compile(t, p, core.Options{})
+	// Listing 3 at n = 16 has 169 blocks; the statements holding more
+	// than maxChainTasks of them run in pairs, 134 chain tasks in all.
+	const chainTasks = 134
+	if n := len(prog.ChainTasks()); n != chainTasks {
+		t.Fatalf("%d chain tasks for %d blocks, want %d", n, prog.NumTasks(), chainTasks)
+	}
 	p.Reset()
 	var mu sync.Mutex
 	events := map[runtime.EventKind]int{}
@@ -154,13 +160,13 @@ func TestRunTracedReportsConcurrency(t *testing.T) {
 		events[e.Kind]++
 		mu.Unlock()
 	})
-	if executed != prog.NumTasks() {
-		t.Fatalf("executed = %d, want %d", executed, prog.NumTasks())
+	if executed != chainTasks {
+		t.Fatalf("executed = %d, want %d", executed, chainTasks)
 	}
 	// Every task passes through the full submit/ready/start/end cycle.
 	for _, k := range []runtime.EventKind{runtime.EventSubmit, runtime.EventReady, runtime.EventStart, runtime.EventEnd} {
-		if events[k] != prog.NumTasks() {
-			t.Fatalf("%v events = %d, want %d", k, events[k], prog.NumTasks())
+		if events[k] != chainTasks {
+			t.Fatalf("%v events = %d, want %d", k, events[k], chainTasks)
 		}
 	}
 	if maxRun < 1 {

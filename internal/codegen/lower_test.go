@@ -59,12 +59,13 @@ func replaySerialEdges(p *TaskProgram) [][2]int {
 	return edges
 }
 
-// checkLoweringAgainstReplay holds BuildIR's chain columns, through the
-// CSR view derived from them, element-equal to the Builder replay, and
-// the edge views equal to the map-based ones.
+// checkLoweringAgainstReplay holds the chain columns buildIR lowers at
+// one task per block, through the CSR view derived from them,
+// element-equal to the Builder replay, and the edge views equal to the
+// map-based ones.
 func checkLoweringAgainstReplay(t *testing.T, name string, prog *TaskProgram) {
 	t.Helper()
-	got, want := prog.BuildIR(), builderReplay(prog)
+	got, want := prog.buildIR(max(prog.NumTasks(), 1)), builderReplay(prog)
 	if got.NumTasks() != want.NumTasks() || got.NumEdges() != want.NumEdges() || got.NumChains() != want.NumChains() {
 		t.Fatalf("%s: %d tasks, %d edges, %d chains; replay %d, %d, %d", name,
 			got.NumTasks(), got.NumEdges(), got.NumChains(), want.NumTasks(), want.NumEdges(), want.NumChains())
@@ -110,8 +111,10 @@ func oracleInputs(seeds int) (names []string, scs []*scop.SCoP) {
 
 // TestBuildIRMatchesBuilder is the oracle for lowering straight from
 // the in-dependency columns: over the corpus at MinBlockIters 1, 4 and
-// 64 the program equals, edge for edge, what runtime.Builder resolves
-// from the §5.4 addresses — so runtime.edges cannot move.
+// 64, the program lowered with runs of one block equals, edge for edge,
+// what runtime.Builder resolves from the §5.4 addresses. The coarse
+// plan BuildIR lowers is held to this per-block DAG by
+// TestCoarsePlanSound.
 func TestBuildIRMatchesBuilder(t *testing.T) {
 	seeds := 200
 	if testing.Short() {
@@ -183,6 +186,105 @@ func TestChainExecutorStress(t *testing.T) {
 					t.Fatalf("%s workers=%d run %d: hash %x, want %x", p.Name, workers, run, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestCoarsePlanSound holds the chain program BuildIR lowers to the
+// paper's per-block DAG over Table 9 P1–P10 at n = 16, 32 and 64 and
+// 200 random SCoPs, every other one shifted, each detected at
+// MinBlockIters 1 and 4; and runs it at 1, 2 and 4 workers, each run
+// bit-identical to the sequential program (exec.Sequential's order).
+func TestCoarsePlanSound(t *testing.T) {
+	seeds := 200
+	if testing.Short() {
+		seeds = 20
+	}
+	coarse := 0
+	for _, mbi := range []int{1, 4} {
+		var names []string
+		var progs []*kernels.Program
+		for _, spec := range kernels.Table9 {
+			for _, n := range []int{16, 32, 64} {
+				names = append(names, fmt.Sprintf("%s/n=%d", spec.Name, n))
+				progs = append(progs, interp.Programify(kernels.BuildTable9(spec, n, 1).SCoP))
+			}
+		}
+		for seed := int64(1); seed <= int64(seeds); seed++ {
+			sc := fuzzscop.Random(rand.New(rand.NewSource(seed)), fuzzscop.Config{Shifted: seed%2 == 0})
+			names = append(names, fmt.Sprintf("fuzz-%d", seed))
+			progs = append(progs, interp.Programify(sc))
+		}
+		for k, p := range progs {
+			name := fmt.Sprintf("%s mbi=%d", names[k], mbi)
+			prog := compile(t, p, core.Options{MinBlockIters: mbi})
+			checkCoarsePlan(t, name, prog)
+			if len(prog.ChainTasks()) < prog.NumTasks() {
+				coarse++
+			}
+			want := runSequential(p)
+			for _, workers := range []int{1, 2, 4} {
+				p.Reset()
+				prog.Run(workers)
+				if got := p.Hash(); got != want {
+					t.Fatalf("%s workers=%d: hash %x, want %x", name, workers, got, want)
+				}
+			}
+		}
+	}
+	if coarse == 0 {
+		t.Fatal("no program ran in runs of more than one block")
+	}
+}
+
+// checkCoarsePlan checks the chain program against the per-block DAG:
+// its tasks are runs that partition every statement's blocks in order;
+// no chain holds more than maxChainTasks of them; every predecessor is
+// an earlier task, and within a chain only the task just before; and
+// every block-level edge (Src, q) → (S, b) is implied — the run holding
+// b waits on a run of Src at or after the one holding q, or holds q
+// itself.
+func checkCoarsePlan(t *testing.T, name string, prog *TaskProgram) {
+	t.Helper()
+	rt, runs := prog.Lower(), prog.ChainTasks()
+	if rt.NumTasks() != len(runs) {
+		t.Fatalf("%s: %d chain tasks, %d runs", name, rt.NumTasks(), len(runs))
+	}
+	runOf := make([]int, len(prog.Tasks))
+	perChain := map[int]int{}
+	next := int32(0)
+	for i, r := range runs {
+		s := prog.Tasks[r.First].Stmt
+		if r.First != next || r.Last < r.First || prog.Tasks[r.Last].Stmt != s || rt.Serial(i) != s.Index {
+			t.Fatalf("%s: task %d holds blocks %d..%d on chain %d, want a run of statement %s from block %d", name, i, r.First, r.Last, rt.Serial(i), s.Name, next)
+		}
+		for b := r.First; b <= r.Last; b++ {
+			runOf[b] = i
+		}
+		next = r.Last + 1
+		if perChain[s.Index]++; perChain[s.Index] > maxChainTasks {
+			t.Fatalf("%s: statement %s has more than %d chain tasks", name, s.Name, maxChainTasks)
+		}
+		for _, q := range rt.PredsOf(i) {
+			if int(q) >= i {
+				t.Fatalf("%s: edge %d -> %d is a self or backward edge", name, q, i)
+			}
+			if rt.Serial(int(q)) == rt.Serial(i) && int(q) != i-1 {
+				t.Fatalf("%s: task %d waits on task %d of its own chain, not the one before", name, i, q)
+			}
+		}
+	}
+	if int(next) != len(prog.Tasks) {
+		t.Fatalf("%s: runs hold %d of %d blocks", name, next, len(prog.Tasks))
+	}
+	for _, e := range prog.PrecedenceEdges() {
+		from, to := runOf[e[0]], runOf[e[1]]
+		implied := from == to
+		for _, q := range rt.PredsOf(to) {
+			implied = implied || rt.Serial(int(q)) == rt.Serial(from) && int(q) >= from
+		}
+		if !implied {
+			t.Fatalf("%s: block edge %d -> %d (task %d -> %d) is not implied by %v", name, e[0], e[1], from, to, rt.PredsOf(to))
 		}
 	}
 }

@@ -26,7 +26,7 @@ type Result struct {
 	Executor      string
 	Elapsed       time.Duration
 	Hash          uint64
-	Tasks         int   // pipeline tasks created (0 for other executors)
+	Tasks         int   // chain tasks executed (0 for other executors)
 	MaxConcurrent int   // peak simultaneously running tasks (pipeline only)
 	ChainFused    int64 // edges resolved by chain order (pipeline only)
 }

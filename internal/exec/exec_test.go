@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/codegen"
@@ -46,12 +47,30 @@ func TestPipelinedReportsTasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, _ := core.Detect(p.SCoP, core.Options{})
-	if res.Tasks != info.TotalBlocks() {
-		t.Fatalf("tasks = %d, want %d", res.Tasks, info.TotalBlocks())
+	// 169 blocks, lowered in runs of at most maxChainTasks per
+	// statement: the result counts the 134 tasks the runtime executed.
+	if res.Tasks != 134 {
+		t.Fatalf("tasks = %d, want 134", res.Tasks)
 	}
 	if res.MaxConcurrent < 1 {
 		t.Fatalf("maxConcurrent = %d", res.MaxConcurrent)
+	}
+}
+
+// TestPipelinedObservedResolvesWorkers: a worker count of 0 or less
+// means GOMAXPROCS, as it does for every Session method, and the
+// observation reports the count it ran on.
+func TestPipelinedObservedResolvesWorkers(t *testing.T) {
+	p := kernels.Listing3(12)
+	want := Sequential(p).Hash
+	for _, workers := range []int{0, -1} {
+		o, err := PipelinedObserved(p, workers, core.Options{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.Workers != runtime.GOMAXPROCS(0) || o.Result.Hash != want {
+			t.Fatalf("workers=%d: ran on %d workers, hash %x; want %d, %x", workers, o.Workers, o.Result.Hash, runtime.GOMAXPROCS(0), want)
+		}
 	}
 }
 

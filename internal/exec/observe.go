@@ -9,18 +9,21 @@ import (
 	"repro/internal/core"
 	"repro/internal/kernels"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/runtime"
 	"repro/internal/trace"
 )
 
 // Observation couples one pipelined execution with everything the
 // observability layer measured about it: the ordinary Result, the
-// compile-side phase timings and counts, the span-level analysis
-// (stall, utilization, overlap, Eq. 5/6 aggregates), the realized
-// critical path of the executed task DAG, the data-dependency edges
-// (for trace export), and the full metrics snapshot.
+// worker count it ran on, the compile-side phase timings and counts,
+// the span-level analysis (stall, utilization, overlap, Eq. 5/6
+// aggregates), the realized critical path of the executed task DAG,
+// its data-dependency edges (for trace export), and the full metrics
+// snapshot.
 type Observation struct {
 	Result    Result
+	Workers   int
 	Phases    []obs.PhaseSpan
 	Analysis  trace.Analysis
 	Critical  trace.CriticalPath
@@ -36,7 +39,8 @@ type Observation struct {
 // reports queue depth, stall, dependency counts, and per-worker busy
 // time into rec's registry under the "runtime." prefix, a collector gathers
 // per-task spans, and the executed DAG's critical path is computed.
-// rec may be nil; a fresh recorder is created.
+// rec may be nil; a fresh recorder is created. workers ≤ 0 means
+// GOMAXPROCS, as everywhere else in the stack.
 func PipelinedObserved(p *kernels.Program, workers int, opts core.Options, rec *obs.Recorder) (*Observation, error) {
 	return PipelinedObservedWith(p, workers, opts, codegen.CompileOptions{}, rec)
 }
@@ -48,6 +52,7 @@ func PipelinedObservedWith(p *kernels.Program, workers int, opts core.Options, c
 	if rec == nil {
 		rec = obs.NewRecorder()
 	}
+	workers = par.Workers(workers)
 	opts.Obs = rec
 	copts.Obs = rec
 
@@ -84,13 +89,15 @@ func PipelinedObservedWith(p *kernels.Program, workers int, opts core.Options, c
 			MaxConcurrent: st.MaxConcurrent,
 			ChainFused:    st.ChainFused,
 		},
+		Workers:   workers,
 		Analysis:  c.Analyze(),
-		DataEdges: prog.DataEdges(),
 		Phases:    rec.Phases.Spans(),
 		Snapshot:  rec.Snapshot(),
 		StmtNames: map[int]string{},
 	}
-	o.Critical = trace.ComputeCriticalPath(o.Analysis.Spans, prog.PrecedenceEdges())
+	edges, data := ir.Edges()
+	o.DataEdges = data
+	o.Critical = trace.ComputeCriticalPath(o.Analysis.Spans, edges)
 	for _, s := range p.SCoP.Stmts {
 		o.StmtNames[s.Index] = s.Name
 	}

@@ -331,10 +331,13 @@ func lowerCase(t *testing.T, c dagCase) (tp *codegen.TaskProgram, plain, fused *
 	return tp, plain, fused
 }
 
-// TestLowerPredsMatchRuntime: without fusion, every task's predecessor
-// list is, element for element, the one runtime.Builder resolves from
-// the §5.4 dependency addresses (last writer of each in-address, then
-// the last task of the same statement).
+// TestLowerPredsMatchRuntime: the paper's per-block DAG — each block's
+// data edges, then its serial edge — is, element for element, the one
+// runtime.Builder resolves from the §5.4 dependency addresses (last
+// writer of each in-address, then the last task of the same
+// statement). Without fusion the IR holds one task per chain task,
+// covering that task's run of blocks and waiting on its chain-program
+// predecessors.
 func TestLowerPredsMatchRuntime(t *testing.T) {
 	for _, c := range dagCorpus(t) {
 		tp, p, _ := lowerCase(t, c)
@@ -344,12 +347,26 @@ func TestLowerPredsMatchRuntime(t *testing.T) {
 			b.Add(runtime.Task{Out: outs[i], In: ins[i], Serial: tp.Tasks[i].Stmt.Index})
 		}
 		ref := b.Build()
-		if len(p.Tasks) != ref.NumTasks() {
-			t.Fatalf("%s: %d tasks, runtime %d", c.name, len(p.Tasks), ref.NumTasks())
+		perBlock := make([][]int32, len(tp.Tasks))
+		for _, e := range tp.PrecedenceEdges() {
+			perBlock[e[1]] = append(perBlock[e[1]], int32(e[0]))
+		}
+		for i := range tp.Tasks {
+			if got, want := fmt.Sprint(perBlock[i]), fmt.Sprint(ref.PredsOf(i)); got != want {
+				t.Fatalf("%s: block %d preds %s, runtime %s", c.name, i, got, want)
+			}
+		}
+		rt, runs := tp.Lower(), tp.ChainTasks()
+		if len(p.Tasks) != rt.NumTasks() || len(runs) != rt.NumTasks() {
+			t.Fatalf("%s: %d tasks, %d runs, chain program %d", c.name, len(p.Tasks), len(runs), rt.NumTasks())
 		}
 		for i := range p.Tasks {
-			if got, want := fmt.Sprint(p.Tasks[i].Preds), fmt.Sprint(ref.PredsOf(i)); got != want {
-				t.Fatalf("%s: task %d preds %s, runtime %s", c.name, i, got, want)
+			u, first, last := &p.Tasks[i].Units[0], &tp.Tasks[runs[i].First], &tp.Tasks[runs[i].Last]
+			if u.First != first.First || u.Last != last.Last || !u.To.Eq(last.Leader) {
+				t.Fatalf("%s: task %d covers %d..%d to %v, run %d..%d to %v", c.name, i, u.First, u.Last, u.To, first.First, last.Last, last.Leader)
+			}
+			if got, want := fmt.Sprint(p.Tasks[i].Preds), fmt.Sprint(rt.PredsOf(i)); got != want {
+				t.Fatalf("%s: task %d preds %s, chain program %s", c.name, i, got, want)
 			}
 		}
 	}

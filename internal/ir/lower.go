@@ -164,39 +164,40 @@ func lowerStmts(p *Program, info *core.Info) error {
 	return nil
 }
 
-// lowerTasks converts the compiled task specs — one pipeline block
-// each — into single-unit IR tasks, materializing the lexicographic
-// From bound the same way the in-process block runners do: the
-// previous block's leader, or a below-minimum sentinel for a
-// statement's first block. Each task's predecessors are those of the
+// lowerTasks converts the chain program's tasks — one run of
+// consecutive pipeline blocks each (codegen.ChainTasks) — into
+// single-unit IR tasks, materializing the lexicographic From bound the
+// same way the in-process block runners do: the previous run's last
+// leader, or a below-minimum sentinel for a statement's first run; To
+// is the run's last leader. Each task's predecessors are those of the
 // chain program the in-process executor runs, as capped subslices of
 // its shared storage, so an append copies them.
 func lowerTasks(p *Program, tp *codegen.TaskProgram) {
 	rt := tp.Lower()
 	prevLeader := map[int]isl.Vec{}
-	for i := range tp.Tasks {
-		spec := &tp.Tasks[i]
-		depth := spec.Stmt.Depth()
-		from := prevLeader[spec.Stmt.Index]
+	for i, run := range tp.ChainTasks() {
+		first, last := &tp.Tasks[run.First], &tp.Tasks[run.Last]
+		stmt := first.Stmt
+		from := prevLeader[stmt.Index]
 		if from == nil {
-			from = make(isl.Vec, depth)
-			if min, ok := spec.Stmt.Domain.Lexmin(); ok {
+			from = make(isl.Vec, stmt.Depth())
+			if min, ok := stmt.Domain.Lexmin(); ok {
 				copy(from, min)
 				from[0] = min[0] - 1
 			}
 		}
 		t := Task{
-			Label: spec.Label(),
+			Label: last.Label(),
 			Units: []Unit{{
-				Stmt:  spec.Stmt.Index,
+				Stmt:  stmt.Index,
 				From:  from,
-				To:    spec.Leader,
-				First: spec.First,
-				Last:  spec.Last,
+				To:    last.Leader,
+				First: first.First,
+				Last:  last.Last,
 			}},
 			Preds: slices.Clip(rt.PredsOf(i)),
 		}
 		p.Tasks = append(p.Tasks, t)
-		prevLeader[spec.Stmt.Index] = spec.Leader
+		prevLeader[stmt.Index] = last.Leader
 	}
 }

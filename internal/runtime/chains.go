@@ -8,32 +8,47 @@ import (
 )
 
 // yieldEvery is how many tasks a worker runs on one chain before it
-// looks for a ready chain downstream to hand over to. Measured at two
-// workers on a 2-vCPU Xeon, summing the fastest-quartile means of each
-// member: light is the six t9_light members (P4/P7/P10, n = 32/64,
-// interpreted bodies, 41 runs), heavy the three t9_heavy ones (n = 32,
-// next_prime bodies, 15 runs).
+// looks for a ready chain downstream to hand over to. Measured on the
+// coarse chain plan (at most 64 tasks per chain, see codegen's
+// maxChainTasks) at two workers on a 2-vCPU Xeon, with spinRounds =
+// 1024, summing the fastest-quartile means of each member: light is
+// the six t9_light members (P4/P7/P10, n = 32/64, interpreted bodies,
+// 164 runs), heavy the three t9_heavy ones (n = 32, next_prime bodies,
+// 60 runs), every policy interleaved run by run in one process.
 //
-//	policy                   light      heavy
-//	work-stealing DAG      11.42 ms   667.6 ms
-//	never yield             6.76 ms   749.3 ms  (P4 133 → 168 ms)
-//	every task             10.34 ms   679.2 ms
-//	every 8th task          8.38 ms   663.0 ms
-//	every 32nd task         7.54 ms   665.2 ms
-//	every 128th task        6.99 ms   666.7 ms
+//	policy                light      heavy
+//	every task          2.35 ms   20.48 ms
+//	every 4th task      2.00 ms   20.08 ms
+//	every 8th task      1.96 ms   20.14 ms
+//	every 16th task     1.90 ms   20.29 ms
+//	every 32nd task     1.89 ms   20.83 ms
+//	never yield         1.93 ms   22.53 ms  (P4 4.16 → 5.05 ms)
 //
 // Never yielding leaves the upstream chain on one worker for the whole
 // run, and the other worker alone carries every chain it feeds. Any
-// periodic hand-over balances that; beyond it a yield is only churn, so
-// light bodies want it rare. Every 32nd task is within 8 % of the best
-// light reading and bounds how long a ready downstream chain waits.
-const yieldEvery = 32
+// periodic hand-over balances that; beyond it a yield is only churn.
+// With one task per block, every 32nd task was best; on chains of at
+// most 64 tasks, every 16th is within 1 % of the best light reading,
+// and over three sweeps it read 2–3 % faster than every 32nd on heavy.
+const yieldEvery = 16
 
 // spinRounds is how many claim scans an idle worker makes before it
-// parks: a chain usually becomes ready within a task or two, far sooner
-// than a park and wake-up round trip. On the light members above, 16 to
-// 4096 rounds measured within 5 % of one another.
-const spinRounds = 64
+// parks: a chain usually becomes ready within a task or two, sooner
+// than a park and wake-up round trip. On the members and plan above,
+// with yieldEvery = 16:
+//
+//	rounds     light      heavy
+//	16       1.92 ms   19.81 ms
+//	64       1.86 ms   19.70 ms
+//	256      1.80 ms   19.68 ms
+//	1024     1.73 ms   19.62 ms
+//	4096     1.72 ms   19.61 ms
+//
+// A chain task now runs a run of blocks, so a worker waits longer for
+// the next one than it did with one task per block, when 16 to 4096
+// rounds measured within 5 % of one another; past 1024 rounds nothing
+// more is gained.
+const spinRounds = 1024
 
 // chainState is one chain's progress during an execution. done counts
 // the chain's finished tasks; only the worker holding the chain writes

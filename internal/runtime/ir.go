@@ -282,6 +282,24 @@ func (p *Program) PredsOf(i int) []int32 {
 	return p.preds[p.predOff[i]:p.predOff[i+1]]
 }
 
+// Edges returns the dependency edges as (predecessor, task) id pairs,
+// by task in resolution order: all of them, and cross, the ones between
+// two chains — for a codegen program, the data dependencies without the
+// serial ones.
+func (p *Program) Edges() (all, cross [][2]int) {
+	all = make([][2]int, 0, p.NumEdges())
+	for i := range p.NumTasks() {
+		for _, q := range p.PredsOf(i) {
+			e := [2]int{int(q), i}
+			all = append(all, e)
+			if p.chainOf[q] != p.chainOf[i] {
+				cross = append(cross, e)
+			}
+		}
+	}
+	return all, cross
+}
+
 // Indegree0 returns task i's predecessor count.
 func (p *Program) Indegree0(i int) int { return int(p.predOff[i+1] - p.predOff[i]) }
 

@@ -36,15 +36,14 @@ func SimulateCompiled(p *kernels.Program, prog *codegen.TaskProgram, procs int, 
 }
 
 // MeasureCompiled runs the compiled task program once sequentially (a
-// valid topological order), measuring each task's cost and taking the
-// dependency DAG from the program's compiled runtime IR — the same
-// resolved edge set the runtime enforces, so the simulation and the
-// execution schedule the identical graph. The returned tasks can be
-// scheduled at several processor counts without re-measuring —
-// required when comparing counts, since separate replays introduce
-// measurement noise between them. The program state is left reset.
+// valid topological order), measuring each task's cost, with the
+// dependency DAG of the paper's per-block tasks (the program's data
+// edges and serial chains), which the coarser chain program the
+// runtime executes implies. The returned tasks can be scheduled at
+// several processor counts without re-measuring — required when
+// comparing counts, since separate replays introduce measurement noise
+// between them. The program state is left reset.
 func MeasureCompiled(p *kernels.Program, prog *codegen.TaskProgram, overhead time.Duration) ([]Task, time.Duration) {
-	ir := prog.Lower()
 	p.Reset()
 	tasks := make([]Task, len(prog.Tasks))
 	var seq time.Duration
@@ -67,11 +66,10 @@ func MeasureCompiled(p *kernels.Program, prog *codegen.TaskProgram, overhead tim
 			}
 			cost /= time.Duration(div)
 		}
-		t := Task{Cost: cost + overhead}
-		for _, pred := range ir.PredsOf(i) {
-			t.Deps = append(t.Deps, int(pred))
-		}
-		tasks[i] = t
+		tasks[i] = Task{Cost: cost + overhead}
+	}
+	for _, e := range prog.PrecedenceEdges() {
+		tasks[e[1]].Deps = append(tasks[e[1]].Deps, e[0])
 	}
 	p.Reset()
 	return tasks, seq

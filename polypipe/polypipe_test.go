@@ -1,6 +1,7 @@
 package polypipe
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -105,6 +106,26 @@ func TestFacadeTrace(t *testing.T) {
 	}
 	if !strings.Contains(gantt, "S") || !strings.Contains(gantt, "U") {
 		t.Fatalf("gantt missing statement names:\n%s", gantt)
+	}
+}
+
+// TestObserveDefaultWorkers: Observe and TraceJSON read a worker count
+// of 0 as GOMAXPROCS, like every Session method.
+func TestObserveDefaultWorkers(t *testing.T) {
+	p := Listing3(12)
+	m, err := Observe(p, 0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Workers != runtime.GOMAXPROCS(0) {
+		t.Fatalf("observed on %d workers, want %d", m.Workers, runtime.GOMAXPROCS(0))
+	}
+	var b strings.Builder
+	if err := TraceJSON(&b, p, 0, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "traceEvents") {
+		t.Fatalf("trace JSON has no traceEvents: %.200s", b.String())
 	}
 }
 
