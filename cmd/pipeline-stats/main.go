@@ -48,7 +48,7 @@ func main() {
 	out := flag.String("o", "trace.json", "Perfetto trace_event output file")
 	noTrace := flag.Bool("no-trace", false, "skip writing the trace file")
 	cacheDemo := flag.Bool("cache", false, "detect through a cached Session and print the hot/cold serving times plus the cache.* counters")
-	aotDemo := flag.Bool("aot", false, "compile the workload through the AOT backend (Session.EmitGo) and print the ir.* pass metrics: blocks fused, bodies specialized, arrays narrowed")
+	aotDemo := flag.Bool("aot", false, "compile the workload through the AOT backend (Session.EmitGo) and print the ir.* pass metrics: bodies specialized, arrays narrowed")
 	aotPasses := flag.String("aot-passes", "", "with -aot, IR pass selection: \"\"/all, none, or a comma-separated subset")
 	serve := flag.String("serve", "", "run the workload continuously and expose live telemetry on this address (e.g. :9090, or 127.0.0.1:0 for a random port)")
 	servePeriod := flag.Duration("serve-period", 250*time.Millisecond, "pause between runs in -serve mode")
@@ -308,7 +308,6 @@ func printAOTStats(w io.Writer, p *polypipe.Program, workers int, opts polypipe.
 	if e := snap.Gauge("ir.edges"); e > 0 {
 		t.Add("ir dep edges (CSR)", strconv.FormatInt(e, 10))
 	}
-	t.Add("blocks fused", strconv.FormatInt(snap.Counter("ir.blocks_fused"), 10))
 	t.Add("bodies specialized", strconv.FormatInt(snap.Counter("ir.bodies_specialized"), 10))
 	t.Add("iteration segments", strconv.FormatInt(snap.Counter("ir.segments"), 10))
 	t.Add("arrays narrowed", strconv.FormatInt(snap.Counter("ir.arrays_narrowed"), 10))

@@ -216,10 +216,8 @@ func TestPrintAOTStats(t *testing.T) {
 	for _, want := range []string{
 		"AOT backend (internal/ir pass pipeline):",
 		"ir tasks",
-		"blocks fused",
 		"bodies specialized",
 		"arrays narrowed",
-		"ir.pass.fuse",
 		"ir.pass.specialize",
 		"ir.pass.narrow",
 	} {

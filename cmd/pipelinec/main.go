@@ -11,7 +11,7 @@
 //	pipelinec [-dump report|tree|ast|all] [-min-block-iters N] file.loop
 //	pipelinec -example listing1            # run on a built-in example
 //	pipelinec -gogen out.go file.loop      # emit a standalone Go program
-//	pipelinec -dump-ir -passes fuse file.loop
+//	pipelinec -dump-ir -passes specialize file.loop
 //
 // With no file and no -example, the program is read from stdin.
 //
@@ -20,7 +20,7 @@
 //
 //	0  success
 //	1  other errors
-//	2  parse/usage errors (bad flags, bad DSL, bad -passes)
+//	2  parse/usage errors (bad flags, bad DSL, bad -passes, negative -workers)
 //	3  the program is outside the pipelinable fragment
 //	4  I/O errors (unreadable input, unwritable output)
 package main
@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/gogen"
 	"repro/internal/ir"
+	"repro/internal/par"
 	"repro/polypipe"
 )
 
@@ -82,10 +83,9 @@ func realMain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	minIters := flags.Int("min-block-iters", 0, "coarsen pipeline blocks to at least this many iterations")
 	example := flags.String("example", "", "use a built-in example program: listing1 or listing3")
 	run := flags.Bool("run", false, "also execute the program (synthetic bodies): verify pipelined vs sequential and report the simulated speed-up")
-	workers := flags.Int("workers", 4, "worker count for -run and generated code")
+	workersFlag := flags.Int("workers", 4, "worker count for -run, -dump-ir and generated code (0 = GOMAXPROCS)")
 	gogenOut := flags.String("gogen", "", "write a standalone pipelined Go program to this file")
 	scopOut := flags.String("export-scop", "", "write the parsed SCoP as JSON to this file")
-	opt := flags.Bool("opt", true, "run the IR optimization passes for -gogen/-dump-ir (-opt=false is shorthand for -passes none)")
 	passes := flags.String("passes", "", "IR pass selection for -gogen/-dump-ir: \"\" or \"all\", \"none\", or a comma-separated subset of pass names")
 	dumpIR := flags.Bool("dump-ir", false, "print the (optimized) block-program IR")
 	if err := flags.Parse(args); err != nil {
@@ -96,11 +96,11 @@ func realMain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return code
 	}
 
-	passSpec := *passes
-	if !*opt && passSpec == "" {
-		passSpec = "none"
+	if *workersFlag < 0 {
+		return fail(exitParse, fmt.Errorf("-workers %d, want >= 0 (0 = GOMAXPROCS)", *workersFlag))
 	}
-	if _, err := ir.ParsePasses(passSpec); err != nil {
+	workers := par.Workers(*workersFlag)
+	if _, err := ir.ParsePasses(*passes); err != nil {
 		return fail(exitParse, err)
 	}
 
@@ -114,7 +114,7 @@ func realMain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	opts := polypipe.Options{MinBlockIters: *minIters}
 	sess := polypipe.NewSession(
-		polypipe.WithWorkers(*workers),
+		polypipe.WithWorkers(workers),
 		polypipe.WithOptions(opts),
 		polypipe.WithCache(0),
 	)
@@ -139,7 +139,7 @@ func realMain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "wrote SCoP description to %s\n\n", *scopOut)
 	}
 	if *dumpIR {
-		p, err := gogen.Compile(info, gogen.EmitOptions{Workers: *workers, Passes: passSpec})
+		p, err := gogen.Compile(info, gogen.EmitOptions{Workers: workers, Passes: *passes})
 		if err != nil {
 			return fail(exitErr, err)
 		}
@@ -150,7 +150,7 @@ func realMain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(exitIO, err)
 		}
-		emitErr := sess.EmitGo(f, sc, polypipe.EmitOptions{Workers: *workers, Passes: passSpec})
+		emitErr := sess.EmitGo(f, sc, polypipe.EmitOptions{Workers: workers, Passes: *passes})
 		if closeErr := f.Close(); emitErr == nil {
 			emitErr = closeErr
 		}
@@ -168,12 +168,12 @@ func realMain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			info.TotalBlocks())
 		// One measurement for both points, so the critical-path bound
 		// always dominates the bounded speed-up.
-		s, err := sess.Simulate(prog, polypipe.SimConfig{Procs: []int{*workers, 1 << 16}})
+		s, err := sess.Simulate(prog, polypipe.SimConfig{Procs: []int{workers, 1 << 16}})
 		if err != nil {
 			return fail(exitErr, err)
 		}
 		fmt.Fprintf(stdout, "simulated speed-up on %d workers: %.2fx (critical-path bound: %.2fx)\n\n",
-			*workers, s[0], s[1])
+			workers, s[0], s[1])
 	}
 	if show("report") {
 		fmt.Fprintf(stdout, "== pipeline detection report (%s) ==\n%s\n", name, polypipe.PipelineReport(info))

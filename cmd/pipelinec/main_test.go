@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -107,6 +108,8 @@ for (i = 0; i < 5; i++)
 		{"bad DSL", []string{badDSL}, exitParse},
 		{"bad passes", []string{"-passes", "bogus", "-example", "listing1"}, exitParse},
 		{"empty pass subset", []string{"-dump-ir", "-passes", ",", "-example", "listing1"}, exitParse},
+		{"removed pass", []string{"-dump-ir", "-passes", "fuse", "-example", "listing1"}, exitParse},
+		{"negative workers", []string{"-workers", "-1", "-dump", "report", "-example", "listing1"}, exitParse},
 		{"missing input file", []string{missing}, exitIO},
 		{"unwritable gogen output", []string{"-gogen", filepath.Join(dir, "no-dir", "out.go"), "-example", "listing1"}, exitIO},
 		{"not pipelinable", []string{notPipe}, exitNotPipelinable},
@@ -124,30 +127,30 @@ for (i = 0; i < 5; i++)
 	}
 }
 
-// TestDumpIRFlag: -dump-ir prints the IR, and -opt / -passes select
-// the pass pipeline visible in its header.
+// TestDumpIRFlag: -dump-ir prints the IR, and -passes selects the pass
+// pipeline visible in its header.
 func TestDumpIRFlag(t *testing.T) {
 	code, out, errOut := run(t, "", "-dump-ir", "-dump", "report", "-example", "listing1")
 	if code != exitOK {
 		t.Fatalf("exit %d: %s", code, errOut)
 	}
-	for _, want := range []string{"== block-program IR ==", "passes: fuse, specialize, narrow", "task ", "preds=["} {
+	for _, want := range []string{"== block-program IR ==", "passes: specialize, narrow", "task ", "preds=["} {
 		if !strings.Contains(out, want) {
 			t.Errorf("optimized -dump-ir output missing %q", want)
 		}
 	}
 
-	code, out, errOut = run(t, "", "-dump-ir", "-opt=false", "-dump", "report", "-example", "listing1")
+	code, out, errOut = run(t, "", "-dump-ir", "-passes", "none", "-dump", "report", "-example", "listing1")
 	if code != exitOK {
 		t.Fatalf("exit %d: %s", code, errOut)
 	}
 	if !strings.Contains(out, "passes: (none)") {
-		t.Errorf("-opt=false did not disable the pass pipeline:\n%s", out)
+		t.Errorf("-passes none did not disable the pass pipeline:\n%s", out)
 	}
 
-	code, out, _ = run(t, "", "-dump-ir", "-passes", "fuse", "-dump", "report", "-example", "listing1")
-	if code != exitOK || !strings.Contains(out, "passes: fuse\n") {
-		t.Errorf("-passes fuse not reflected in IR dump (exit %d)", code)
+	code, out, _ = run(t, "", "-dump-ir", "-passes", "specialize", "-dump", "report", "-example", "listing1")
+	if code != exitOK || !strings.Contains(out, "passes: specialize\n") {
+		t.Errorf("-passes specialize not reflected in IR dump (exit %d)", code)
 	}
 }
 
@@ -174,7 +177,7 @@ func TestGogenFlag(t *testing.T) {
 		}
 	}
 
-	code, _, _ = run(t, "", "-gogen", out, "-opt=false", "-dump", "report", "-example", "listing1")
+	code, _, _ = run(t, "", "-gogen", out, "-passes", "none", "-dump", "report", "-example", "listing1")
 	if code != exitOK {
 		t.Fatal("unoptimized -gogen failed")
 	}
@@ -183,7 +186,41 @@ func TestGogenFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(string(data), "var succOff = []int32{") || strings.Contains(string(data), "resolveDeps") {
-		t.Error("-opt=false emitted program does not embed the task DAG")
+		t.Error("-passes none emitted program does not embed the task DAG")
+	}
+}
+
+// TestWorkersZero: -workers 0 means GOMAXPROCS, and every consumer of
+// the flag — the simulated run, the IR dump and the emitted program —
+// sees that one resolved count.
+func TestWorkersZero(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	code, out, errOut := run(t, "", "-run", "-workers", "0", "-dump", "report", "-example", "listing1")
+	if code != exitOK {
+		t.Fatalf("-run -workers 0: exit %d: %s", code, errOut)
+	}
+	if !strings.Contains(out, "simulated speed-up on 3 workers") {
+		t.Errorf("-run -workers 0 did not simulate GOMAXPROCS workers:\n%s", out)
+	}
+
+	code, out, errOut = run(t, "", "-dump-ir", "-workers", "0", "-dump", "report", "-example", "listing1")
+	if code != exitOK {
+		t.Fatalf("-dump-ir -workers 0: exit %d: %s", code, errOut)
+	}
+	if !strings.Contains(out, " workers=3 ") {
+		t.Errorf("-dump-ir -workers 0 did not bake in GOMAXPROCS workers:\n%s", out)
+	}
+
+	gen := filepath.Join(t.TempDir(), "gen.go")
+	if code, _, errOut = run(t, "", "-gogen", gen, "-workers", "0", "-dump", "report", "-example", "listing1"); code != exitOK {
+		t.Fatalf("-gogen -workers 0: exit %d: %s", code, errOut)
+	}
+	data, err := os.ReadFile(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), "workers := 3\n") {
+		t.Error("-gogen -workers 0 did not bake in GOMAXPROCS workers")
 	}
 }
 

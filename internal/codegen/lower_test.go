@@ -60,9 +60,9 @@ func replaySerialEdges(p *TaskProgram) [][2]int {
 }
 
 // checkLoweringAgainstReplay holds the chain columns buildIR lowers at
-// one task per block, through the CSR view derived from them,
-// element-equal to the Builder replay, and the edge views equal to the
-// map-based ones.
+// one task per block element-equal to the Builder replay — the same
+// edges in the same per-task order, the same chain of every task — and
+// the edge views equal to the map-based ones.
 func checkLoweringAgainstReplay(t *testing.T, name string, prog *TaskProgram) {
 	t.Helper()
 	got, want := prog.buildIR(max(prog.NumTasks(), 1)), builderReplay(prog)
@@ -70,16 +70,15 @@ func checkLoweringAgainstReplay(t *testing.T, name string, prog *TaskProgram) {
 		t.Fatalf("%s: %d tasks, %d edges, %d chains; replay %d, %d, %d", name,
 			got.NumTasks(), got.NumEdges(), got.NumChains(), want.NumTasks(), want.NumEdges(), want.NumChains())
 	}
-	for i := 0; i < got.NumTasks(); i++ {
-		if !slices.Equal(got.PredsOf(i), want.PredsOf(i)) || !slices.Equal(got.SuccsOf(i), want.SuccsOf(i)) {
-			t.Fatalf("%s: task %d preds %v succs %v; replay %v, %v", name, i, got.PredsOf(i), got.SuccsOf(i), want.PredsOf(i), want.SuccsOf(i))
-		}
-		if got.Indegree0(i) != want.Indegree0(i) || got.Serial(i) != want.Serial(i) {
-			t.Fatalf("%s: task %d indegree %d serial %d; replay %d, %d", name, i, got.Indegree0(i), got.Serial(i), want.Indegree0(i), want.Serial(i))
-		}
+	gotAll, gotCross := got.Edges()
+	wantAll, wantCross := want.Edges()
+	if !slices.Equal(gotAll, wantAll) || !slices.Equal(gotCross, wantCross) {
+		t.Fatalf("%s: edges %v (cross %v); replay %v (cross %v)", name, gotAll, gotCross, wantAll, wantCross)
 	}
-	if !slices.Equal(got.Roots(), want.Roots()) {
-		t.Fatalf("%s: roots %v; replay %v", name, got.Roots(), want.Roots())
+	for i := 0; i < got.NumTasks(); i++ {
+		if got.Serial(i) != want.Serial(i) {
+			t.Fatalf("%s: task %d serial %d; replay %d", name, i, got.Serial(i), want.Serial(i))
+		}
 	}
 	if !slices.Equal(prog.DataEdges(), replayDataEdges(prog)) {
 		t.Fatalf("%s: DataEdges differ from the address replay", name)
@@ -250,6 +249,11 @@ func checkCoarsePlan(t *testing.T, name string, prog *TaskProgram) {
 	if rt.NumTasks() != len(runs) {
 		t.Fatalf("%s: %d chain tasks, %d runs", name, rt.NumTasks(), len(runs))
 	}
+	edges, _ := rt.Edges()
+	preds := make([][]int, len(runs))
+	for _, e := range edges {
+		preds[e[1]] = append(preds[e[1]], e[0])
+	}
 	runOf := make([]int, len(prog.Tasks))
 	perChain := map[int]int{}
 	next := int32(0)
@@ -265,11 +269,11 @@ func checkCoarsePlan(t *testing.T, name string, prog *TaskProgram) {
 		if perChain[s.Index]++; perChain[s.Index] > maxChainTasks {
 			t.Fatalf("%s: statement %s has more than %d chain tasks", name, s.Name, maxChainTasks)
 		}
-		for _, q := range rt.PredsOf(i) {
-			if int(q) >= i {
+		for _, q := range preds[i] {
+			if q >= i {
 				t.Fatalf("%s: edge %d -> %d is a self or backward edge", name, q, i)
 			}
-			if rt.Serial(int(q)) == rt.Serial(i) && int(q) != i-1 {
+			if rt.Serial(q) == rt.Serial(i) && q != i-1 {
 				t.Fatalf("%s: task %d waits on task %d of its own chain, not the one before", name, i, q)
 			}
 		}
@@ -280,11 +284,11 @@ func checkCoarsePlan(t *testing.T, name string, prog *TaskProgram) {
 	for _, e := range prog.PrecedenceEdges() {
 		from, to := runOf[e[0]], runOf[e[1]]
 		implied := from == to
-		for _, q := range rt.PredsOf(to) {
-			implied = implied || rt.Serial(int(q)) == rt.Serial(from) && int(q) >= from
+		for _, q := range preds[to] {
+			implied = implied || rt.Serial(q) == rt.Serial(from) && q >= from
 		}
 		if !implied {
-			t.Fatalf("%s: block edge %d -> %d (task %d -> %d) is not implied by %v", name, e[0], e[1], from, to, rt.PredsOf(to))
+			t.Fatalf("%s: block edge %d -> %d (task %d -> %d) is not implied by %v", name, e[0], e[1], from, to, preds[to])
 		}
 	}
 }

@@ -25,8 +25,9 @@ import (
 // detection result, so a refactor of task compilation or lowering must
 // leave it unchanged byte for byte. Each corpus program is emitted at
 // two workers with the default pass pipeline and with Passes "none"
-// (both embed the task DAG as CSR arrays, unfused and fused), and the
-// SHA-256 of every output is compared against the committed file.
+// (both embed the same task DAG, the chain program's, as CSR arrays),
+// and the SHA-256 of every output is compared against the committed
+// file.
 //
 // Regenerate it with:
 //

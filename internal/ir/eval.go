@@ -132,14 +132,14 @@ func (ev *Evaluator) flat(op *Op, iv isl.Vec) int {
 	return pos
 }
 
-// runUnit executes one unit, preferring its segments when the
+// runTask executes one task, preferring its segments when the
 // specialize pass computed them (so evaluator runs exercise exactly
 // what the emitter emits).
-func (ev *Evaluator) runUnit(u *Unit) {
-	s := &ev.p.Stmts[u.Stmt]
-	if u.Segs != nil {
-		iv := make(isl.Vec, len(u.From))
-		for _, seg := range u.Segs {
+func (ev *Evaluator) runTask(t *Task) {
+	s := &ev.p.Stmts[t.Stmt]
+	if t.Segs != nil {
+		iv := make(isl.Vec, len(t.From))
+		for _, seg := range t.Segs {
 			copy(iv, seg.Start)
 			d := len(iv) - 1
 			for k := 0; k < seg.Len; k++ {
@@ -151,7 +151,7 @@ func (ev *Evaluator) runUnit(u *Unit) {
 		}
 		return
 	}
-	for _, iv := range ev.p.Members(u) {
+	for _, iv := range ev.p.Members(&t.Unit) {
 		ev.runBody(s, iv)
 	}
 }
@@ -160,9 +160,7 @@ func (ev *Evaluator) runUnit(u *Unit) {
 // the pipelined program.
 func (ev *Evaluator) RunTasks() {
 	for i := range ev.p.Tasks {
-		for j := range ev.p.Tasks[i].Units {
-			ev.runUnit(&ev.p.Tasks[i].Units[j])
-		}
+		ev.runTask(&ev.p.Tasks[i])
 	}
 }
 

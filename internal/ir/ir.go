@@ -16,15 +16,17 @@
 //     OpFinish / OpWrite / OpSink) implementing the synthetic
 //     semantics of internal/interp's seam (interp.FoldRead,
 //     interp.Finish, ...);
-//   - tasks as lists of units, each unit one pipeline block of one
-//     statement: the lexicographic interval (From ≺ iv ≼ To) through
-//     the original loop bounds, the same interval as positions of the
-//     statement's sorted points, and — after the specialize pass —
-//     run-length segments that iterate only the block's own points;
-//   - the task DAG as each task's predecessor list, read off the
-//     chain program the in-process executor runs (Eq. 4's in-dependency
-//     columns plus the per-statement serial edges), so no pass and no
-//     emitted program resolves dependency addresses.
+//   - tasks exactly as the chain program the in-process executor runs
+//     them: each task one run of consecutive pipeline blocks of one
+//     statement, as the lexicographic interval (From ≺ iv ≼ To)
+//     through the original loop bounds, the same interval as positions
+//     of the statement's sorted points, and — after the specialize
+//     pass — run-length segments that iterate only the run's own
+//     points;
+//   - the task DAG as each task's predecessor list, read off that
+//     chain program (Eq. 4's in-dependency columns plus the
+//     per-statement serial edges), so no pass and no emitted program
+//     resolves dependency addresses or changes the task granularity.
 //
 // Passes (see passes.go) transform the Program in place; the pass
 // manager reports what each pass did through ir.* metrics on an
@@ -40,10 +42,6 @@ import (
 	"repro/internal/isl/aff"
 	"repro/internal/obs"
 )
-
-// DefaultFuseThreshold is the tiny-block fusion limit: chains are
-// merged while the merged task stays at or below this many iterations.
-const DefaultFuseThreshold = 16
 
 // Options tunes lowering and the pass pipeline.
 type Options struct {
@@ -161,7 +159,7 @@ type Stmt struct {
 	// per-statement function.
 	Inline bool
 	// Points is the statement's domain in lexicographic order (shared,
-	// read-only); units address their members by position in it.
+	// read-only); tasks address their members by position in it.
 	Points []isl.Vec
 }
 
@@ -174,11 +172,11 @@ type Seg struct {
 	Len   int
 }
 
-// Unit is one pipeline block of one statement inside a task. From/To
-// delimit the lexicographic interval (From ≺ iv ≼ To); its members are
-// positions First..Last of the statement's Points (Program.Members);
-// Segs, when non-nil, cover exactly the members as innermost-dimension
-// runs.
+// Unit is the iteration interval of one task: a run of consecutive
+// pipeline blocks of one statement. From/To delimit the lexicographic
+// interval (From ≺ iv ≼ To); its members are positions First..Last of
+// the statement's Points (Program.Members); Segs, when non-nil, cover
+// exactly the members as innermost-dimension runs.
 type Unit struct {
 	Stmt        int
 	From, To    isl.Vec
@@ -194,24 +192,14 @@ func (p *Program) Members(u *Unit) []isl.Vec {
 	return p.Stmts[u.Stmt].Points[u.First : u.Last+1]
 }
 
-// Task is one runtime task: its units (more than one after fusion, run
-// back to back) and the ids of the tasks it waits on. Every
-// predecessor id is smaller than the task's own, and a list holds no
-// duplicates; before fusion the list is the chain program's PredsOf,
-// shared and read-only.
+// Task is one task of the chain program: its iteration interval and
+// the ids of the tasks it waits on, in the chain program's resolution
+// order. Every predecessor id is smaller than the task's own, and a
+// list holds no duplicates.
 type Task struct {
 	Label string
-	Units []Unit
+	Unit
 	Preds []int32
-}
-
-// Iters returns the task's total iteration count.
-func (t *Task) Iters() int {
-	n := 0
-	for i := range t.Units {
-		n += t.Units[i].Iters()
-	}
-	return n
 }
 
 // Program is the lowered block program.
@@ -229,15 +217,6 @@ type Program struct {
 	// Sinks lists sink statement names in sorted order (the hash
 	// order, matching interp.State).
 	Sinks []string
-}
-
-// NumIters returns the total iteration count across all tasks.
-func (p *Program) NumIters() int {
-	n := 0
-	for i := range p.Tasks {
-		n += p.Tasks[i].Iters()
-	}
-	return n
 }
 
 // NumEdges returns the dependency-edge count of the task DAG.
@@ -295,17 +274,12 @@ func (p *Program) Dump(w *strings.Builder) {
 	}
 	for i := range p.Tasks {
 		t := &p.Tasks[i]
-		fmt.Fprintf(w, "task %d %s iters=%d units=%d preds=%v\n",
-			i, t.Label, t.Iters(), len(t.Units), t.Preds)
-		for j := range t.Units {
-			u := &t.Units[j]
-			seg := ""
-			if u.Segs != nil {
-				seg = fmt.Sprintf(" segs=%d", len(u.Segs))
-			}
-			fmt.Fprintf(w, "  unit %s (%v, %v] iters=%d%s\n",
-				p.Stmts[u.Stmt].Name, u.From, u.To, u.Iters(), seg)
+		seg := ""
+		if t.Segs != nil {
+			seg = fmt.Sprintf(" segs=%d", len(t.Segs))
 		}
+		fmt.Fprintf(w, "task %d %s %s (%v, %v] iters=%d%s preds=%v\n",
+			i, t.Label, p.Stmts[t.Stmt].Name, t.From, t.To, t.Iters(), seg, t.Preds)
 	}
 }
 

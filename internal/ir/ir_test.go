@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -147,11 +148,6 @@ func TestLowerMatchesInterp(t *testing.T) {
 			if len(p.Tasks) == 0 {
 				t.Fatal("no tasks lowered")
 			}
-			for i := range p.Tasks {
-				if len(p.Tasks[i].Units) != 1 {
-					t.Fatalf("task %d has %d units before fusion", i, len(p.Tasks[i].Units))
-				}
-			}
 			checkAgainstInterp(t, p, sc)
 		})
 	}
@@ -167,14 +163,14 @@ func TestParsePasses(t *testing.T) {
 		t.Fatalf("none selector: %v, %d passes", err, len(none))
 	}
 	// Subsets come back in canonical order regardless of spelling.
-	sub, err := ParsePasses("specialize,fuse")
+	sub, err := ParsePasses("narrow,specialize")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sub) != 2 || sub[0].Name != "fuse" || sub[1].Name != "specialize" {
+	if len(sub) != 2 || sub[0].Name != "specialize" || sub[1].Name != "narrow" {
 		t.Fatalf("subset not canonicalized: %v", []string{sub[0].Name, sub[1].Name})
 	}
-	if _, err := ParsePasses("fuse,bogus"); err == nil || !strings.Contains(err.Error(), "bogus") {
+	if _, err := ParsePasses("specialize,bogus"); err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Fatalf("unknown pass not rejected: %v", err)
 	}
 	// A subset that names no pass is not a spelling of "none".
@@ -183,95 +179,12 @@ func TestParsePasses(t *testing.T) {
 			t.Fatalf("selector %q: %d passes, err %v; want a names-no-pass error", spec, len(ps), err)
 		}
 	}
-	// The task DAG is lowered, not resolved by a pass.
-	if _, err := ParsePasses("hoist"); err == nil || !strings.Contains(err.Error(), "have fuse, specialize, narrow") {
-		t.Fatalf("hoist not rejected with the pass list: %v", err)
-	}
-}
-
-func TestFusePass(t *testing.T) {
-	rec := obs.NewRecorder()
-	opt := Options{Workers: 2, Obs: rec}
-	before, _ := lowerSrc(t, listing1Src, "none", Options{Workers: 2})
-	p, sc := lowerSrc(t, listing1Src, "fuse", opt)
-	if len(before.Tasks) != 51 || len(p.Tasks) != 30 {
-		t.Fatalf("listing 1 fused %d -> %d tasks, want 51 -> 30", len(before.Tasks), len(p.Tasks))
-	}
-	fused := rec.Snapshot().Counters["ir.blocks_fused"]
-	if int(fused) != len(before.Tasks)-len(p.Tasks) {
-		t.Fatalf("ir.blocks_fused = %d, want %d", fused, len(before.Tasks)-len(p.Tasks))
-	}
-	multi := 0
-	for i := range p.Tasks {
-		if n := len(p.Tasks[i].Units); n > 1 {
-			multi++
-			if iters := p.Tasks[i].Iters(); iters > DefaultFuseThreshold {
-				t.Fatalf("fused task %d has %d iters, threshold %d", i, iters, DefaultFuseThreshold)
-			}
+	// The task DAG is lowered, not resolved by a pass, and its
+	// granularity is the chain program's.
+	for _, gone := range []string{"hoist", "fuse"} {
+		if _, err := ParsePasses(gone); err == nil || !strings.Contains(err.Error(), "have specialize, narrow") {
+			t.Fatalf("%s not rejected with the pass list: %v", gone, err)
 		}
-	}
-	if multi == 0 {
-		t.Fatal("no multi-unit tasks after fusion")
-	}
-	checkAgainstInterp(t, p, sc)
-}
-
-// chainProgram is a program of one-iteration tasks with the given
-// predecessor lists, for exercising the fuse pass's classification.
-func chainProgram(preds ...[]int32) *Program {
-	p := &Program{}
-	for i, ps := range preds {
-		p.Tasks = append(p.Tasks, Task{
-			Label: fmt.Sprintf("t%d", i),
-			Units: []Unit{{First: int32(i), Last: int32(i)}},
-			Preds: ps,
-		})
-	}
-	return p
-}
-
-// fusedMembers lists, per task of a chainProgram after fusion, the
-// original task ids its units came from.
-func fusedMembers(p *Program) [][]int32 {
-	out := make([][]int32, len(p.Tasks))
-	for k := range p.Tasks {
-		for _, u := range p.Tasks[k].Units {
-			out[k] = append(out[k], u.First)
-		}
-	}
-	return out
-}
-
-func TestFuseClassification(t *testing.T) {
-	// 0 → 1 → 2 (pure chain), 0 → 3, {2,3} → 4 (join, two
-	// predecessors). Task 0 has two single-predecessor successors, 1
-	// and 3; the lowest id wins, so 3 keeps its edge and nothing fuses
-	// past the join.
-	p := chainProgram(nil, []int32{0}, []int32{1}, []int32{0}, []int32{2, 3})
-	fusePass(p, Options{})
-	if got, want := fmt.Sprint(fusedMembers(p)), "[[0 1 2] [3] [4]]"; got != want {
-		t.Fatalf("fused members %s, want %s", got, want)
-	}
-	if got, want := fmt.Sprint(p.Tasks[0].Preds, p.Tasks[1].Preds, p.Tasks[2].Preds), "[] [0] [0 1]"; got != want {
-		t.Fatalf("fused preds %s, want %s", got, want)
-	}
-	if p.Tasks[0].Label != "t0+2" || p.Tasks[1].Label != "t3" {
-		t.Fatalf("labels %q %q, want t0+2 t3", p.Tasks[0].Label, p.Tasks[1].Label)
-	}
-
-	// A chain longer than the threshold is cut into runs of at most
-	// DefaultFuseThreshold iterations; each cut keeps its one edge.
-	preds := [][]int32{nil}
-	for i := 1; i < DefaultFuseThreshold+4; i++ {
-		preds = append(preds, []int32{int32(i - 1)})
-	}
-	p = chainProgram(preds...)
-	fusePass(p, Options{})
-	if len(p.Tasks) != 2 || len(p.Tasks[0].Units) != DefaultFuseThreshold || len(p.Tasks[1].Units) != 4 {
-		t.Fatalf("long chain fused into %v", fusedMembers(p))
-	}
-	if fmt.Sprint(p.Tasks[1].Preds) != "[0]" {
-		t.Fatalf("second run preds %v, want [0]", p.Tasks[1].Preds)
 	}
 }
 
@@ -309,146 +222,95 @@ func dagCorpus(t *testing.T) []dagCase {
 	return out
 }
 
-// lowerCase detects and compiles one corpus program and lowers it
-// twice: without passes and with fusion.
-func lowerCase(t *testing.T, c dagCase) (tp *codegen.TaskProgram, plain, fused *Program) {
-	t.Helper()
-	info, err := core.Detect(c.sc, c.opts)
-	if err != nil {
-		t.Fatalf("%s: %v", c.name, err)
+// passSubsets spells every subset of the pipeline as a selector,
+// "none" first.
+func passSubsets() []string {
+	all := Passes()
+	var out []string
+	for mask := 0; mask < 1<<len(all); mask++ {
+		var names []string
+		for i, ps := range all {
+			if mask&(1<<i) != 0 {
+				names = append(names, ps.Name)
+			}
+		}
+		if len(names) == 0 {
+			names = []string{"none"}
+		}
+		out = append(out, strings.Join(names, ","))
 	}
-	tp, err = codegen.CompileForEmission(info)
-	if err != nil {
-		t.Fatalf("%s: %v", c.name, err)
-	}
-	if plain, err = Lower(info, tp, Options{}); err != nil {
-		t.Fatalf("%s: %v", c.name, err)
-	}
-	if fused, err = Lower(info, tp, Options{}); err != nil {
-		t.Fatalf("%s: %v", c.name, err)
-	}
-	fusePass(fused, Options{})
-	return tp, plain, fused
+	return out
 }
 
 // TestLowerPredsMatchRuntime: the paper's per-block DAG — each block's
 // data edges, then its serial edge — is, element for element, the one
 // runtime.Builder resolves from the §5.4 dependency addresses (last
 // writer of each in-address, then the last task of the same
-// statement). Without fusion the IR holds one task per chain task,
-// covering that task's run of blocks and waiting on its chain-program
-// predecessors.
+// statement). Under every subset of the passes, the IR is the chain
+// program the in-process executor runs: one task per chain task,
+// covering that task's run of blocks, and as predecessors exactly the
+// chain program's edges, in its order.
 func TestLowerPredsMatchRuntime(t *testing.T) {
+	subsets := passSubsets()
 	for _, c := range dagCorpus(t) {
-		tp, p, _ := lowerCase(t, c)
+		info, err := core.Detect(c.sc, c.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		tp, err := codegen.CompileForEmission(info)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
 		_, outs, ins := tp.Addresses()
 		b := runtime.NewBuilder(len(tp.Tasks))
 		for i := range tp.Tasks {
 			b.Add(runtime.Task{Out: outs[i], In: ins[i], Serial: tp.Tasks[i].Stmt.Index})
 		}
-		ref := b.Build()
-		perBlock := make([][]int32, len(tp.Tasks))
+		ref, _ := b.Build().Edges()
+		perBlock := make([][]int, len(tp.Tasks))
 		for _, e := range tp.PrecedenceEdges() {
-			perBlock[e[1]] = append(perBlock[e[1]], int32(e[0]))
+			perBlock[e[1]] = append(perBlock[e[1]], e[0])
 		}
-		for i := range tp.Tasks {
-			if got, want := fmt.Sprint(perBlock[i]), fmt.Sprint(ref.PredsOf(i)); got != want {
-				t.Fatalf("%s: block %d preds %s, runtime %s", c.name, i, got, want)
+		var blockEdges [][2]int
+		for i, preds := range perBlock {
+			for _, q := range preds {
+				blockEdges = append(blockEdges, [2]int{q, i})
 			}
 		}
-		rt, runs := tp.Lower(), tp.ChainTasks()
-		if len(p.Tasks) != rt.NumTasks() || len(runs) != rt.NumTasks() {
-			t.Fatalf("%s: %d tasks, %d runs, chain program %d", c.name, len(p.Tasks), len(runs), rt.NumTasks())
+		if !slices.Equal(blockEdges, ref) {
+			t.Fatalf("%s: block edges %v, runtime %v", c.name, blockEdges, ref)
 		}
-		for i := range p.Tasks {
-			u, first, last := &p.Tasks[i].Units[0], &tp.Tasks[runs[i].First], &tp.Tasks[runs[i].Last]
-			if u.First != first.First || u.Last != last.Last || !u.To.Eq(last.Leader) {
-				t.Fatalf("%s: task %d covers %d..%d to %v, run %d..%d to %v", c.name, i, u.First, u.Last, u.To, first.First, last.Last, last.Leader)
-			}
-			if got, want := fmt.Sprint(p.Tasks[i].Preds), fmt.Sprint(rt.PredsOf(i)); got != want {
-				t.Fatalf("%s: task %d preds %s, chain program %s", c.name, i, got, want)
-			}
-		}
-	}
-}
 
-// TestFusedDAGIsQuotient: after fusion the fused tasks partition the
-// unfused ones — each holding its members in id order, ordered by
-// their first member — and the fused DAG's edge set is exactly the
-// unfused DAG's with both ends mapped to their fused task, computed
-// here by brute force, self-edges dropped — with no duplicate and no
-// backward edge.
-func TestFusedDAGIsQuotient(t *testing.T) {
-	fusedSome := 0
-	corpus := dagCorpus(t)
-	for _, c := range corpus {
-		_, p, f := lowerCase(t, c)
-		if len(f.Tasks) < len(p.Tasks) {
-			fusedSome++
-		}
-		// A unit is identified by its statement and first position.
-		orig := map[[2]int32]int32{}
-		for i := range p.Tasks {
-			u := &p.Tasks[i].Units[0]
-			orig[[2]int32{int32(u.Stmt), u.First}] = int32(i)
-		}
-		group := make([]int32, len(p.Tasks))
-		for i := range group {
-			group[i] = -1
-		}
-		held, prevFirst := 0, int32(-1)
-		for k := range f.Tasks {
-			last := int32(-1)
-			for _, u := range f.Tasks[k].Units {
-				i, ok := orig[[2]int32{int32(u.Stmt), u.First}]
-				if !ok || group[i] >= 0 || i <= last {
-					t.Fatalf("%s: fused task %d: unit of task %d (known %v) repeated or out of order", c.name, k, i, ok)
-				}
-				if last < 0 {
-					if i <= prevFirst {
-						t.Fatalf("%s: fused task %d starts at task %d, not after %d", c.name, k, i, prevFirst)
-					}
-					prevFirst = i
-				}
-				group[i], last = int32(k), i
-				held++
+		rt, runs := tp.Lower(), tp.ChainTasks()
+		want, _ := rt.Edges()
+		for _, passes := range subsets {
+			p, err := Lower(info, tp, Options{})
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
 			}
-		}
-		if held != len(p.Tasks) {
-			t.Fatalf("%s: fused tasks hold %d of %d tasks", c.name, held, len(p.Tasks))
-		}
-		want := map[[2]int32]bool{}
-		for i := range p.Tasks {
-			for _, q := range p.Tasks[i].Preds {
-				if group[q] != group[i] {
-					want[[2]int32{group[q], group[i]}] = true
+			ps, err := ParsePasses(passes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			RunPasses(p, ps, Options{})
+			if len(p.Tasks) != rt.NumTasks() || len(runs) != rt.NumTasks() {
+				t.Fatalf("%s passes=%s: %d tasks, %d runs, chain program %d", c.name, passes, len(p.Tasks), len(runs), rt.NumTasks())
+			}
+			var got [][2]int
+			for i := range p.Tasks {
+				u, first, last := &p.Tasks[i], &tp.Tasks[runs[i].First], &tp.Tasks[runs[i].Last]
+				if u.First != first.First || u.Last != last.Last || !u.To.Eq(last.Leader) {
+					t.Fatalf("%s passes=%s: task %d covers %d..%d to %v, run %d..%d to %v", c.name, passes, i, u.First, u.Last, u.To, first.First, last.Last, last.Leader)
+				}
+				for _, q := range u.Preds {
+					got = append(got, [2]int{int(q), i})
 				}
 			}
-		}
-		got := map[[2]int32]bool{}
-		for k := range f.Tasks {
-			for _, q := range f.Tasks[k].Preds {
-				e := [2]int32{q, int32(k)}
-				if q >= int32(k) {
-					t.Fatalf("%s: edge %d -> %d is a self or backward edge", c.name, q, k)
-				}
-				if got[e] {
-					t.Fatalf("%s: duplicate edge %d -> %d", c.name, q, k)
-				}
-				if !want[e] {
-					t.Fatalf("%s: edge %d -> %d is not in the quotient DAG", c.name, q, k)
-				}
-				got[e] = true
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s passes=%s: task edges %v, chain program %v", c.name, passes, got, want)
 			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: fused DAG has %d edges, quotient %d", c.name, len(got), len(want))
 		}
 	}
-	if fusedSome == 0 {
-		t.Fatal("no corpus program fused")
-	}
-	t.Logf("%d of %d programs fused", fusedSome, len(corpus))
 }
 
 func TestSpecializePass(t *testing.T) {
@@ -462,32 +324,30 @@ func TestSpecializePass(t *testing.T) {
 		t.Fatal("ir.segments not recorded")
 	}
 	for i := range p.Tasks {
-		for j := range p.Tasks[i].Units {
-			u := &p.Tasks[i].Units[j]
-			if u.Segs == nil {
-				t.Fatalf("task %d unit %d not segmented", i, j)
-			}
-			// Segments must cover exactly the members, in order.
-			var got []isl.Vec
-			for _, seg := range u.Segs {
-				d := len(seg.Start) - 1
-				for k := 0; k < seg.Len; k++ {
-					iv := seg.Start.Clone()
-					if d >= 0 {
-						iv[d] += k
-					}
-					got = append(got, iv)
+		u := &p.Tasks[i]
+		if u.Segs == nil {
+			t.Fatalf("task %d not segmented", i)
+		}
+		// Segments must cover exactly the members, in order.
+		var got []isl.Vec
+		for _, seg := range u.Segs {
+			d := len(seg.Start) - 1
+			for k := 0; k < seg.Len; k++ {
+				iv := seg.Start.Clone()
+				if d >= 0 {
+					iv[d] += k
 				}
+				got = append(got, iv)
 			}
-			members := p.Members(u)
-			if len(got) != len(members) {
-				t.Fatalf("task %d unit %d: segments cover %d points, members %d", i, j, len(got), len(members))
-			}
-			for k := range got {
-				for dd := range got[k] {
-					if got[k][dd] != members[k][dd] {
-						t.Fatalf("task %d unit %d point %d: segs %v != member %v", i, j, k, got[k], members[k])
-					}
+		}
+		members := p.Members(&u.Unit)
+		if len(got) != len(members) {
+			t.Fatalf("task %d: segments cover %d points, members %d", i, len(got), len(members))
+		}
+		for k := range got {
+			for dd := range got[k] {
+				if got[k][dd] != members[k][dd] {
+					t.Fatalf("task %d point %d: segs %v != member %v", i, k, got[k], members[k])
 				}
 			}
 		}
@@ -571,7 +431,7 @@ func TestFullPipelineMatchesInterp(t *testing.T) {
 func TestDumpListsProgram(t *testing.T) {
 	p, _ := lowerSrc(t, listing1Src, "all", Options{Workers: 2})
 	dump := p.String()
-	for _, want := range []string{"program \"ir\"", "passes: fuse, specialize, narrow", "stmt S", "stmt R", "task 0", "preds=[0]"} {
+	for _, want := range []string{"program \"ir\"", "passes: specialize, narrow", "stmt S", "stmt R", "task 0", "preds=[0]"} {
 		if !strings.Contains(dump, want) {
 			t.Errorf("dump missing %q:\n%s", want, dump)
 		}

@@ -2,7 +2,6 @@ package ir
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/codegen"
@@ -165,15 +164,17 @@ func lowerStmts(p *Program, info *core.Info) error {
 }
 
 // lowerTasks converts the chain program's tasks — one run of
-// consecutive pipeline blocks each (codegen.ChainTasks) — into
-// single-unit IR tasks, materializing the lexicographic From bound the
-// same way the in-process block runners do: the previous run's last
-// leader, or a below-minimum sentinel for a statement's first run; To
-// is the run's last leader. Each task's predecessors are those of the
-// chain program the in-process executor runs, as capped subslices of
-// its shared storage, so an append copies them.
+// consecutive pipeline blocks each (codegen.ChainTasks) — into IR
+// tasks, materializing the lexicographic From bound the same way the
+// in-process block runners do: the previous run's last leader, or a
+// below-minimum sentinel for a statement's first run; To is the run's
+// last leader. Each task's predecessors are those of the chain program
+// the in-process executor runs, in its order, as capped subslices of
+// one backing array, so an append copies them.
 func lowerTasks(p *Program, tp *codegen.TaskProgram) {
-	rt := tp.Lower()
+	edges, _ := tp.Lower().Edges() // by task, in resolution order
+	preds := make([]int32, len(edges))
+	k := 0
 	prevLeader := map[int]isl.Vec{}
 	for i, run := range tp.ChainTasks() {
 		first, last := &tp.Tasks[run.First], &tp.Tasks[run.Last]
@@ -186,18 +187,21 @@ func lowerTasks(p *Program, tp *codegen.TaskProgram) {
 				from[0] = min[0] - 1
 			}
 		}
-		t := Task{
+		start := k
+		for ; k < len(edges) && edges[k][1] == i; k++ {
+			preds[k] = int32(edges[k][0])
+		}
+		p.Tasks = append(p.Tasks, Task{
 			Label: last.Label(),
-			Units: []Unit{{
+			Unit: Unit{
 				Stmt:  stmt.Index,
 				From:  from,
 				To:    last.Leader,
 				First: first.First,
 				Last:  last.Last,
-			}},
-			Preds: slices.Clip(rt.PredsOf(i)),
-		}
-		p.Tasks = append(p.Tasks, t)
+			},
+			Preds: preds[start:k:k],
+		})
 		prevLeader[stmt.Index] = last.Leader
 	}
 }

@@ -2,7 +2,6 @@ package ir
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"repro/internal/isl"
@@ -10,8 +9,9 @@ import (
 
 // Pass is one IR-to-IR transformation. Passes run in the canonical
 // pipeline order (the order Passes returns) regardless of how a
-// subset was selected, because later passes consume what earlier ones
-// produce: specialization segments the units fused tasks iterate.
+// subset was selected, so a subset's Applied list and the emitted
+// header read the same whatever its spelling. No pass changes the
+// tasks or their DAG: those are the chain program's.
 type Pass struct {
 	Name string
 	Desc string
@@ -21,11 +21,6 @@ type Pass struct {
 // Passes returns the full pipeline in canonical order.
 func Passes() []Pass {
 	return []Pass{
-		{
-			Name: "fuse",
-			Desc: "merge tiny blocks along single-predecessor chains of the task DAG",
-			run:  fusePass,
-		},
 		{
 			Name: "specialize",
 			Desc: "inline statement bodies and iterate blocks as run-length segments instead of guarded domain scans",
@@ -98,94 +93,18 @@ func RunPasses(p *Program, passes []Pass, opt Options) {
 	}
 }
 
-// fusePass merges tiny blocks along single-predecessor chains, a
-// point-to-point handoff in the manner of Alias's polyhedral process
-// networks ("Improving Communication Patterns in Polyhedral Process
-// Networks"). A task with exactly one predecessor is that producer's
-// fused successor, and a producer adopts only its lowest-id such
-// consumer, so chains strictly increase in task id. Walking each chain
-// head to tail, consecutive tasks are merged while the merged task
-// stays at or below DefaultFuseThreshold iterations. A merged task
-// runs its units back to back and waits on the fused tasks its members
-// waited on, so results are unchanged while the emitted program
-// carries fewer, meatier tasks.
-func fusePass(p *Program, opt Options) {
-	n := len(p.Tasks)
-	next := make([]int32, n) // fused successor, or -1
-	fusedIn := make([]bool, n)
-	for i := range next {
-		next[i] = -1
-	}
-	for j := range p.Tasks {
-		if preds := p.Tasks[j].Preds; len(preds) == 1 && next[preds[0]] < 0 {
-			next[preds[0]], fusedIn[j] = int32(j), true
-		}
-	}
-	head := make([]int32, n) // first task of each task's merged run
-	for i := range p.Tasks {
-		if fusedIn[i] {
-			continue // interior of a chain; handled from its head
-		}
-		h, total := int32(i), p.Tasks[i].Iters()
-		head[i] = h
-		for j := next[i]; j >= 0; j = next[j] {
-			if iters := p.Tasks[j].Iters(); total+iters <= DefaultFuseThreshold {
-				total += iters
-			} else {
-				h, total = j, iters
-			}
-			head[j] = h
-		}
-	}
-	// Every predecessor and every head precedes its task, so one pass
-	// in id order maps each task to its merged task before any later
-	// task refers to it.
-	id := make([]int32, n)
-	var tasks []Task
-	var merged []int
-	for i := range p.Tasks {
-		t := &p.Tasks[i]
-		if head[i] == int32(i) {
-			id[i] = int32(len(tasks))
-			tasks = append(tasks, Task{Label: t.Label})
-			merged = append(merged, 0)
-		} else {
-			id[i] = id[head[i]]
-		}
-		f := &tasks[id[i]]
-		f.Units = append(f.Units, t.Units...)
-		merged[id[i]]++
-		for _, q := range t.Preds {
-			if g := id[q]; g != id[i] && !slices.Contains(f.Preds, g) {
-				f.Preds = append(f.Preds, g)
-			}
-		}
-	}
-	for k, m := range merged {
-		if m > 1 {
-			tasks[k].Label = fmt.Sprintf("%s+%d", tasks[k].Label, m-1)
-		}
-	}
-	p.Tasks = tasks
-	opt.Obs.Count("ir.blocks_fused", int64(n-len(tasks)))
-	opt.Obs.SetGauge("ir.tasks", int64(len(tasks)))
-	opt.Obs.SetGauge("ir.edges", int64(p.NumEdges()))
-}
-
-// specializePass converts every unit from "scan the full domain behind
+// specializePass converts every task from "scan the full domain behind
 // a lexicographic interval guard" to run-length segments covering
-// exactly the block's members — cut from the unit's interval of the
+// exactly its members — cut from the task's interval of the
 // statement's sorted points — and marks every statement body for
 // inlining: the emitter then produces straight-line per-task loops
 // with no per-iteration dispatch, guard, or bounds re-derivation.
 func specializePass(p *Program, opt Options) {
 	segs := 0
 	for i := range p.Tasks {
-		for j := range p.Tasks[i].Units {
-			u := &p.Tasks[i].Units[j]
-			u.Segs = segments(p.Members(u))
-			segs += len(u.Segs)
-		}
+		t := &p.Tasks[i]
+		t.Segs = segments(p.Members(&t.Unit))
+		segs += len(t.Segs)
 	}
 	for i := range p.Stmts {
 		p.Stmts[i].Inline = true

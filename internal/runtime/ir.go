@@ -189,15 +189,6 @@ type Program struct {
 	// predChain[k] for k in predOff[i]..predOff[i+1]−1, in resolution
 	// order, its serial predecessor included.
 	predOff, predChain, predPos []int32
-
-	// The CSR adjacency, derived from the columns on first use by the
-	// consumers that want a general DAG (ir's lowering, simsched,
-	// tests); the executor never builds it.
-	csrOnce sync.Once
-	preds   []int32 // predecessor ids, indexed by predOff
-	succOff []int32
-	succs   []int32
-	roots   []int32
 }
 
 // NumTasks returns the task count.
@@ -241,47 +232,6 @@ func (p *Program) nameTasks() {
 // Serial returns task i's serialization key (or NoSerial).
 func (p *Program) Serial(i int) int { return int(p.key[p.chainOf[i]]) }
 
-// csr derives the CSR adjacency from the predecessor columns, once.
-func (p *Program) csr() {
-	p.csrOnce.Do(func() {
-		n := p.NumTasks()
-		p.preds = make([]int32, len(p.predChain))
-		counts := make([]int32, n)
-		for k := range p.preds {
-			q := p.taskAt(p.predChain[k], p.predPos[k])
-			p.preds[k] = q
-			counts[q]++
-		}
-		p.succOff = offsets(counts)
-		p.succs = make([]int32, len(p.preds))
-		fill := counts
-		copy(fill, p.succOff[:n])
-		for i := 0; i < n; i++ {
-			if p.predOff[i] == p.predOff[i+1] {
-				p.roots = append(p.roots, int32(i))
-			}
-			for _, q := range p.preds[p.predOff[i]:p.predOff[i+1]] {
-				p.succs[fill[q]] = int32(i)
-				fill[q]++
-			}
-		}
-	})
-}
-
-// SuccsOf returns the tasks depending on task i (shared storage; do
-// not mutate).
-func (p *Program) SuccsOf(i int) []int32 {
-	p.csr()
-	return p.succs[p.succOff[i]:p.succOff[i+1]]
-}
-
-// PredsOf returns the tasks task i depends on (shared storage; do not
-// mutate). Every predecessor id is smaller than i.
-func (p *Program) PredsOf(i int) []int32 {
-	p.csr()
-	return p.preds[p.predOff[i]:p.predOff[i+1]]
-}
-
 // Edges returns the dependency edges as (predecessor, task) id pairs,
 // by task in resolution order: all of them, and cross, the ones between
 // two chains — for a codegen program, the data dependencies without the
@@ -289,25 +239,15 @@ func (p *Program) PredsOf(i int) []int32 {
 func (p *Program) Edges() (all, cross [][2]int) {
 	all = make([][2]int, 0, p.NumEdges())
 	for i := range p.NumTasks() {
-		for _, q := range p.PredsOf(i) {
-			e := [2]int{int(q), i}
+		for k := p.predOff[i]; k < p.predOff[i+1]; k++ {
+			e := [2]int{int(p.taskAt(p.predChain[k], p.predPos[k])), i}
 			all = append(all, e)
-			if p.chainOf[q] != p.chainOf[i] {
+			if p.predChain[k] != p.chainOf[i] {
 				cross = append(cross, e)
 			}
 		}
 	}
 	return all, cross
-}
-
-// Indegree0 returns task i's predecessor count.
-func (p *Program) Indegree0(i int) int { return int(p.predOff[i+1] - p.predOff[i]) }
-
-// Roots returns the tasks with no predecessors, in creation order
-// (shared storage; do not mutate).
-func (p *Program) Roots() []int32 {
-	p.csr()
-	return p.roots
 }
 
 // ExecOptions tunes one execution of a compiled program.

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -37,29 +38,22 @@ func TestBuilderResolvesWriterAndSerial(t *testing.T) {
 	if p.NumTasks() != 4 {
 		t.Fatalf("NumTasks = %d", p.NumTasks())
 	}
-	wantPreds := [][]int32{nil, {0}, {1}, {2}}
-	for i, want := range wantPreds {
-		got := p.PredsOf(i)
-		if len(got) != len(want) {
-			t.Fatalf("PredsOf(%d) = %v, want %v", i, got, want)
+	all, cross := p.Edges()
+	if got, want := fmt.Sprint(all), "[[0 1] [1 2] [2 3]]"; got != want {
+		t.Fatalf("Edges all = %s, want %s", got, want)
+	}
+	// 1 -> 2 is the serial edge inside chain 0; the other two cross
+	// between chains.
+	if got, want := fmt.Sprint(cross), "[[0 1] [2 3]]"; got != want {
+		t.Fatalf("Edges cross = %s, want %s", got, want)
+	}
+	for i, want := range []int{NoSerial, 0, 0, NoSerial} {
+		if got := p.Serial(i); got != want {
+			t.Fatalf("Serial(%d) = %d, want %d", i, got, want)
 		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("PredsOf(%d) = %v, want %v", i, got, want)
-			}
-		}
 	}
-	if p.NumEdges() != 3 {
-		t.Fatalf("NumEdges = %d, want 3", p.NumEdges())
-	}
-	if len(p.Roots()) != 1 || p.Roots()[0] != 0 {
-		t.Fatalf("Roots = %v", p.Roots())
-	}
-	if p.Indegree0(2) != 1 {
-		t.Fatalf("Indegree0(2) = %d", p.Indegree0(2))
-	}
-	if got := p.SuccsOf(1); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("SuccsOf(1) = %v", got)
+	if p.NumEdges() != 3 || p.NumChains() != 3 {
+		t.Fatalf("NumEdges = %d, NumChains = %d; want 3, 3", p.NumEdges(), p.NumChains())
 	}
 }
 

@@ -177,22 +177,6 @@ for (i = 0; i < N; i++)
 	}
 }
 
-func TestAutoGranularity(t *testing.T) {
-	p := Listing1(24)
-	best, speedup, err := AutoGranularity(p, 4, 2*time.Microsecond, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best < 1 || best > 64 || speedup <= 0 {
-		t.Fatalf("best = %d, speedup = %f", best, speedup)
-	}
-	// The chosen granularity must still verify.
-	vs := NewSession(WithWorkers(4), WithOptions(Options{MinBlockIters: best}))
-	if err := vs.Verify(p); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBlockReport(t *testing.T) {
 	info, err := NewSession().Detect(Listing3(12).SCoP)
 	if err != nil {

@@ -32,7 +32,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/ast"
 	"repro/internal/autotune"
@@ -107,30 +106,6 @@ func ParseWithParams(name, src string, params map[string]int) (*SCoP, error) {
 // Unparse renders a SCoP back to DSL source (the inverse of Parse for
 // SCoPs with symbolic domains; bodies are dropped).
 func Unparse(sc *SCoP) (string, error) { return lang.Unparse(sc) }
-
-// AutoGranularity searches for the task granularity (MinBlockIters)
-// that maximizes the simulated speed-up at the given processor count
-// and per-task overhead — a pragmatic answer to the paper's §7 open
-// question of choosing good task granularity. It sweeps powers of two
-// up to maxIters (default 256 when <= 0) and returns the best setting
-// with its simulated speed-up.
-func AutoGranularity(p *Program, procs int, overhead time.Duration, maxIters int) (best int, speedup float64, err error) {
-	if maxIters <= 0 {
-		maxIters = 256
-	}
-	best, speedup = 1, 0
-	for k := 1; k <= maxIters; k *= 2 {
-		sess := NewSession(WithOptions(Options{MinBlockIters: k}))
-		out, err := sess.Simulate(p, SimConfig{Procs: []int{procs}, Overhead: overhead})
-		if err != nil {
-			return 0, 0, err
-		}
-		if out[0] > speedup {
-			best, speedup = k, out[0]
-		}
-	}
-	return best, speedup, nil
-}
 
 // MarshalSCoP serializes a SCoP's polyhedral description as JSON (the
 // interchange format; bodies are not serialized).
