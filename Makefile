@@ -79,13 +79,15 @@ race:
 	$(GO) test -race -cpu 2,4 -run 'Hybrid|Chain|CoarsePlanSound' ./internal/runtime/ ./internal/codegen/ ./internal/exec/ ./polypipe/
 
 ## bench: regenerate the paper's evaluation numbers plus the detection
-## micro-benchmarks (serial vs parallel core.Detect) and the synthetic
+## micro-benchmarks (serial vs parallel core.Detect), the compile path's
+## time and allocations (codegen.Compile + BuildIR) and the synthetic
 ## bodies' ns per point (see docs/PERFORMANCE.md). Gated end-to-end
 ## performance numbers come from `bash benchmark/run.sh`
 ## (BENCHMARK.json), not from this target.
 bench:
 	$(GO) test -bench . -benchmem .
 	$(GO) test -bench=Detect -benchmem -run='^$$' ./internal/core/
+	$(GO) test -bench=Compile -benchmem -run='^$$' ./internal/codegen/
 	$(GO) test -bench=SyntheticBody -benchmem -run='^$$' ./internal/interp/
 
 ## bench-autotune: the profile-guided block-size search, human-readable

@@ -182,10 +182,9 @@ func printStats(w io.Writer, name string, workers int, sequential time.Duration,
 	fmt.Fprint(w, pt.String())
 
 	s := m.Snapshot
-	fmt.Fprintf(w, "\ndetection counts: statements=%d pairs=%d blocks=%d dep_edges=%d tree_nodes=%d\n",
+	fmt.Fprintf(w, "\ndetection counts: statements=%d pairs=%d blocks=%d dep_edges=%d\n",
 		s.Counter("detect.statements"), s.Counter("detect.pairs"),
-		s.Counter("detect.blocks"), s.Counter("detect.dep_edges"),
-		s.Gauge("sched.tree_nodes"))
+		s.Counter("detect.blocks"), s.Counter("detect.dep_edges"))
 	var backends []string
 	for name, v := range s.Counters {
 		if strings.HasPrefix(name, "detect.backend.") {

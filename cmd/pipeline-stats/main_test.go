@@ -37,7 +37,7 @@ func TestPrintStatsEndToEnd(t *testing.T) {
 		"compile phases:",
 		"detect.pipeline_maps",
 		"detect.dependency_relations",
-		"codegen.schedule_tree",
+		"codegen.lower",
 		"detection counts:",
 		"total stall",
 		"pool utilization",

@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"math/rand"
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -71,21 +72,21 @@ func TestCompileListing1(t *testing.T) {
 	if prog.NumTasks() != info.TotalBlocks() {
 		t.Fatalf("tasks = %d, want %d", prog.NumTasks(), info.TotalBlocks())
 	}
-	// Tasks appear statement by statement in program order.
-	lastStmt := -1
-	for _, task := range prog.Tasks {
-		if task.Stmt.Index < lastStmt {
+	// Runs appear statement by statement in program order.
+	lastStmt := int32(-1)
+	for _, r := range prog.ChainTasks() {
+		if r.Stmt < lastStmt {
 			t.Fatal("tasks out of statement order")
 		}
-		lastStmt = task.Stmt.Index
+		lastStmt = r.Stmt
 	}
-	// Every in-address must match the out-address of an earlier task.
-	_, outs, ins := prog.Addresses()
+	// Every in-address must match the out-address of an earlier block.
+	outs, ins := addresses(prog)
 	written := map[int]bool{}
-	for i := range prog.Tasks {
+	for i, k := range blocks(prog) {
 		for _, in := range ins[i] {
 			if !written[in] {
-				t.Fatalf("task %s depends on address %d with no earlier writer", prog.Tasks[i].Label(), in)
+				t.Fatalf("block %s depends on address %d with no earlier writer", k.label(), in)
 			}
 		}
 		written[outs[i]] = true
@@ -193,9 +194,9 @@ func TestQuickAddressUniqueness(t *testing.T) {
 			t.Fatal(err)
 		}
 		seen := map[int]string{}
-		_, outs, _ := prog.Addresses()
-		for i, out := range outs {
-			label := prog.Tasks[i].Label()
+		outs, _ := addresses(prog)
+		for i, k := range blocks(prog) {
+			out, label := outs[i], k.label()
 			if out < 0 {
 				t.Fatalf("seed %d: %s has negative address %d", seed, label, out)
 			}
@@ -221,8 +222,8 @@ func TestHybridCompileRunInPackage(t *testing.T) {
 		t.Fatal(err)
 	}
 	hasParallel := false
-	for _, task := range prog.Tasks {
-		if task.ParallelBody && len(task.Members()) > 1 {
+	for _, k := range blocks(prog) {
+		if prog.ParallelBody[k.si.Stmt.Index] && k.si.Blocks[k.b].Len() > 1 {
 			hasParallel = true
 		}
 	}
@@ -239,13 +240,13 @@ func TestHybridCompileRunInPackage(t *testing.T) {
 }
 
 // TestCompileAllocsProportionalToTasks is the compile path's complexity
-// guard, free of any clock: Compile allocates per program — the task
-// array and the schedule tree's handful of sets — and never per task,
-// so its allocation count stays under one line c·tasks + c′ at two
-// sizes a factor of four apart. A label formatted per task, an address
-// list grown per task, or a block re-derived from the contraction
-// would each add at least one allocation per task and break the bound
-// at both sizes.
+// guard, free of any clock: Compile allocates per program — the run
+// list and the per-statement hybrid flags — and never per block, so
+// its allocation count stays under one line c·tasks + c′ at two sizes
+// a factor of four apart. A label formatted per block, an address list
+// grown per block, or a block re-derived from the contraction would
+// each add at least one allocation per block and break the bound at
+// both sizes.
 func TestCompileAllocsProportionalToTasks(t *testing.T) {
 	const perTask, fixed = 1.0 / 8, 400
 	for _, n := range []int{16, 32} {
@@ -266,6 +267,41 @@ func TestCompileAllocsProportionalToTasks(t *testing.T) {
 		if bound := perTask*float64(prog.NumTasks()) + fixed; allocs > bound {
 			t.Errorf("n=%d: Compile made %.0f allocations for %d tasks, bound %.0f", n, allocs, prog.NumTasks(), bound)
 		}
+	}
+}
+
+// TestCompileBytesIndependentOfBlocks: Compile and BuildIR on P10 at
+// n = 64 — 15 498 blocks cut into 252 runs — allocate under 64 KiB
+// together. The plan costs per run and per edge of the chain program,
+// not per block: a per-block task list alone would take ≈ 100 B for
+// each of the 15 498 blocks.
+func TestCompileBytesIndependentOfBlocks(t *testing.T) {
+	p, err := kernels.Table9Program("P10", 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := core.Detect(p.SCoP, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info.Freeze()
+	prog, err := Compile(info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog.NumTasks() != 15498 || len(prog.ChainTasks()) != 252 {
+		t.Fatalf("P10/n=64: %d blocks in %d runs, want 15498 in 252", prog.NumTasks(), len(prog.ChainTasks()))
+	}
+	const runs = 10
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		prog, _ := Compile(info)
+		prog.BuildIR()
+	}
+	goruntime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun >= 64<<10 {
+		t.Fatalf("Compile + BuildIR allocated %d B per run, want < %d", perRun, 64<<10)
 	}
 }
 
@@ -293,10 +329,10 @@ func negativeProgram() *kernels.Program {
 func TestNegativeBoundsAddresses(t *testing.T) {
 	p := negativeProgram()
 	prog := compile(t, p, core.Options{})
-	_, outs, ins := prog.Addresses()
+	outs, ins := addresses(prog)
 	seen := map[int]string{}
-	for i, out := range outs {
-		label := prog.Tasks[i].Label()
+	for i, k := range blocks(prog) {
+		out, label := outs[i], k.label()
 		if out < 0 {
 			t.Fatalf("task %s has negative address %d", label, out)
 		}

@@ -15,57 +15,13 @@ import (
 	"repro/internal/scop"
 )
 
-// builderReplay is how BuildIR lowered before it read the columns:
-// every task through runtime.Builder, its §5.4 addresses and its
-// statement's serial key resolved against the last-writer and
-// last-serial tables.
-func builderReplay(p *TaskProgram) *runtime.Program {
-	_, outs, ins := p.Addresses()
-	b := runtime.NewBuilder(len(p.Tasks))
-	for i := range p.Tasks {
-		b.Add(runtime.Task{Out: outs[i], In: ins[i], Serial: p.Tasks[i].Stmt.Index})
-	}
-	return b.Build()
-}
-
-// replayDataEdges and replaySerialEdges are the map-based DataEdges and
-// SerialEdges: each in-address resolved against the last earlier task
-// writing it, each serial key against the last earlier task holding it.
-func replayDataEdges(p *TaskProgram) [][2]int {
-	_, outs, ins := p.Addresses()
-	lastWriter := map[int]int{}
-	var edges [][2]int
-	for i := range p.Tasks {
-		for _, addr := range ins[i] {
-			if j, ok := lastWriter[addr]; ok {
-				edges = append(edges, [2]int{j, i})
-			}
-		}
-		lastWriter[outs[i]] = i
-	}
-	return edges
-}
-
-func replaySerialEdges(p *TaskProgram) [][2]int {
-	lastSerial := map[int]int{}
-	var edges [][2]int
-	for i := range p.Tasks {
-		key := p.Tasks[i].Stmt.Index
-		if j, ok := lastSerial[key]; ok {
-			edges = append(edges, [2]int{j, i})
-		}
-		lastSerial[key] = i
-	}
-	return edges
-}
-
 // checkLoweringAgainstReplay holds the chain columns buildIR lowers at
 // one task per block element-equal to the Builder replay — the same
 // edges in the same per-task order, the same chain of every task — and
-// the edge views equal to the map-based ones.
+// the per-block edge view equal to the replay's edges.
 func checkLoweringAgainstReplay(t *testing.T, name string, prog *TaskProgram) {
 	t.Helper()
-	got, want := prog.buildIR(max(prog.NumTasks(), 1)), builderReplay(prog)
+	got, want := prog.PerBlockIR(), builderReplay(prog)
 	if got.NumTasks() != want.NumTasks() || got.NumEdges() != want.NumEdges() || got.NumChains() != want.NumChains() {
 		t.Fatalf("%s: %d tasks, %d edges, %d chains; replay %d, %d, %d", name,
 			got.NumTasks(), got.NumEdges(), got.NumChains(), want.NumTasks(), want.NumEdges(), want.NumChains())
@@ -80,17 +36,15 @@ func checkLoweringAgainstReplay(t *testing.T, name string, prog *TaskProgram) {
 			t.Fatalf("%s: task %d serial %d; replay %d", name, i, got.Serial(i), want.Serial(i))
 		}
 	}
-	if !slices.Equal(prog.DataEdges(), replayDataEdges(prog)) {
-		t.Fatalf("%s: DataEdges differ from the address replay", name)
-	}
-	if !slices.Equal(prog.SerialEdges(), replaySerialEdges(prog)) {
-		t.Fatalf("%s: SerialEdges differ from the serial-key replay", name)
+	if !slices.Equal(prog.PrecedenceEdges(), wantAll) {
+		t.Fatalf("%s: PrecedenceEdges differ from the replay's edges", name)
 	}
 }
 
 // oracleInputs is the lowering corpus: Table 9 P1–P10 at n = 16 and
-// 32, 3mm, and seeds random SCoPs, a third of them with negative and
-// shifted bounds.
+// 32, 3mm, seeds random SCoPs with overwrites, sinks and a third of
+// them with negative and shifted bounds, and seeds plain ones, every
+// other one shifted.
 func oracleInputs(seeds int) (names []string, scs []*scop.SCoP) {
 	for _, spec := range kernels.Table9 {
 		for _, n := range []int{16, 32} {
@@ -104,6 +58,10 @@ func oracleInputs(seeds int) (names []string, scs []*scop.SCoP) {
 		cfg := fuzzscop.Config{Overwrites: seed%2 == 0, Sink: seed%5 == 0, Shifted: seed%3 == 1}
 		names = append(names, fmt.Sprintf("fuzz-%d", seed))
 		scs = append(scs, fuzzscop.Random(rand.New(rand.NewSource(int64(seed))), cfg))
+	}
+	for seed := 1; seed <= seeds; seed++ {
+		names = append(names, fmt.Sprintf("fuzz-plain-%d", seed))
+		scs = append(scs, fuzzscop.Random(rand.New(rand.NewSource(int64(seed))), fuzzscop.Config{Shifted: seed%2 == 0}))
 	}
 	return names, scs
 }
@@ -254,20 +212,26 @@ func checkCoarsePlan(t *testing.T, name string, prog *TaskProgram) {
 	for _, e := range edges {
 		preds[e[1]] = append(preds[e[1]], e[0])
 	}
-	runOf := make([]int, len(prog.Tasks))
-	perChain := map[int]int{}
-	next := int32(0)
+	// (s, b) is the next block a run must start at.
+	s, b := 0, 0
+	skipDone := func() {
+		for s < len(prog.Stmts) && b == len(prog.Stmts[s].Blocks) {
+			s, b = s+1, 0
+		}
+	}
+	skipDone()
+	runOf := make([]int, 0, prog.NumTasks())
+	perChain := map[int32]int{}
 	for i, r := range runs {
-		s := prog.Tasks[r.First].Stmt
-		if r.First != next || r.Last < r.First || prog.Tasks[r.Last].Stmt != s || rt.Serial(i) != s.Index {
-			t.Fatalf("%s: task %d holds blocks %d..%d on chain %d, want a run of statement %s from block %d", name, i, r.First, r.Last, rt.Serial(i), s.Name, next)
+		if int(r.Stmt) != s || int(r.First) != b || r.Last < r.First || int(r.Last) >= len(prog.Stmts[s].Blocks) || rt.Serial(i) != s {
+			t.Fatalf("%s: task %d holds blocks %d..%d of statement %d on chain %d, want a run of statement %d from block %d", name, i, r.First, r.Last, r.Stmt, rt.Serial(i), s, b)
 		}
-		for b := r.First; b <= r.Last; b++ {
-			runOf[b] = i
+		for ; b <= int(r.Last); b++ {
+			runOf = append(runOf, i)
 		}
-		next = r.Last + 1
-		if perChain[s.Index]++; perChain[s.Index] > maxChainTasks {
-			t.Fatalf("%s: statement %s has more than %d chain tasks", name, s.Name, maxChainTasks)
+		skipDone()
+		if perChain[r.Stmt]++; perChain[r.Stmt] > maxChainTasks {
+			t.Fatalf("%s: statement %d has more than %d chain tasks", name, r.Stmt, maxChainTasks)
 		}
 		for _, q := range preds[i] {
 			if q >= i {
@@ -278,8 +242,8 @@ func checkCoarsePlan(t *testing.T, name string, prog *TaskProgram) {
 			}
 		}
 	}
-	if int(next) != len(prog.Tasks) {
-		t.Fatalf("%s: runs hold %d of %d blocks", name, next, len(prog.Tasks))
+	if s != len(prog.Stmts) {
+		t.Fatalf("%s: runs end at block %d of statement %d", name, b, s)
 	}
 	for _, e := range prog.PrecedenceEdges() {
 		from, to := runOf[e[0]], runOf[e[1]]

@@ -223,9 +223,9 @@ func TestHybridParallelBodyFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, task := range prog.Tasks {
-		if !task.ParallelBody {
-			t.Fatalf("mm task %s not marked parallel", task.Label())
+	for _, s := range p.SCoP.Stmts {
+		if !prog.ParallelBody[s.Index] {
+			t.Fatalf("mm statement %s not marked parallel", s.Name)
 		}
 	}
 	g := kernels.MMChain(2, 12, kernels.GMM)
@@ -234,9 +234,9 @@ func TestHybridParallelBodyFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, task := range progG.Tasks {
-		if task.ParallelBody {
-			t.Fatalf("gmm task %s wrongly marked parallel", task.Label())
+	for _, s := range g.SCoP.Stmts {
+		if progG.ParallelBody[s.Index] {
+			t.Fatalf("gmm statement %s wrongly marked parallel", s.Name)
 		}
 	}
 }

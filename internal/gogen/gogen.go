@@ -34,8 +34,9 @@ import (
 
 // EmitOptions tunes compilation and emission.
 type EmitOptions struct {
-	// Workers is the worker count baked into the emitted main; the
-	// emitted binary overrides it with its first argument.
+	// Workers is the worker count baked into the emitted main
+	// (0 = GOMAXPROCS at emission); the emitted binary overrides it
+	// with its first argument.
 	Workers int
 	// Passes selects the optimization pipeline: "" or "all" runs every
 	// pass, "none" emits the unoptimized program, otherwise a

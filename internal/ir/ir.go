@@ -45,8 +45,9 @@ import (
 
 // Options tunes lowering and the pass pipeline.
 type Options struct {
-	// Workers is the worker count baked into the emitted main (the
-	// emitted binary can override it with its first argument).
+	// Workers is the worker count baked into the emitted main
+	// (0 = GOMAXPROCS, resolved by par.Workers; the emitted binary can
+	// override it with its first argument).
 	Workers int
 	// Obs, when non-nil, receives lowering phases and the ir.* pass
 	// metrics.

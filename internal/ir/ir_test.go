@@ -16,7 +16,6 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/lang"
 	"repro/internal/obs"
-	"repro/internal/runtime"
 	"repro/internal/scop"
 )
 
@@ -242,14 +241,12 @@ func passSubsets() []string {
 	return out
 }
 
-// TestLowerPredsMatchRuntime: the paper's per-block DAG — each block's
-// data edges, then its serial edge — is, element for element, the one
-// runtime.Builder resolves from the §5.4 dependency addresses (last
-// writer of each in-address, then the last task of the same
-// statement). Under every subset of the passes, the IR is the chain
-// program the in-process executor runs: one task per chain task,
-// covering that task's run of blocks, and as predecessors exactly the
-// chain program's edges, in its order.
+// TestLowerPredsMatchRuntime: under every subset of the passes, the IR
+// is the chain program the in-process executor runs: one task per chain
+// task, covering that task's run of blocks, and as predecessors exactly
+// the chain program's edges, in its order. (codegen's
+// checkLoweringAgainstReplay holds the per-block DAG to
+// runtime.Builder's resolution of the §5.4 addresses.)
 func TestLowerPredsMatchRuntime(t *testing.T) {
 	subsets := passSubsets()
 	for _, c := range dagCorpus(t) {
@@ -261,26 +258,6 @@ func TestLowerPredsMatchRuntime(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		_, outs, ins := tp.Addresses()
-		b := runtime.NewBuilder(len(tp.Tasks))
-		for i := range tp.Tasks {
-			b.Add(runtime.Task{Out: outs[i], In: ins[i], Serial: tp.Tasks[i].Stmt.Index})
-		}
-		ref, _ := b.Build().Edges()
-		perBlock := make([][]int, len(tp.Tasks))
-		for _, e := range tp.PrecedenceEdges() {
-			perBlock[e[1]] = append(perBlock[e[1]], e[0])
-		}
-		var blockEdges [][2]int
-		for i, preds := range perBlock {
-			for _, q := range preds {
-				blockEdges = append(blockEdges, [2]int{q, i})
-			}
-		}
-		if !slices.Equal(blockEdges, ref) {
-			t.Fatalf("%s: block edges %v, runtime %v", c.name, blockEdges, ref)
-		}
-
 		rt, runs := tp.Lower(), tp.ChainTasks()
 		want, _ := rt.Edges()
 		for _, passes := range subsets {
@@ -298,8 +275,10 @@ func TestLowerPredsMatchRuntime(t *testing.T) {
 			}
 			var got [][2]int
 			for i := range p.Tasks {
-				u, first, last := &p.Tasks[i], &tp.Tasks[runs[i].First], &tp.Tasks[runs[i].Last]
-				if u.First != first.First || u.Last != last.Last || !u.To.Eq(last.Leader) {
+				u, r := &p.Tasks[i], runs[i]
+				blocks := tp.Stmts[r.Stmt].Blocks
+				first, last := &blocks[r.First], &blocks[r.Last]
+				if u.Stmt != int(r.Stmt) || u.First != first.First || u.Last != last.Last || !u.To.Eq(last.Leader) {
 					t.Fatalf("%s passes=%s: task %d covers %d..%d to %v, run %d..%d to %v", c.name, passes, i, u.First, u.Last, u.To, first.First, last.Last, last.Leader)
 				}
 				for _, q := range u.Preds {

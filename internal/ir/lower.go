@@ -7,6 +7,7 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/isl"
+	"repro/internal/par"
 )
 
 // Lower builds the block-program IR from a detection result and the
@@ -22,13 +23,9 @@ func Lower(info *core.Info, tp *codegen.TaskProgram, opt Options) (*Program, err
 	stop := opt.Obs.Phase("ir.lower")
 	defer stop()
 
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = 1
-	}
 	p := &Program{
 		Name:       info.SCoP.Name,
-		Workers:    workers,
+		Workers:    par.Workers(opt.Workers),
 		ArrayIndex: map[string]int{},
 	}
 	if err := lowerArrays(p, info); err != nil {
@@ -166,23 +163,23 @@ func lowerStmts(p *Program, info *core.Info) error {
 // lowerTasks converts the chain program's tasks — one run of
 // consecutive pipeline blocks each (codegen.ChainTasks) — into IR
 // tasks, materializing the lexicographic From bound the same way the
-// in-process block runners do: the previous run's last leader, or a
-// below-minimum sentinel for a statement's first run; To is the run's
-// last leader. Each task's predecessors are those of the chain program
-// the in-process executor runs, in its order, as capped subslices of
-// one backing array, so an append copies them.
+// in-process block runners do: the leader of the block before the run,
+// or a below-minimum sentinel for a statement's first run; To is the
+// run's last leader. Each task's predecessors are those of the chain
+// program the in-process executor runs, in its order, as capped
+// subslices of one backing array, so an append copies them.
 func lowerTasks(p *Program, tp *codegen.TaskProgram) {
 	edges, _ := tp.Lower().Edges() // by task, in resolution order
 	preds := make([]int32, len(edges))
 	k := 0
-	prevLeader := map[int]isl.Vec{}
 	for i, run := range tp.ChainTasks() {
-		first, last := &tp.Tasks[run.First], &tp.Tasks[run.Last]
-		stmt := first.Stmt
-		from := prevLeader[stmt.Index]
-		if from == nil {
-			from = make(isl.Vec, stmt.Depth())
-			if min, ok := stmt.Domain.Lexmin(); ok {
+		si := tp.Stmts[run.Stmt]
+		var from isl.Vec
+		if run.First > 0 {
+			from = si.Blocks[run.First-1].Leader
+		} else {
+			from = make(isl.Vec, si.Stmt.Depth())
+			if min, ok := si.Stmt.Domain.Lexmin(); ok {
 				copy(from, min)
 				from[0] = min[0] - 1
 			}
@@ -192,16 +189,15 @@ func lowerTasks(p *Program, tp *codegen.TaskProgram) {
 			preds[k] = int32(edges[k][0])
 		}
 		p.Tasks = append(p.Tasks, Task{
-			Label: last.Label(),
+			Label: tp.Label(run),
 			Unit: Unit{
-				Stmt:  stmt.Index,
+				Stmt:  int(run.Stmt),
 				From:  from,
-				To:    last.Leader,
-				First: first.First,
-				Last:  last.Last,
+				To:    si.Blocks[run.Last].Leader,
+				First: si.Blocks[run.First].First,
+				Last:  si.Blocks[run.Last].Last,
 			},
 			Preds: preds[start:k:k],
 		})
-		prevLeader[stmt.Index] = last.Leader
 	}
 }

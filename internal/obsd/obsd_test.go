@@ -223,7 +223,7 @@ func TestDebugEndpointsOnFixedRun(t *testing.T) {
 	for _, ph := range phasesDoc.Phases {
 		names[ph["name"].(string)] = true
 	}
-	for _, want := range []string{"detect", "codegen.schedule_tree"} {
+	for _, want := range []string{"detect", "codegen.lower"} {
 		found := false
 		for n := range names {
 			if strings.HasPrefix(n, want) {

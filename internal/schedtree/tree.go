@@ -9,7 +9,6 @@ package schedtree
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -127,87 +126,6 @@ func Build(info *core.Info) *SequenceNode {
 		seq.Children = append(seq.Children, outer)
 	}
 	return seq
-}
-
-// TaskInstance is one scheduled task: block Block of the annotated
-// statement (its members are Task.Members(Block)).
-type TaskInstance struct {
-	Task  *TaskAnnotation
-	Block int
-}
-
-// Flatten lists the totally ordered task instances the schedule tree
-// denotes: sequence children in order, and under each pipeline mark one
-// task per block of the annotated statement, in execution order. The
-// blocks are the ones detection materialized (StmtInfo.Blocks) — by
-// construction what evaluating the expansion node over the band's
-// points yields (the tests hold Flatten against that evaluation) — so
-// the instances alias them rather than re-deriving each block from the
-// contraction.
-func Flatten(root Node) []TaskInstance {
-	var out []TaskInstance
-	flatten(root, &out)
-	return out
-}
-
-func flatten(n Node, out *[]TaskInstance) {
-	switch node := n.(type) {
-	case *SequenceNode:
-		for _, c := range node.Children {
-			flatten(c, out)
-		}
-	case *DomainNode, *BandNode, *ExpansionNode:
-		flatten(n.children()[0], out)
-	case *MarkNode:
-		if node.Task == nil {
-			flatten(node.Child, out)
-			return
-		}
-		if node.Task.StmtInfo == nil {
-			panic("schedtree: pipeline mark without a detection result")
-		}
-		// The band below the mark is subsumed by the members' order.
-		n := len(node.Task.Blocks)
-		*out = slices.Grow(*out, n)
-		for i := 0; i < n; i++ {
-			*out = append(*out, TaskInstance{Task: node.Task, Block: i})
-		}
-	case *LeafNode:
-	default:
-		panic(fmt.Sprintf("schedtree: unknown node %T", n))
-	}
-}
-
-// Walk visits every node of the tree depth-first, parents before
-// children, stopping early when fn returns false.
-func Walk(root Node, fn func(Node) bool) {
-	if root == nil || !fn(root) {
-		return
-	}
-	for _, c := range root.children() {
-		Walk(c, fn)
-	}
-}
-
-// Count returns the number of nodes of each kind in the tree.
-func Count(root Node) map[string]int {
-	counts := map[string]int{}
-	Walk(root, func(n Node) bool {
-		counts[n.Kind()]++
-		return true
-	})
-	return counts
-}
-
-// NumNodes returns the total node count of the tree (the
-// "sched.tree_nodes" metric of the observability layer).
-func NumNodes(root Node) int {
-	n := 0
-	Walk(root, func(Node) bool {
-		n++
-		return true
-	})
-	return n
 }
 
 // Validate checks the structural invariants of a transformed schedule

@@ -36,37 +36,35 @@ func SimulateCompiled(p *kernels.Program, prog *codegen.TaskProgram, procs int, 
 }
 
 // MeasureCompiled runs the compiled task program once sequentially (a
-// valid topological order), measuring each task's cost, with the
-// dependency DAG of the paper's per-block tasks (the program's data
-// edges and serial chains), which the coarser chain program the
-// runtime executes implies. The returned tasks can be scheduled at
-// several processor counts without re-measuring — required when
-// comparing counts, since separate replays introduce measurement noise
-// between them. The program state is left reset.
+// valid topological order), measuring the cost of each of the paper's
+// per-block tasks, with their dependency DAG (the program's
+// PrecedenceEdges), which the coarser chain program the runtime
+// executes implies. Task i is the i-th block in statement order. The
+// returned tasks can be scheduled at several processor counts without
+// re-measuring — required when comparing counts, since separate
+// replays introduce measurement noise between them. The program state
+// is left reset.
 func MeasureCompiled(p *kernels.Program, prog *codegen.TaskProgram, overhead time.Duration) ([]Task, time.Duration) {
 	p.Reset()
-	tasks := make([]Task, len(prog.Tasks))
+	tasks := make([]Task, 0, prog.NumTasks())
 	var seq time.Duration
-	for i := range prog.Tasks {
-		spec := &prog.Tasks[i]
-		members := spec.Members()
-		start := time.Now()
-		for _, iv := range members {
-			spec.Stmt.Body(iv)
-		}
-		cost := time.Since(start)
-		seq += cost
-		if spec.ParallelBody && prog.Opts.IntraBlockWorkers > 1 {
-			// Hybrid mode: members run concurrently inside the task;
-			// model perfect scaling over the intra-block workers (the
-			// caller is responsible for procs×workers ≤ hardware).
-			div := prog.Opts.IntraBlockWorkers
-			if div > len(members) {
-				div = len(members)
+	for s, si := range prog.Stmts {
+		for b := range si.Blocks {
+			members := si.Members(b)
+			start := time.Now()
+			for _, iv := range members {
+				si.Stmt.Body(iv)
 			}
-			cost /= time.Duration(div)
+			cost := time.Since(start)
+			seq += cost
+			if prog.ParallelBody[s] {
+				// Hybrid mode: members run concurrently inside the task;
+				// model perfect scaling over the intra-block workers (the
+				// caller is responsible for procs×workers ≤ hardware).
+				cost /= time.Duration(min(prog.Opts.IntraBlockWorkers, len(members)))
+			}
+			tasks = append(tasks, Task{Cost: cost + overhead})
 		}
-		tasks[i] = Task{Cost: cost + overhead}
 	}
 	for _, e := range prog.PrecedenceEdges() {
 		tasks[e[1]].Deps = append(tasks[e[1]].Deps, e[0])

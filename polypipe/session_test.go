@@ -3,10 +3,12 @@ package polypipe
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/gogen"
 )
 
 // TestSessionRunModesAgree: every executor mode reproduces the
@@ -204,6 +206,39 @@ func TestSessionCoversLegacySurface(t *testing.T) {
 	}
 	if vs, err := s.Simulate(p, SimConfig{Potential: true}); err != nil || len(vs) != 1 || vs[0] <= 0 {
 		t.Fatalf("potential Simulate: %v %v", vs, err)
+	}
+}
+
+// TestEmitZeroWorkersIsGOMAXPROCS: a worker count of 0 means
+// GOMAXPROCS on both emission entry points, so gogen.Emit(…, 0) and a
+// default session's EmitGo print the same program. GOMAXPROCS is
+// raised above 1 so a count clamped to 1 would show.
+func TestEmitZeroWorkersIsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	sc, err := Parse("emit", `
+for (i = 0; i < 9; i++)
+  S: A[i] = f(A[i]);
+for (i = 0; i < 9; i++)
+  T: B[i] = g(A[i], B[i]);
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSession()
+	defer s.Close()
+	info, err := s.Detect(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lib, session strings.Builder
+	if err := gogen.Emit(&lib, info, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.EmitGo(&session, sc, EmitOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if lib.String() != session.String() {
+		t.Errorf("gogen.Emit(…, 0) and Session.EmitGo(…, EmitOptions{}) differ:\n%s\n---\n%s", lib.String(), session.String())
 	}
 }
 
