@@ -169,30 +169,30 @@ const overheadTasks = 1024
 
 // BenchmarkTaskingOverhead measures the chain executor's per-task cost
 // with empty bodies at four workers — the constant the granularity
-// trade-off is against. The program is built through runtime.Builder
-// before the timer starts; each op executes it once, and ns/task
-// divides the op by its task count. "independent" tasks have no
-// dependencies, each a chain of its own; "chained" tasks read the
-// address the previous one wrote and share one serial key, so they
-// form a single chain.
+// trade-off is against. The program is built from chain columns
+// (runtime.ChainSpec) before the timer starts; each op executes it
+// once, and ns/task divides the op by its task count. "independent"
+// is one-task chains with no predecessors; "chained" is one chain, each
+// task waiting on the one before it.
 func BenchmarkTaskingOverhead(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		task func(i int) runtime.Task
-	}{
-		{"independent", func(i int) runtime.Task {
-			return runtime.Task{Fn: func() {}, Out: i, Serial: runtime.NoSerial}
-		}},
-		{"chained", func(int) runtime.Task {
-			return runtime.Task{Fn: func() {}, Out: 0, In: []int{0}, Serial: 0}
-		}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			bld := runtime.NewBuilder(overheadTasks)
+	for _, chained := range []bool{false, true} {
+		name, lens := "independent", make([]int32, overheadTasks)
+		for c := range lens {
+			lens[c] = 1
+		}
+		if chained {
+			name, lens = "chained", []int32{overheadTasks}
+		}
+		b.Run(name, func(b *testing.B) {
+			spec := runtime.ChainSpec{Lens: lens, PredOff: make([]int32, 1, overheadTasks+1), Run: func(int) {}}
 			for i := 0; i < overheadTasks; i++ {
-				bld.Add(tc.task(i))
+				if chained && i > 0 {
+					spec.PredChain = append(spec.PredChain, 0)
+					spec.PredPos = append(spec.PredPos, int32(i-1))
+				}
+				spec.PredOff = append(spec.PredOff, int32(len(spec.PredChain)))
 			}
-			p := bld.Build()
+			p := spec.Build()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p.Execute(4, runtime.ExecOptions{})

@@ -79,7 +79,7 @@ func newCoder(stmts []*core.StmtInfo, numStmts int) VecCoder {
 // with: block i's out address out[i] (the encoded leader of the block),
 // and in[i], the out addresses of the source blocks it waits on, in
 // in-dependency order. Nothing executed or emitted reads the
-// addresses; they are the reference runtime.Builder resolves.
+// addresses; they are the reference resolve replays.
 func addresses(p *TaskProgram) (out []int, in [][]int) {
 	coder := newCoder(p.Stmts, len(p.SCoP.Stmts))
 	for _, k := range blocks(p) {
@@ -95,21 +95,55 @@ func addresses(p *TaskProgram) (out []int, in [][]int) {
 	return out, in
 }
 
-// builderReplay is how BuildIR lowered before it read the columns:
-// every block through runtime.Builder, its §5.4 addresses and its
-// statement's serial key resolved against the last-writer and
-// last-serial tables.
-func builderReplay(p *TaskProgram) *runtime.Program {
-	outs, ins := addresses(p)
-	b := runtime.NewBuilder(len(outs))
-	for i, k := range blocks(p) {
-		b.Add(runtime.Task{Out: outs[i], In: ins[i], Serial: k.si.Stmt.Index})
+// resolve is the §5.5 reference the chain columns are checked
+// against: it creates tasks in order, as the paper's tasking layer
+// does, each writing outs[i], reading ins[i] and serialized after the
+// last task with serial key keys[i], and resolves every task's
+// predecessors against a last-writer and a last-serial table at
+// creation — the writers of its in-addresses, then its serial
+// predecessor, each edge once. It returns the edges as (predecessor,
+// task) id pairs, by task in resolution order.
+func resolve(outs []int, ins [][]int, keys []int) [][2]int {
+	lastWriter, lastSerial := map[int]int{}, map[int]int{}
+	var edges [][2]int
+	for i := range outs {
+		start := len(edges)
+		add := func(q int) {
+			for _, e := range edges[start:] {
+				if e[0] == q {
+					return
+				}
+			}
+			edges = append(edges, [2]int{q, i})
+		}
+		for _, addr := range ins[i] {
+			if w, ok := lastWriter[addr]; ok {
+				add(w)
+			}
+		}
+		if q, ok := lastSerial[keys[i]]; ok {
+			add(q)
+		}
+		lastSerial[keys[i]], lastWriter[outs[i]] = i, i
 	}
-	return b.Build()
+	return edges
 }
 
-// PerBlockIR lowers the program with runs of one block: the paper's
-// per-block DAG. It is exported to the package's external tests.
+// replay resolves the program's per-block tasks from their §5.4
+// addresses, each block serialized under its statement's index,
+// returning the edges and every block's serial key.
+func replay(p *TaskProgram) (edges [][2]int, keys []int) {
+	outs, ins := addresses(p)
+	for _, k := range blocks(p) {
+		keys = append(keys, k.si.Stmt.Index)
+	}
+	return resolve(outs, ins, keys), keys
+}
+
+// PerBlockIR builds the program with runs of one block, through the
+// same column function Compile uses: the paper's per-block DAG. It is
+// exported to the package's external tests.
 func (p *TaskProgram) PerBlockIR() *runtime.Program {
-	return p.buildIR(chainRuns(p.Stmts, max(p.NumTasks(), 1)))
+	runs := chainRuns(p.Stmts, max(p.NumTasks(), 1))
+	return p.build(runs, chainColumns(p.Stmts, runs))
 }

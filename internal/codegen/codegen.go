@@ -4,10 +4,12 @@
 // run a coarser plan of the same DAG. Compile cuts every statement's
 // blocks (core.StmtInfo.Blocks) into runs of consecutive blocks, at
 // most maxChainTasks per statement, straight from detection in
-// statement-index order: the chain plan (ChainTasks). BuildIR lowers
-// it to one chain per statement for the in-process executor, and an
-// emitted program embeds the same plan. The paper's per-block DAG is a
-// view computed on demand (PrecedenceEdges) for the simulator.
+// statement-index order: the chain plan (ChainTasks), and computes its
+// dependency columns once (Columns). Both back ends read those
+// columns: BuildIR attaches bodies to them for the in-process
+// executor, and ir.Lower copies them into the tasks of an emitted
+// program. The paper's per-block DAG is a view computed on demand
+// (PrecedenceEdges) for the simulator.
 package codegen
 
 import (
@@ -49,7 +51,12 @@ type TaskProgram struct {
 	// set only when Opts.IntraBlockWorkers > 1.
 	ParallelBody []bool
 
-	runs   []ChainTask
+	runs []ChainTask
+	// cols holds the chain plan's lengths and predecessor columns,
+	// computed once at compile time and shared, read-only, by every
+	// program BuildIR builds and by the emission IR; its Run and Label
+	// are nil.
+	cols   runtime.ChainSpec
 	blocks int
 
 	// lowered caches the compiled runtime IR (see Lower), built once
@@ -75,7 +82,7 @@ func CompileWithOptions(info *core.Info, opts CompileOptions) (*TaskProgram, err
 }
 
 // CompileForEmission lowers the task structure only — the chain plan
-// over detection's blocks and their in-dependency columns — without
+// over detection's blocks and its dependency columns — without
 // requiring (or ever touching) statement bodies. It is the seam the AOT back end
 // (internal/ir, internal/gogen) compiles through: emitted programs
 // carry their own statement bodies, so attaching interpreter bodies to
@@ -98,6 +105,7 @@ func compileTasks(info *core.Info, opts CompileOptions) (*TaskProgram, error) {
 	stop := opts.Obs.Phase("codegen.lower")
 	defer stop()
 	prog.runs = chainRuns(info.Stmts, maxChainTasks)
+	prog.cols = chainColumns(info.Stmts, prog.runs)
 	prog.blocks = info.TotalBlocks()
 	opts.Obs.Count("codegen.tasks", int64(prog.blocks))
 	return prog, nil
@@ -217,69 +225,82 @@ func chainRuns(stmts []*core.StmtInfo, limit int) []ChainTask {
 	return runs
 }
 
-// BuildIR lowers the chain plan to the compiled runtime IR: one chain
-// per statement and one task per run of its blocks (see
-// maxChainTasks), in O(runs + in-dependencies), with no address
+// Columns returns the chain plan's dependency columns in task-id order
+// (see ChainTasks): one chain per statement, Lens[s] runs long, and
+// each run's predecessors as (chain, position) pairs. Run and Label are
+// nil. The slices are the program's own, shared by every program
+// BuildIR builds, and must not be modified.
+func (p *TaskProgram) Columns() runtime.ChainSpec { return p.cols }
+
+// chainColumns computes the dependency columns of runs, a chainRuns cut
+// of stmts' blocks, in O(runs + in-dependencies), with no address
 // resolution. A run waits on, for every in-dependency, the source run
 // holding the largest To[b] among its blocks — so every block-level
 // edge (Src, To[b]) → (S, b) is implied through the source chain's
-// order — and then on its serial predecessor run. A run's body runs
-// its blocks' members in order through runBlock. BuildIR always lowers
-// afresh; use Lower for the memoized program-lifetime IR.
-func (p *TaskProgram) BuildIR() *runtime.Program {
-	return p.buildIR(p.runs)
-}
-
-// buildIR lowers runs, a chainRuns cut of the program's blocks. Cut at
-// a limit no statement's block count exceeds, it lowers one task per
-// block: the per-block DAG the tests compare against runtime.Builder.
-func (p *TaskProgram) buildIR(runs []ChainTask) *runtime.Program {
-	lens := make([]int32, len(p.Stmts))
-	g := make([]int32, len(p.Stmts)) // each statement's run length
-	elems := make([][]isl.Vec, len(p.Stmts))
+// order — and then on its serial predecessor run. Cut at a limit no
+// statement's block count exceeds, it is the per-block DAG.
+func chainColumns(stmts []*core.StmtInfo, runs []ChainTask) runtime.ChainSpec {
+	lens := make([]int32, len(stmts))
+	g := make([]int32, len(stmts)) // each statement's run length
 	edges := len(runs)
 	for _, r := range runs {
 		if lens[r.Stmt] == 0 {
 			g[r.Stmt] = r.Last - r.First + 1
 		}
 		lens[r.Stmt]++
-		edges += len(p.Stmts[r.Stmt].InDeps)
+		edges += len(stmts[r.Stmt].InDeps)
 	}
-	for s, si := range p.Stmts {
-		elems[s] = si.Stmt.Domain.Elements()
-	}
-	spec := runtime.ChainSpec{
+	cols := runtime.ChainSpec{
 		Lens:      lens,
 		PredOff:   make([]int32, 1, len(runs)+1),
 		PredChain: make([]int32, 0, edges),
 		PredPos:   make([]int32, 0, edges),
-		Run:       func(i int) { p.runBlock(runs[i], elems[runs[i].Stmt]) },
-		Label:     func(i int) string { return p.Label(runs[i]) },
 	}
 	for _, r := range runs {
-		for _, dep := range p.Stmts[r.Stmt].InDeps {
+		for _, dep := range stmts[r.Stmt].InDeps {
 			q := int32(-1)
 			for _, to := range dep.To[r.First : r.Last+1] {
 				q = max(q, to)
 			}
 			if q >= 0 {
 				src := dep.Src.Index
-				spec.PredChain = append(spec.PredChain, int32(src))
-				spec.PredPos = append(spec.PredPos, q/g[src])
+				cols.PredChain = append(cols.PredChain, int32(src))
+				cols.PredPos = append(cols.PredPos, q/g[src])
 			}
 		}
 		if r.First > 0 {
-			spec.PredChain = append(spec.PredChain, r.Stmt)
-			spec.PredPos = append(spec.PredPos, r.First/g[r.Stmt]-1)
+			cols.PredChain = append(cols.PredChain, r.Stmt)
+			cols.PredPos = append(cols.PredPos, r.First/g[r.Stmt]-1)
 		}
-		spec.PredOff = append(spec.PredOff, int32(len(spec.PredChain)))
+		cols.PredOff = append(cols.PredOff, int32(len(cols.PredChain)))
 	}
-	return spec.Build()
+	return cols
 }
 
-// Lower returns the program's compiled runtime IR, lowering it on
-// first use and reusing it afterwards. The IR is immutable and safe
-// for concurrent and repeated execution.
+// BuildIR builds the compiled runtime IR of the chain plan from the
+// columns Compile computed: one chain per statement and one task per
+// run of its blocks (see maxChainTasks), whose body runs its blocks'
+// members in order through runBlock. BuildIR always builds afresh; use
+// Lower for the memoized program-lifetime IR.
+func (p *TaskProgram) BuildIR() *runtime.Program {
+	return p.build(p.runs, p.cols)
+}
+
+// build attaches the bodies and labels of runs to cols, their columns.
+func (p *TaskProgram) build(runs []ChainTask, cols runtime.ChainSpec) *runtime.Program {
+	elems := make([][]isl.Vec, len(p.Stmts))
+	for s, si := range p.Stmts {
+		elems[s] = si.Stmt.Domain.Elements()
+	}
+	cols.Run = func(i int) { p.runBlock(runs[i], elems[runs[i].Stmt]) }
+	cols.Label = func(i int) string { return p.Label(runs[i]) }
+	return cols.Build()
+}
+
+// Lower returns the program's compiled runtime IR, building it with
+// BuildIR on first use and reusing it afterwards. The IR is immutable
+// and safe for concurrent and repeated execution. The emission path
+// never calls it: ir.Lower reads Columns.
 func (p *TaskProgram) Lower() *runtime.Program {
 	return p.LowerObserved(nil)
 }

@@ -15,29 +15,52 @@ import (
 	"repro/internal/scop"
 )
 
-// checkLoweringAgainstReplay holds the chain columns buildIR lowers at
-// one task per block element-equal to the Builder replay — the same
-// edges in the same per-task order, the same chain of every task — and
-// the per-block edge view equal to the replay's edges.
+// checkLoweringAgainstReplay holds the chain columns built at one task
+// per block element-equal to the §5.5 replay — the same edges in the
+// same per-task order, the same chain of every task — and the
+// per-block edge view equal to the replay's edges.
 func checkLoweringAgainstReplay(t *testing.T, name string, prog *TaskProgram) {
 	t.Helper()
-	got, want := prog.PerBlockIR(), builderReplay(prog)
-	if got.NumTasks() != want.NumTasks() || got.NumEdges() != want.NumEdges() || got.NumChains() != want.NumChains() {
-		t.Fatalf("%s: %d tasks, %d edges, %d chains; replay %d, %d, %d", name,
-			got.NumTasks(), got.NumEdges(), got.NumChains(), want.NumTasks(), want.NumEdges(), want.NumChains())
+	got := prog.PerBlockIR()
+	wantAll, keys := replay(prog)
+	var wantCross [][2]int
+	for _, e := range wantAll {
+		if keys[e[0]] != keys[e[1]] {
+			wantCross = append(wantCross, e)
+		}
+	}
+	if got.NumTasks() != len(keys) || got.NumChains() != len(prog.Stmts) {
+		t.Fatalf("%s: %d tasks, %d chains; replay %d blocks of %d statements", name, got.NumTasks(), got.NumChains(), len(keys), len(prog.Stmts))
 	}
 	gotAll, gotCross := got.Edges()
-	wantAll, wantCross := want.Edges()
 	if !slices.Equal(gotAll, wantAll) || !slices.Equal(gotCross, wantCross) {
 		t.Fatalf("%s: edges %v (cross %v); replay %v (cross %v)", name, gotAll, gotCross, wantAll, wantCross)
 	}
 	for i := 0; i < got.NumTasks(); i++ {
-		if got.Serial(i) != want.Serial(i) {
-			t.Fatalf("%s: task %d serial %d; replay %d", name, i, got.Serial(i), want.Serial(i))
+		if got.Serial(i) != keys[i] {
+			t.Fatalf("%s: task %d serial %d; replay %d", name, i, got.Serial(i), keys[i])
 		}
 	}
 	if !slices.Equal(prog.PrecedenceEdges(), wantAll) {
 		t.Fatalf("%s: PrecedenceEdges differ from the replay's edges", name)
+	}
+}
+
+// TestReplayResolvesWriterAndSerial pins the replay's resolution rules
+// on a hand-made task stream: a duplicate in-address yields one edge,
+// a writer edge that is also the serial edge yields one edge, and a
+// reader waits on the latest writer of its address.
+func TestReplayResolvesWriterAndSerial(t *testing.T) {
+	outs := []int{10, 11, 10, 12}
+	ins := [][]int{
+		nil,
+		{10, 10}, // task 0, once
+		{11},     // task 1, writer and serial predecessor
+		{10},     // task 2, not task 0
+	}
+	keys := []int{0, 1, 1, 2}
+	if got, want := fmt.Sprint(resolve(outs, ins, keys)), "[[0 1] [1 2] [2 3]]"; got != want {
+		t.Fatalf("resolve = %s, want %s", got, want)
 	}
 }
 
@@ -66,13 +89,13 @@ func oracleInputs(seeds int) (names []string, scs []*scop.SCoP) {
 	return names, scs
 }
 
-// TestBuildIRMatchesBuilder is the oracle for lowering straight from
+// TestBuildIRMatchesReplay is the oracle for lowering straight from
 // the in-dependency columns: over the corpus at MinBlockIters 1, 4 and
-// 64, the program lowered with runs of one block equals, edge for edge,
-// what runtime.Builder resolves from the §5.4 addresses. The coarse
-// plan BuildIR lowers is held to this per-block DAG by
+// 64, the program built with runs of one block equals, edge for edge,
+// what the §5.5 replay resolves from the §5.4 addresses. The coarse
+// plan BuildIR builds is held to this per-block DAG by
 // TestCoarsePlanSound.
-func TestBuildIRMatchesBuilder(t *testing.T) {
+func TestBuildIRMatchesReplay(t *testing.T) {
 	seeds := 200
 	if testing.Short() {
 		seeds = 40
@@ -128,8 +151,7 @@ func TestChainExecutorStress(t *testing.T) {
 				p.Reset()
 				done := make(chan error, 1)
 				go func() {
-					_, err := ir.ExecuteChecked(workers, runtime.ExecOptions{})
-					done <- err
+					done <- executeChecked(ir, workers)
 				}()
 				select {
 				case err := <-done:
@@ -145,6 +167,16 @@ func TestChainExecutorStress(t *testing.T) {
 			}
 		}
 	}
+}
+
+// executeChecked runs ir and checks the run's stats: every task
+// executed and every dependency edge resolved.
+func executeChecked(ir *runtime.Program, workers int) error {
+	st := ir.Execute(workers, runtime.ExecOptions{})
+	if st.Executed != ir.NumTasks() || st.DepsResolved != int64(ir.NumEdges()) {
+		return fmt.Errorf("executed %d of %d tasks, resolved %d of %d edges", st.Executed, ir.NumTasks(), st.DepsResolved, ir.NumEdges())
+	}
+	return nil
 }
 
 // TestCoarsePlanSound holds the chain program BuildIR lowers to the

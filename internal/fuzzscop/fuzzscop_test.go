@@ -156,10 +156,9 @@ func TestDetectNeverPanicsOnRandomPrograms(t *testing.T) {
 }
 
 // runThroughRuntime lowers sc to the compiled runtime IR and executes
-// it under several worker counts. ExecuteChecked fails if any task
-// never ran (a deadlock or lost wakeup) or any dependency edge was
-// left unresolved — i.e. some indegree never reached zero — and the
-// array state must still match sequential execution bit-for-bit.
+// it under several worker counts. Each run must execute every task
+// (no deadlock or lost wake-up) and resolve every dependency edge, and
+// the array state must still match sequential execution bit-for-bit.
 func runThroughRuntime(t *testing.T, sc *scop.SCoP, opts core.Options) {
 	t.Helper()
 	p := interp.Programify(sc)
@@ -175,13 +174,10 @@ func runThroughRuntime(t *testing.T, sc *scop.SCoP, opts core.Options) {
 	want := exec.Sequential(p).Hash
 	for _, workers := range []int{1, 2, 4, 7} {
 		p.Reset()
-		st, err := ir.ExecuteChecked(workers, runtime.ExecOptions{})
-		if err != nil {
-			t.Fatalf("%s (workers=%d): %v", sc.Name, workers, err)
-		}
-		if st.Executed != ir.NumTasks() {
-			t.Fatalf("%s (workers=%d): executed %d of %d tasks",
-				sc.Name, workers, st.Executed, ir.NumTasks())
+		st := ir.Execute(workers, runtime.ExecOptions{})
+		if st.Executed != ir.NumTasks() || st.DepsResolved != int64(ir.NumEdges()) {
+			t.Fatalf("%s (workers=%d): executed %d of %d tasks, resolved %d of %d edges",
+				sc.Name, workers, st.Executed, ir.NumTasks(), st.DepsResolved, ir.NumEdges())
 		}
 		if got := p.Hash(); got != want {
 			t.Fatalf("%s (workers=%d): runtime hash %x != sequential %x",

@@ -23,9 +23,10 @@
 //     of the statement's sorted points, and — after the specialize
 //     pass — run-length segments that iterate only the run's own
 //     points;
-//   - the task DAG as each task's predecessor list, read off that
-//     chain program (Eq. 4's in-dependency columns plus the
-//     per-statement serial edges), so no pass and no emitted program
+//   - the task DAG as each task's predecessor list, read off the
+//     chain plan's columns (codegen.Columns: Eq. 4's in-dependency
+//     columns plus the per-statement serial edges) that the in-process
+//     program is built from, so no pass and no emitted program
 //     resolves dependency addresses or changes the task granularity.
 //
 // Passes (see passes.go) transform the Program in place; the pass

@@ -241,12 +241,46 @@ func passSubsets() []string {
 	return out
 }
 
+// TestLowerBuildsNoRuntimeProgram: ir.Lower reads the chain plan's
+// columns and leaves the in-process program unbuilt, so the first
+// LowerObserved after it lowers (the codegen.lower_ir phase) instead of
+// reusing a program the emission path built.
+func TestLowerBuildsNoRuntimeProgram(t *testing.T) {
+	p7, err := kernels.Table9Program("P7", 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := core.Detect(p7.SCoP, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp, err := codegen.CompileForEmission(info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Lower(info, tp, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder()
+	tp.LowerObserved(rec)
+	var phases []string
+	for _, ps := range rec.Phases.Spans() {
+		phases = append(phases, ps.Name)
+	}
+	if !slices.Contains(phases, "codegen.lower_ir") {
+		t.Fatalf("phases %v, want codegen.lower_ir", phases)
+	}
+	if n := rec.Snapshot().Counter("runtime.ir_reuse"); n != 0 {
+		t.Fatalf("runtime.ir_reuse = %d, want 0", n)
+	}
+}
+
 // TestLowerPredsMatchRuntime: under every subset of the passes, the IR
 // is the chain program the in-process executor runs: one task per chain
 // task, covering that task's run of blocks, and as predecessors exactly
-// the chain program's edges, in its order. (codegen's
-// checkLoweringAgainstReplay holds the per-block DAG to
-// runtime.Builder's resolution of the §5.4 addresses.)
+// BuildIR's edges, in its order — the two readers of codegen's columns
+// agree. (codegen's checkLoweringAgainstReplay holds the per-block DAG
+// to the §5.5 replay of the §5.4 addresses.)
 func TestLowerPredsMatchRuntime(t *testing.T) {
 	subsets := passSubsets()
 	for _, c := range dagCorpus(t) {
@@ -258,7 +292,7 @@ func TestLowerPredsMatchRuntime(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		rt, runs := tp.Lower(), tp.ChainTasks()
+		rt, runs := tp.BuildIR(), tp.ChainTasks()
 		want, _ := rt.Edges()
 		for _, passes := range subsets {
 			p, err := Lower(info, tp, Options{})

@@ -165,13 +165,20 @@ func lowerStmts(p *Program, info *core.Info) error {
 // tasks, materializing the lexicographic From bound the same way the
 // in-process block runners do: the leader of the block before the run,
 // or a below-minimum sentinel for a statement's first run; To is the
-// run's last leader. Each task's predecessors are those of the chain
-// program the in-process executor runs, in its order, as capped
-// subslices of one backing array, so an append copies them.
+// run's last leader. Each task's predecessors are read off the plan's
+// columns (codegen.Columns), the ones the in-process executor runs,
+// in their order: (chain, pos) is task chainOff[chain] + pos. They are
+// capped subslices of one backing array, so an append copies them.
 func lowerTasks(p *Program, tp *codegen.TaskProgram) {
-	edges, _ := tp.Lower().Edges() // by task, in resolution order
-	preds := make([]int32, len(edges))
-	k := 0
+	cols := tp.Columns()
+	chainOff := make([]int32, len(cols.Lens)+1)
+	for c, l := range cols.Lens {
+		chainOff[c+1] = chainOff[c] + l
+	}
+	preds := make([]int32, len(cols.PredChain))
+	for k, c := range cols.PredChain {
+		preds[k] = chainOff[c] + cols.PredPos[k]
+	}
 	for i, run := range tp.ChainTasks() {
 		si := tp.Stmts[run.Stmt]
 		var from isl.Vec
@@ -184,10 +191,7 @@ func lowerTasks(p *Program, tp *codegen.TaskProgram) {
 				from[0] = min[0] - 1
 			}
 		}
-		start := k
-		for ; k < len(edges) && edges[k][1] == i; k++ {
-			preds[k] = int32(edges[k][0])
-		}
+		lo, hi := cols.PredOff[i], cols.PredOff[i+1]
 		p.Tasks = append(p.Tasks, Task{
 			Label: tp.Label(run),
 			Unit: Unit{
@@ -197,7 +201,7 @@ func lowerTasks(p *Program, tp *codegen.TaskProgram) {
 				First: si.Blocks[run.First].First,
 				Last:  si.Blocks[run.Last].Last,
 			},
-			Preds: preds[start:k:k],
+			Preds: preds[lo:hi:hi],
 		})
 	}
 }

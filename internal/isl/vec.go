@@ -84,14 +84,6 @@ func LexMin(v, w Vec) Vec {
 	return w
 }
 
-// LexMax returns the lexicographically larger of v and w.
-func LexMax(v, w Vec) Vec {
-	if v.Cmp(w) >= 0 {
-		return v
-	}
-	return w
-}
-
 // sortVecs sorts vs in place in lexicographic order.
 func sortVecs(vs []Vec) {
 	sort.Slice(vs, func(i, j int) bool { return vs[i].Cmp(vs[j]) < 0 })

@@ -71,13 +71,6 @@ func (d *Data) Clone() *Data {
 	return c
 }
 
-// SetTo overwrites d with the contents of o.
-func (d *Data) SetTo(o *Data) {
-	for k := range d.Words {
-		d.Words[k].Set(o.Words[k])
-	}
-}
-
 // Hash digests the value, order-sensitively.
 func (d *Data) Hash() uint64 {
 	const prime = 1099511628211

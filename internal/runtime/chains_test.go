@@ -11,15 +11,10 @@ import (
 	"repro/internal/obs"
 )
 
-// serialChain builds n tasks under one Serial key, each appending its
-// id to order: a single chain.
+// serialChain builds one chain of n tasks, each appending its id to
+// order.
 func serialChain(n int, order *[]int32) *Program {
-	b := NewBuilder(n)
-	for i := 0; i < n; i++ {
-		i := int32(i)
-		b.Add(Task{Fn: func() { *order = append(*order, i) }, Out: -1, Serial: 0})
-	}
-	return b.Build()
+	return buildChains([]int{n}, nil, func(i int) { *order = append(*order, int32(i)) })
 }
 
 // TestHybridExecuteLinearChain runs one chain — static order within a
@@ -48,46 +43,52 @@ func TestHybridExecuteLinearChain(t *testing.T) {
 	}
 }
 
-// randomDAG builds a seeded random dependency DAG whose task bodies
-// compute cells[i] from the task's predecessors' cells — any
-// scheduling that respects the edges yields bit-identical floats.
-// noSerial is the share (of 4) of tasks without a Serial key.
-func randomDAG(rng *rand.Rand, n, noSerial int, cells []float64) *Program {
-	b := NewBuilder(n)
-	for i := 0; i < n; i++ {
-		i := i
-		var in []int
-		for _, k := range rng.Perm(i) {
-			if len(in) == 3 {
+// randomChains builds a seeded random chain-major program of n tasks
+// whose bodies compute cells[i] from the task's predecessors' cells —
+// any scheduling that respects the edges yields bit-identical floats.
+// Three chains in four are one task long, the rest 2 to 16; each task
+// waits on up to 3 tasks of earlier chains, then on the task before it
+// in its chain.
+func randomChains(rng *rand.Rand, n int, cells []float64) *Program {
+	var lens, chainOf, posOf []int
+	for len(chainOf) < n {
+		l := 1
+		if rng.Intn(4) == 0 {
+			l = min(2+rng.Intn(15), n-len(chainOf))
+		}
+		for pos := 0; pos < l; pos++ {
+			chainOf, posOf = append(chainOf, len(lens)), append(posOf, pos)
+		}
+		lens = append(lens, l)
+	}
+	deps := make([][]int, n)
+	data := func(i, c, pos int) [][2]int {
+		var preds [][2]int
+		for _, k := range rng.Perm(i - pos) {
+			if len(preds) == 3 {
 				break
 			}
 			if rng.Intn(3) == 0 {
-				in = append(in, k)
+				preds = append(preds, [2]int{chainOf[k], posOf[k]})
+				deps[i] = append(deps[i], k)
 			}
 		}
-		deps := append([]int(nil), in...)
-		serial := NoSerial
-		if rng.Intn(4) >= noSerial {
-			serial = rng.Intn(4)
+		if pos > 0 {
+			deps[i] = append(deps[i], i-1)
 		}
-		b.Add(Task{
-			Fn: func() {
-				v := 1.0
-				for _, d := range deps {
-					v += math.Sqrt(cells[d] + float64(d))
-				}
-				cells[i] = v * 1.0000001
-			},
-			Out:    i,
-			In:     in,
-			Serial: serial,
-		})
+		return preds
 	}
-	return b.Build()
+	return buildChains(lens, data, func(i int) {
+		v := 1.0
+		for _, d := range deps[i] {
+			v += math.Sqrt(cells[d] + float64(d))
+		}
+		cells[i] = v * 1.0000001
+	})
 }
 
-// TestHybridBitIdenticalToDynamic holds randomized DAGs — interleaved
-// Serial keys and NoSerial one-task chains — bit-identical to their
+// TestHybridBitIdenticalToDynamic holds random chain programs — long
+// chains among many one-task ones — bit-identical to their
 // single-worker run at every worker count, with every serial edge
 // resolved by chain order. Run with -race -cpu 2,4 to exercise the
 // claim and park paths under contention.
@@ -95,10 +96,10 @@ func TestHybridBitIdenticalToDynamic(t *testing.T) {
 	const n = 256
 	for seed := int64(1); seed <= 8; seed++ {
 		want := make([]float64, n)
-		randomDAG(rand.New(rand.NewSource(seed)), n, 3, want).Execute(1, ExecOptions{})
+		randomChains(rand.New(rand.NewSource(seed)), n, want).Execute(1, ExecOptions{})
 		for _, workers := range []int{1, 2, 4, 7} {
 			got := make([]float64, n)
-			p := randomDAG(rand.New(rand.NewSource(seed)), n, 3, got)
+			p := randomChains(rand.New(rand.NewSource(seed)), n, got)
 			st, err := p.ExecuteChecked(workers, ExecOptions{})
 			if err != nil {
 				t.Fatalf("seed=%d workers=%d: %v", seed, workers, err)
@@ -122,32 +123,25 @@ func TestHybridBitIdenticalToDynamic(t *testing.T) {
 func TestHybridContentionManyChains(t *testing.T) {
 	const chains, length = 32, 16
 	cells := make([]float64, chains*length)
-	b := NewBuilder(chains * length)
-	for k := 0; k < length; k++ {
-		for c := 0; c < chains; c++ {
-			id := c*length + k
-			var in []int
-			if c > 0 {
-				in = []int{id - length}
-			}
-			b.Add(Task{
-				Fn: func() {
-					v := 1.0
-					if k > 0 {
-						v += cells[id-1]
-					}
-					if c > 0 {
-						v += cells[id-length]
-					}
-					cells[id] = v
-				},
-				Out:    id,
-				In:     in,
-				Serial: c,
-			})
-		}
+	lens := make([]int, chains)
+	for c := range lens {
+		lens[c] = length
 	}
-	p := b.Build()
+	p := buildChains(lens, func(_, c, k int) [][2]int {
+		if c == 0 {
+			return nil
+		}
+		return [][2]int{{c - 1, k}}
+	}, func(id int) {
+		v := 1.0
+		if id%length > 0 {
+			v += cells[id-1]
+		}
+		if id >= length {
+			v += cells[id-length]
+		}
+		cells[id] = v
+	})
 	if p.NumChains() != chains {
 		t.Fatalf("chains = %d", p.NumChains())
 	}
@@ -257,21 +251,12 @@ func within(t *testing.T, d time.Duration, what string, fn func() error) {
 // downstream chain to yield to.
 func TestChainsTerminateOnYieldBoundary(t *testing.T) {
 	lens := []int{yieldEvery, 2 * yieldEvery, yieldEvery, 2 * yieldEvery, 3 * yieldEvery}
-	b := NewBuilder(0)
-	var ids [][]int
-	for c, l := range lens {
-		ids = append(ids, nil)
-		for k := 0; k < l; k++ {
-			id := len(ids)*100 + k
-			ids[c] = append(ids[c], id)
-			var in []int
-			if c > 0 && k < len(ids[c-1]) {
-				in = []int{ids[c-1][k]}
-			}
-			b.Add(Task{Out: id, In: in, Serial: c})
+	p := buildChains(lens, func(_, c, k int) [][2]int {
+		if c == 0 || k >= lens[c-1] {
+			return nil
 		}
-	}
-	p := b.Build()
+		return [][2]int{{c - 1, k}}
+	}, nil)
 	runs := 200
 	if testing.Short() {
 		runs = 20
@@ -287,8 +272,8 @@ func TestChainsTerminateOnYieldBoundary(t *testing.T) {
 }
 
 // TestChainsStressRandomDAGs is the termination and bit-identity
-// stress over Builder DAGs in which most tasks are NoSerial one-task
-// chains: 200 runs at each worker count, under a watchdog.
+// stress over random chain programs in which most chains are one task
+// long: 200 runs at each worker count, under a watchdog.
 func TestChainsStressRandomDAGs(t *testing.T) {
 	const n = 96
 	runs := 200
@@ -297,9 +282,9 @@ func TestChainsStressRandomDAGs(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 4; seed++ {
 		want := make([]float64, n)
-		randomDAG(rand.New(rand.NewSource(seed)), n, 3, want).Execute(1, ExecOptions{})
+		randomChains(rand.New(rand.NewSource(seed)), n, want).Execute(1, ExecOptions{})
 		got := make([]float64, n)
-		p := randomDAG(rand.New(rand.NewSource(seed)), n, 3, got)
+		p := randomChains(rand.New(rand.NewSource(seed)), n, got)
 		for _, workers := range []int{1, 2, 3, 4, 7} {
 			for run := 0; run < runs; run++ {
 				clear(got)

@@ -1,121 +1,14 @@
 package runtime
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/obs"
 )
 
-// Builder lowers a stream of tasks, added in program order, into a
-// compiled Program: the §5.5 dependency addresses are resolved against
-// the last-writer and last-serial tables exactly once, here, instead of
-// on every run. Edges are deduplicated, so a task reading the same
-// address through several access relations carries one edge. It is the
-// general-DAG constructor; a lowering that already knows its chains
-// fills a ChainSpec instead, and the tests hold the two equal.
-type Builder struct {
-	tasks      []Task
-	preds      [][]int32
-	lastWriter map[int]int32
-	lastSerial map[int]int32
-}
-
-// NewBuilder returns a builder with capacity for n tasks.
-func NewBuilder(n int) *Builder {
-	return &Builder{
-		tasks:      make([]Task, 0, n),
-		preds:      make([][]int32, 0, n),
-		lastWriter: make(map[int]int32),
-		lastSerial: make(map[int]int32),
-	}
-}
-
-// Add appends one task, resolving its In addresses and Serial key
-// against the previously added tasks.
-func (b *Builder) Add(t Task) {
-	id := int32(len(b.tasks))
-	var preds []int32
-	addPred := func(p int32) {
-		for _, q := range preds {
-			if q == p {
-				return
-			}
-		}
-		preds = append(preds, p)
-	}
-	for _, addr := range t.In {
-		if w, ok := b.lastWriter[addr]; ok {
-			addPred(w)
-		}
-	}
-	if t.Serial >= 0 {
-		if p, ok := b.lastSerial[t.Serial]; ok {
-			addPred(p)
-		}
-		b.lastSerial[t.Serial] = id
-	}
-	if t.Out >= 0 {
-		b.lastWriter[t.Out] = id
-	}
-	b.tasks = append(b.tasks, t)
-	b.preds = append(b.preds, preds)
-}
-
-// Build freezes the builder into an immutable Program: one chain per
-// Serial key, in order of first use, and each NoSerial task a chain of
-// its own. The builder must not be reused afterwards.
-func (b *Builder) Build() *Program {
-	n := len(b.tasks)
-	fns := make([]func(), n)
-	p := &Program{
-		labels:  make([]string, n),
-		chainOf: make([]int32, n),
-		predOff: make([]int32, n+1),
-		run: func(i int) {
-			if fn := fns[i]; fn != nil {
-				fn()
-			}
-		},
-	}
-	pos := make([]int32, n)
-	var lens []int32
-	chainOfKey := make(map[int]int32)
-	for i, t := range b.tasks {
-		fns[i] = t.Fn
-		p.labels[i] = t.Label
-		c, ok := chainOfKey[t.Serial]
-		if !ok {
-			c = int32(len(lens))
-			lens = append(lens, 0)
-			p.key = append(p.key, int32(t.Serial))
-			if t.Serial >= 0 {
-				chainOfKey[t.Serial] = c
-			}
-		}
-		p.chainOf[i], pos[i] = c, lens[c]
-		lens[c]++
-		p.predOff[i+1] = p.predOff[i] + int32(len(b.preds[i]))
-	}
-	p.chainOff = offsets(lens)
-	p.order = make([]int32, n)
-	for i := range b.tasks {
-		p.order[p.chainOff[p.chainOf[i]]+pos[i]] = int32(i)
-	}
-	p.predChain = make([]int32, 0, p.predOff[n])
-	p.predPos = make([]int32, 0, p.predOff[n])
-	for _, preds := range b.preds {
-		for _, q := range preds {
-			p.predChain = append(p.predChain, p.chainOf[q])
-			p.predPos = append(p.predPos, pos[q])
-		}
-	}
-	return p
-}
-
-// ChainSpec describes a program by its chains directly, for a lowering
-// that knows them (codegen: one chain per statement, one task per
-// block). Task ids are chain-major — chain c holds ids base(c) ..
+// ChainSpec describes a program by its chains, the one way to build
+// one (codegen: one chain per statement, one task per run of its
+// blocks). Task ids are chain-major — chain c holds ids base(c) ..
 // base(c)+Lens[c]−1, where base(c) is the sum of the earlier lengths —
 // and chain c's Serial key is c. Task i's predecessors are position
 // PredPos[k] of chain PredChain[k] for k in PredOff[i] .. PredOff[i+1]−1,
@@ -133,42 +26,32 @@ type ChainSpec struct {
 	Label func(i int) string
 }
 
-// Build returns the program the spec describes. The program takes
-// ownership of the spec's slices.
+// Build returns the program the spec describes. The program reads the
+// spec's slices and never writes them, so several programs may share
+// one set of columns.
 func (s ChainSpec) Build() *Program {
 	n := len(s.PredOff) - 1
 	p := &Program{
 		run:       s.Run,
 		labelOf:   s.Label,
-		key:       make([]int32, len(s.Lens)),
-		chainOff:  offsets(s.Lens),
-		order:     make([]int32, n),
+		chainOff:  make([]int32, len(s.Lens)+1),
 		chainOf:   make([]int32, n),
 		predOff:   s.PredOff,
 		predChain: s.PredChain,
 		predPos:   s.PredPos,
 	}
-	for c := range s.Lens {
-		p.key[c] = int32(c)
+	for c, l := range s.Lens {
+		p.chainOff[c+1] = p.chainOff[c] + l
 		for i := p.chainOff[c]; i < p.chainOff[c+1]; i++ {
-			p.order[i], p.chainOf[i] = i, int32(c)
+			p.chainOf[i] = int32(c)
 		}
 	}
 	return p
 }
 
-// offsets returns the prefix sums of lens, len(lens)+1 entries.
-func offsets(lens []int32) []int32 {
-	off := make([]int32, len(lens)+1)
-	for c, l := range lens {
-		off[c+1] = off[c] + l
-	}
-	return off
-}
-
 // Program is a compiled task program laid out as chains: the tasks of
-// one Serial key run strictly in order, so a chain's execution state is
-// a single progress counter, and a task waits on its predecessors as
+// one chain run strictly in order, so a chain's execution state is a
+// single progress counter, and a task waits on its predecessors as
 // (chain, position) pairs — done[chain] > position — rather than on an
 // indegree. A Program is immutable — every Execute keeps its counters
 // privately — so one lowering can be reused across runs and executed
@@ -181,10 +64,8 @@ type Program struct {
 	// before anything reads them.
 	nameOnce sync.Once
 
-	chainOff []int32 // chain c's tasks are order[chainOff[c]:chainOff[c+1]]
-	order    []int32 // task ids chain by chain, ascending within a chain
+	chainOff []int32 // chain c's tasks are ids chainOff[c] .. chainOff[c+1]−1
 	chainOf  []int32 // task → chain
-	key      []int32 // chain → Serial key (NoSerial for a one-task chain)
 	// Predecessor columns: task i waits on position predPos[k] of chain
 	// predChain[k] for k in predOff[i]..predOff[i+1]−1, in resolution
 	// order, its serial predecessor included.
@@ -194,43 +75,33 @@ type Program struct {
 // NumTasks returns the task count.
 func (p *Program) NumTasks() int { return len(p.chainOf) }
 
-// NumEdges returns the dependency-edge count (after deduplication).
+// NumEdges returns the dependency-edge count.
 func (p *Program) NumEdges() int { return len(p.predChain) }
 
-// NumChains returns the number of chains (Serial keys plus NoSerial
-// tasks).
-func (p *Program) NumChains() int { return len(p.key) }
+// NumChains returns the number of chains.
+func (p *Program) NumChains() int { return len(p.chainOff) - 1 }
 
 // chainLen returns chain c's task count.
 func (p *Program) chainLen(c int) int32 { return p.chainOff[c+1] - p.chainOff[c] }
 
 // taskAt returns the id of the task at position pos of chain c.
-func (p *Program) taskAt(c, pos int32) int32 { return p.order[p.chainOff[c]+pos] }
-
-// Label returns task i's trace label.
-func (p *Program) Label(i int) string {
-	p.nameTasks()
-	return p.labels[i]
-}
+func (p *Program) taskAt(c, pos int32) int32 { return p.chainOff[c] + pos }
 
 // nameTasks fills in the labels ChainSpec.Label supplies, on the first
-// call only; a Builder's per-task labels are already in place.
+// call only.
 func (p *Program) nameTasks() {
 	p.nameOnce.Do(func() {
-		if p.labels != nil {
-			return
-		}
 		p.labels = make([]string, p.NumTasks())
-		for i := range p.labels {
-			if p.labelOf != nil {
+		if p.labelOf != nil {
+			for i := range p.labels {
 				p.labels[i] = p.labelOf(i)
 			}
 		}
 	})
 }
 
-// Serial returns task i's serialization key (or NoSerial).
-func (p *Program) Serial(i int) int { return int(p.key[p.chainOf[i]]) }
+// Serial returns task i's serialization key: its chain.
+func (p *Program) Serial(i int) int { return int(p.chainOf[i]) }
 
 // Edges returns the dependency edges as (predecessor, task) id pairs,
 // by task in resolution order: all of them, and cross, the ones between
@@ -280,24 +151,4 @@ type ExecStats struct {
 	// alone — a task's serial edge to the task before it in its chain —
 	// rather than by checking another chain's counter.
 	ChainFused int64
-}
-
-// ExecuteChecked is Execute plus a post-run validation that every chain
-// counter reached its chain's length, every task ran, and every
-// dependency edge was resolved — the invariants the fuzzed-SCoP stress
-// suite asserts.
-func (p *Program) ExecuteChecked(workers int, opts ExecOptions) (ExecStats, error) {
-	r := p.execute(workers, opts)
-	for c := range r.state {
-		if got, want := r.state[c].done, p.chainLen(c); got != want {
-			return r.stats, fmt.Errorf("runtime: chain %d (serial %d) stopped after %d of %d tasks", c, p.key[c], got, want)
-		}
-	}
-	if r.stats.Executed != p.NumTasks() {
-		return r.stats, fmt.Errorf("runtime: executed %d of %d tasks", r.stats.Executed, p.NumTasks())
-	}
-	if want := int64(p.NumEdges()); r.stats.DepsResolved != want {
-		return r.stats, fmt.Errorf("runtime: resolved %d of %d dependency edges", r.stats.DepsResolved, want)
-	}
-	return r.stats, nil
 }

@@ -8,52 +8,102 @@ import (
 	"repro/internal/obs"
 )
 
-// chainProgram builds out[i] depends on out[i-1] through addresses.
-func chainProgram(n int, order *[]int32) *Program {
-	b := NewBuilder(n)
-	for i := 0; i < n; i++ {
-		i := int32(i)
-		var in []int
-		if i > 0 {
-			in = []int{int(i) - 1}
-		}
-		b.Add(Task{
-			Fn:     func() { *order = append(*order, i) },
-			Out:    int(i),
-			In:     in,
-			Serial: NoSerial,
-		})
+// buildChains builds the chain-major program with the given chain
+// lengths: task i, at position pos of chain c, waits on data(i, c, pos)
+// — (chain, position) pairs in earlier chains — and then on the task
+// before it in its chain. run is every task's body; nil runs nothing.
+func buildChains(lens []int, data func(i, c, pos int) [][2]int, run func(i int)) *Program {
+	if run == nil {
+		run = func(int) {}
 	}
-	return b.Build()
+	spec := ChainSpec{PredOff: []int32{0}, Run: run}
+	for c, l := range lens {
+		spec.Lens = append(spec.Lens, int32(l))
+		for pos := 0; pos < l; pos++ {
+			var preds [][2]int
+			if data != nil {
+				preds = data(len(spec.PredOff)-1, c, pos)
+			}
+			if pos > 0 {
+				preds = append(preds, [2]int{c, pos - 1})
+			}
+			for _, q := range preds {
+				spec.PredChain = append(spec.PredChain, int32(q[0]))
+				spec.PredPos = append(spec.PredPos, int32(q[1]))
+			}
+			spec.PredOff = append(spec.PredOff, int32(len(spec.PredChain)))
+		}
+	}
+	return spec.Build()
 }
 
-func TestBuilderResolvesWriterAndSerial(t *testing.T) {
-	b := NewBuilder(4)
-	b.Add(Task{Out: 10, Serial: NoSerial})                // 0
-	b.Add(Task{Out: 11, In: []int{10, 10}, Serial: 0})    // 1: dep on 0, dup In deduped
-	b.Add(Task{Out: 10, In: []int{11}, Serial: 0})        // 2: dep on 1 (writer + serial, deduped)
-	b.Add(Task{Out: -1, In: []int{10}, Serial: NoSerial}) // 3: dep on 2 (latest writer of 10)
-	p := b.Build()
+// ExecuteChecked is Execute plus a post-run validation that every chain
+// counter reached its chain's length, every task ran, and every
+// dependency edge was resolved.
+func (p *Program) ExecuteChecked(workers int, opts ExecOptions) (ExecStats, error) {
+	r := p.execute(workers, opts)
+	for c := range r.state {
+		if got, want := r.state[c].done, p.chainLen(c); got != want {
+			return r.stats, fmt.Errorf("runtime: chain %d stopped after %d of %d tasks", c, got, want)
+		}
+	}
+	if r.stats.Executed != p.NumTasks() {
+		return r.stats, fmt.Errorf("runtime: executed %d of %d tasks", r.stats.Executed, p.NumTasks())
+	}
+	if want := int64(p.NumEdges()); r.stats.DepsResolved != want {
+		return r.stats, fmt.Errorf("runtime: resolved %d of %d dependency edges", r.stats.DepsResolved, want)
+	}
+	return r.stats, nil
+}
 
-	if p.NumTasks() != 4 {
-		t.Fatalf("NumTasks = %d", p.NumTasks())
+// oneTaskChains builds n chains of one task each, task i waiting on
+// task i−1 when dep is set, with body run.
+func oneTaskChains(n int, dep bool, run func(i int)) *Program {
+	lens := make([]int, n)
+	for c := range lens {
+		lens[c] = 1
+	}
+	return buildChains(lens, func(i, _, _ int) [][2]int {
+		if !dep || i == 0 {
+			return nil
+		}
+		return [][2]int{{i - 1, 0}}
+	}, run)
+}
+
+// chainProgram builds n one-task chains, each waiting on the one
+// before and appending its id to order.
+func chainProgram(n int, order *[]int32) *Program {
+	return oneTaskChains(n, true, func(i int) { *order = append(*order, int32(i)) })
+}
+
+// TestChainSpecEdgesAndSerial: a program built from chain columns
+// reports its predecessors as task-id edges in column order, the cross
+// edges without the serial ones, and each task's chain as its Serial
+// key.
+func TestChainSpecEdgesAndSerial(t *testing.T) {
+	// Chains of 1, 2 and 1 tasks: (1, 0) waits on (0, 0), (1, 1) on
+	// its serial predecessor, (2, 0) on (1, 1).
+	p := buildChains([]int{1, 2, 1}, func(_, c, pos int) [][2]int {
+		if c > 0 && pos == 0 {
+			return [][2]int{{c - 1, c - 1}}
+		}
+		return nil
+	}, nil)
+	if p.NumTasks() != 4 || p.NumEdges() != 3 || p.NumChains() != 3 {
+		t.Fatalf("NumTasks = %d, NumEdges = %d, NumChains = %d; want 4, 3, 3", p.NumTasks(), p.NumEdges(), p.NumChains())
 	}
 	all, cross := p.Edges()
 	if got, want := fmt.Sprint(all), "[[0 1] [1 2] [2 3]]"; got != want {
 		t.Fatalf("Edges all = %s, want %s", got, want)
 	}
-	// 1 -> 2 is the serial edge inside chain 0; the other two cross
-	// between chains.
 	if got, want := fmt.Sprint(cross), "[[0 1] [2 3]]"; got != want {
 		t.Fatalf("Edges cross = %s, want %s", got, want)
 	}
-	for i, want := range []int{NoSerial, 0, 0, NoSerial} {
+	for i, want := range []int{0, 1, 1, 2} {
 		if got := p.Serial(i); got != want {
 			t.Fatalf("Serial(%d) = %d, want %d", i, got, want)
 		}
-	}
-	if p.NumEdges() != 3 || p.NumChains() != 3 {
-		t.Fatalf("NumEdges = %d, NumChains = %d; want 3, 3", p.NumEdges(), p.NumChains())
 	}
 }
 
@@ -96,11 +146,7 @@ func TestExecuteParallelChainOrdered(t *testing.T) {
 func TestExecuteIndependentTasksRunConcurrently(t *testing.T) {
 	const n = 64
 	var counter atomic.Int64
-	b := NewBuilder(n)
-	for i := 0; i < n; i++ {
-		b.Add(Task{Fn: func() { counter.Add(1) }, Out: -1, Serial: NoSerial})
-	}
-	p := b.Build()
+	p := oneTaskChains(n, false, func(int) { counter.Add(1) })
 	st, err := p.ExecuteChecked(4, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -115,11 +161,7 @@ func TestExecuteIndependentTasksRunConcurrently(t *testing.T) {
 
 func TestExecuteReusableAcrossRuns(t *testing.T) {
 	var counter atomic.Int64
-	b := NewBuilder(8)
-	for i := 0; i < 8; i++ {
-		b.Add(Task{Fn: func() { counter.Add(1) }, Out: i, In: []int{(i + 7) % 8}, Serial: NoSerial})
-	}
-	p := b.Build()
+	p := oneTaskChains(8, true, func(int) { counter.Add(1) })
 	for run := 0; run < 3; run++ {
 		if _, err := p.ExecuteChecked(2, ExecOptions{}); err != nil {
 			t.Fatal(err)
@@ -169,7 +211,7 @@ func TestExecuteEmitsEventsAndMetrics(t *testing.T) {
 }
 
 func TestExecuteEmptyProgram(t *testing.T) {
-	p := NewBuilder(0).Build()
+	p := ChainSpec{PredOff: []int32{0}}.Build()
 	st, err := p.ExecuteChecked(4, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
