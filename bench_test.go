@@ -151,6 +151,10 @@ func BenchmarkAblationGranularity(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			prog, err := codegen.CompileWithOptions(info, codegen.CompileOptions{MinBlockIters: minIters})
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := s.Run(polypipe.ModePipelined, p); err != nil {
@@ -158,7 +162,7 @@ func BenchmarkAblationGranularity(b *testing.B) {
 				}
 			}
 			b.ReportMetric(speedups[0], "speedup/4w")
-			b.ReportMetric(float64(info.TotalBlocks()), "tasks")
+			b.ReportMetric(float64(prog.NumTasks()), "tasks")
 		})
 	}
 }

@@ -42,7 +42,7 @@ func main() {
 	rows := flag.Int("rows", 96, "rows for matrix-chain workloads")
 	workers := flag.Int("workers", 4, "pipeline workers (0 = GOMAXPROCS)")
 	work := flag.Duration("work", time.Millisecond, "extra wall-clock cost per statement instance (the Table 9 SIZE analogue; a timed wait, so overlap is visible on any host); 0 leaves the raw bodies, whose cost is below task overhead")
-	minBlock := flag.Int("min-block-iters", 8, "coarsen blocks to at least this many iterations (Options.MinBlockIters); amortizes per-task handoff")
+	minBlock := flag.Int("min-block-iters", 8, "group blocks into tasks of at least this many iterations (Options.MinBlockIters; detection's blocks are unchanged); amortizes per-task handoff")
 	tuneBudget := flag.Int("autotune", 0, "profile-guided block-size search budget before the observed run (0 = off, use -min-block-iters as-is); overrides -min-block-iters with the tuned value")
 	backend := flag.String("backend", "", "detection backend: \"\"/explicit (Algorithm 1 over enumerated relations) or symbolic (closed-form constraint algebra, falls back outside its fragment)")
 	out := flag.String("o", "trace.json", "Perfetto trace_event output file")

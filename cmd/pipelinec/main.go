@@ -80,7 +80,7 @@ func realMain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	flags := flag.NewFlagSet("pipelinec", flag.ContinueOnError)
 	flags.SetOutput(stderr)
 	dump := flags.String("dump", "all", "artifacts to print: report, blocks, tree, ast, or all")
-	minIters := flags.Int("min-block-iters", 0, "coarsen pipeline blocks to at least this many iterations")
+	minIters := flags.Int("min-block-iters", 0, "group pipeline blocks into tasks of at least this many iterations (-run, -dump-ir, -gogen; -dump shows detection's blocks)")
 	example := flags.String("example", "", "use a built-in example program: listing1 or listing3")
 	run := flags.Bool("run", false, "also execute the program (synthetic bodies): verify pipelined vs sequential and report the simulated speed-up")
 	workersFlag := flags.Int("workers", 4, "worker count for -run, -dump-ir and generated code (0 = GOMAXPROCS)")
@@ -139,7 +139,7 @@ func realMain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "wrote SCoP description to %s\n\n", *scopOut)
 	}
 	if *dumpIR {
-		p, err := gogen.Compile(info, gogen.EmitOptions{Workers: workers, Passes: *passes})
+		p, err := gogen.Compile(info, gogen.EmitOptions{Workers: workers, Passes: *passes, MinBlockIters: *minIters})
 		if err != nil {
 			return fail(exitErr, err)
 		}
@@ -164,8 +164,12 @@ func realMain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		if err := sess.Verify(prog); err != nil {
 			return fail(exitErr, err)
 		}
-		fmt.Fprintf(stdout, "verification: pipelined == parloop == sequential ✓ (%d tasks)\n",
-			info.TotalBlocks())
+		res, err := sess.Run(polypipe.ModePipelined, prog)
+		if err != nil {
+			return fail(exitErr, err)
+		}
+		fmt.Fprintf(stdout, "verification: pipelined == parloop == sequential ✓ (%d blocks, %d chain tasks)\n",
+			info.TotalBlocks(), res.Tasks)
 		// One measurement for both points, so the critical-path bound
 		// always dominates the bounded speed-up.
 		s, err := sess.Simulate(prog, polypipe.SimConfig{Procs: []int{workers, 1 << 16}})

@@ -35,7 +35,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (host:0 picks a random port)")
 	workers := flag.Int("workers", 0, "detection worker-pool width (0 = GOMAXPROCS)")
 	backend := flag.String("backend", "", "detection backend: \"\"/explicit or symbolic")
-	minBlock := flag.Int("min-block-iters", 0, "coarsen blocks to at least this many iterations")
 	cacheCap := flag.Int("cache", 0, "in-memory cache capacity in entries (0 = default)")
 	diskCache := flag.String("disk-cache", "", "directory for the durable cache tier (empty = memory only)")
 	maxInflight := flag.Int("max-inflight", 0, "concurrent detections admitted (0 = 2x GOMAXPROCS)")
@@ -48,7 +47,7 @@ func main() {
 
 	cfg := polypipe.Config{
 		Workers:       *workers,
-		Options:       polypipe.Options{MinBlockIters: *minBlock, Backend: *backend},
+		Options:       polypipe.Options{Backend: *backend},
 		Backend:       *backend,
 		Cache:         true,
 		CacheCapacity: *cacheCap,

@@ -2,15 +2,14 @@
 // opened: it executes a program's detected block pipeline under
 // instrumentation, reads the realized critical path and the
 // stall/queue-depth profile back out of internal/obs, scores
-// the blocking, and re-derives the block program at a different
-// MinBlockIters granularity (re-entering core.Detect and codegen
-// with the candidate) until the search converges on a per-kernel
-// block size. The search is a doubling sweep to bracket the optimum
-// followed by golden-section refinement on the bracketed integer
+// the blocking, and re-compiles one detection result's chain plan at
+// a different MinBlockIters granularity until the search converges on
+// a per-kernel block size. The search is a doubling sweep to bracket
+// the optimum followed by golden-section refinement on the bracketed integer
 // interval; every candidate evaluation is memoized and verified
 // bit-identical against the sequential reference.
 //
-// The paper's Eq. 3 blocking fixes granularity at detect time; this
+// The paper's Eq. 3 blocking is the finest granularity; this
 // package is the run-time answer to its §7 question of how coarse
 // the blocks should be on a given host: fine blocking exposes
 // parallelism but pays per-task scheduling overhead, coarse blocking
@@ -58,7 +57,7 @@ type Config struct {
 	Workers int
 	// Detect is the base detection configuration; its MinBlockIters is
 	// the search's starting granularity (0/1 = the pure Eq. 3
-	// blocking) and the rest is passed through to core.Detect.
+	// blocking) and Tune passes it to core.Detect.
 	Detect core.Options
 	// Budget caps candidate evaluations (0 = DefaultBudget).
 	Budget int
@@ -101,11 +100,29 @@ func (r *Result) Speedup() float64 {
 	return float64(r.Baseline.Elapsed) / float64(r.Best.Elapsed)
 }
 
-// Tune searches MinBlockIters for the program and returns the tuned
-// granularity with the full evaluation trail. The program must carry
-// executable bodies; its arrays are reset before every run and left
-// in the tuned run's final state.
+// Tune detects the program once under cfg.Detect, searches
+// MinBlockIters and returns the tuned granularity with the full
+// evaluation trail. The program must carry executable bodies; its
+// arrays are reset before every run and left in the tuned run's final
+// state.
 func Tune(p *kernels.Program, cfg Config) (*Result, error) {
+	defer cfg.Obs.Phase("autotune")()
+	info, err := core.Detect(p.SCoP, cfg.Detect)
+	if err != nil {
+		return nil, fmt.Errorf("autotune: detect: %w", err)
+	}
+	return search(p, info, cfg)
+}
+
+// TuneDetected is Tune over info, a detection result of p the caller
+// holds (a cached one, say); cfg.Detect supplies only MinBlockIters.
+func TuneDetected(p *kernels.Program, info *core.Info, cfg Config) (*Result, error) {
+	defer cfg.Obs.Phase("autotune")()
+	return search(p, info, cfg)
+}
+
+// search is the search of Tune, every candidate compiled from info.
+func search(p *kernels.Program, info *core.Info, cfg Config) (*Result, error) {
 	workers := par.Workers(cfg.Workers)
 	budget := cfg.Budget
 	if budget <= 0 {
@@ -116,7 +133,6 @@ func Tune(p *kernels.Program, cfg Config) (*Result, error) {
 		reps = 2
 	}
 	rec := cfg.Obs
-	defer rec.Phase("autotune")()
 
 	ceiling := cfg.MaxBlockIters
 	if ceiling <= 0 {
@@ -146,7 +162,7 @@ func Tune(p *kernels.Program, cfg Config) (*Result, error) {
 		}
 		res.Evals++
 		rec.Count("autotune.iterations", 1)
-		s, err = evaluate(p, b, workers, reps, cfg, want)
+		s, err = evaluate(p, info, b, workers, reps, want)
 		if err != nil {
 			return Sample{}, false, err
 		}
@@ -269,18 +285,11 @@ func Tune(p *kernels.Program, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// evaluate detects, compiles, and lowers the program at granularity b
-// and times reps executions, keeping the best run's profile. Every
-// run's result hash is checked against the sequential reference.
-func evaluate(p *kernels.Program, b, workers, reps int, cfg Config, want uint64) (Sample, error) {
-	opts := cfg.Detect
-	opts.MinBlockIters = b
-	opts.Obs = nil
-	info, err := core.Detect(p.SCoP, opts)
-	if err != nil {
-		return Sample{}, fmt.Errorf("autotune: detect at blockIters=%d: %w", b, err)
-	}
-	prog, err := codegen.Compile(info)
+// evaluate compiles and lowers info at granularity b and times reps
+// executions, keeping the best run's profile. Every run's result hash
+// is checked against the sequential reference.
+func evaluate(p *kernels.Program, info *core.Info, b, workers, reps int, want uint64) (Sample, error) {
+	prog, err := codegen.CompileWithOptions(info, codegen.CompileOptions{MinBlockIters: b})
 	if err != nil {
 		return Sample{}, fmt.Errorf("autotune: compile at blockIters=%d: %w", b, err)
 	}

@@ -147,3 +147,25 @@ func TestTuneProfilesAreInternallyConsistent(t *testing.T) {
 		}
 	}
 }
+
+// TestTuneDetectsOnce: every candidate compiles from one detection, so
+// the detect.pipeline_maps phase is recorded once whatever the budget.
+func TestTuneDetectsOnce(t *testing.T) {
+	p := kernels.Listing1(24)
+	for _, budget := range []int{1, 6} {
+		rec := obs.NewRecorder()
+		res, err := Tune(p, Config{Workers: 2, Reps: 1, Budget: budget, Detect: core.Options{Obs: rec}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		detections := 0
+		for _, sp := range rec.Phases.Spans() {
+			if sp.Name == "detect.pipeline_maps" {
+				detections++
+			}
+		}
+		if detections != 1 || res.Evals < min(budget, 2) {
+			t.Fatalf("budget %d: %d evals ran %d detections, want 1", budget, res.Evals, detections)
+		}
+	}
+}

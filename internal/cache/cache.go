@@ -5,9 +5,10 @@
 //
 // The key is scop.Fingerprint — a canonical, parameter-aware content
 // hash — combined with the Options fields that change the result
-// (MinBlockIters, PairwiseBlocks, AllowOverwrites). Workers is
-// excluded because detection is bit-identical across pool widths (the
-// determinism contract, docs/PERFORMANCE.md), and Obs is excluded
+// (PairwiseBlocks, AllowOverwrites). Workers is excluded because
+// detection is bit-identical across pool widths (the determinism
+// contract, docs/PERFORMANCE.md), MinBlockIters because only the plan
+// (codegen) reads it, so one entry serves every granularity, and Obs
 // because observation never changes behaviour. Two differently named,
 // separately built SCoPs with the same polyhedral content therefore
 // share one entry; results served from another request's entry are
@@ -35,22 +36,15 @@ const numShards = 8
 // Key is the cache address of one detection result.
 type Key struct {
 	FP scop.Fingerprint
-	// The semantic option fields, normalized (MinBlockIters < 2 is the
-	// identity coarsening and stored as 0).
-	MinBlockIters   int
+	// The semantic option fields.
 	PairwiseBlocks  bool
 	AllowOverwrites bool
 }
 
 // KeyFor returns the cache key Get would use for (sc, opts).
 func KeyFor(sc *scop.SCoP, opts core.Options) Key {
-	mbi := opts.MinBlockIters
-	if mbi < 2 {
-		mbi = 0
-	}
 	return Key{
 		FP:              sc.Fingerprint(),
-		MinBlockIters:   mbi,
 		PairwiseBlocks:  opts.PairwiseBlocks,
 		AllowOverwrites: opts.AllowOverwrites,
 	}
@@ -137,7 +131,7 @@ func New(capacity int, reg *obs.Registry) *Cache {
 func (c *Cache) shardFor(k Key) *shard {
 	// The fingerprint is already uniform; fold both lanes and the
 	// option bits so option variants of one SCoP spread too.
-	h := k.FP[0] ^ k.FP[1]*0x9e3779b97f4a7c15 ^ uint64(k.MinBlockIters)
+	h := k.FP[0] ^ k.FP[1]*0x9e3779b97f4a7c15
 	if k.PairwiseBlocks {
 		h ^= 1 << 32
 	}

@@ -102,15 +102,17 @@ func TestRebindAcrossInstances(t *testing.T) {
 }
 
 // TestOptionsPartitionTheCache: semantic options address distinct
-// entries; Workers and the MinBlockIters identity range do not.
+// entries; Workers and MinBlockIters, which detection never reads, do
+// not.
 func TestOptionsPartitionTheCache(t *testing.T) {
 	sc := buildChain(t, 8)
 	base := KeyFor(sc, core.Options{})
-	if KeyFor(sc, core.Options{Workers: 8, MinBlockIters: 1}) != base {
-		t.Fatal("Workers / identity MinBlockIters must not move the key")
+	for _, opts := range []core.Options{{Workers: 8}, {MinBlockIters: 1}, {MinBlockIters: 4}, {MinBlockIters: 64}} {
+		if KeyFor(sc, opts) != base {
+			t.Fatalf("%+v moved the key", opts)
+		}
 	}
 	for name, opts := range map[string]core.Options{
-		"MinBlockIters":   {MinBlockIters: 4},
 		"PairwiseBlocks":  {PairwiseBlocks: true},
 		"AllowOverwrites": {AllowOverwrites: true},
 	} {

@@ -73,7 +73,7 @@ func (s *Store) path(key cache.Key) string {
 	if key.AllowOverwrites {
 		ow = 1
 	}
-	return filepath.Join(s.dir, fmt.Sprintf("%s-m%d-p%d-o%d.gob", key.FP, key.MinBlockIters, pw, ow))
+	return filepath.Join(s.dir, fmt.Sprintf("%s-p%d-o%d.gob", key.FP, pw, ow))
 }
 
 // Load reads the entry for key and rebinds it to sc, reporting a miss

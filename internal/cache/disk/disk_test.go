@@ -82,7 +82,7 @@ func testPrograms(t *testing.T) []struct {
 		name string
 		sc   *scop.SCoP
 		opts core.Options
-	}{"listing3_coarse", kernels.Listing3(16).SCoP, core.Options{MinBlockIters: 4}})
+	}{"listing3_pairwise", kernels.Listing3(16).SCoP, core.Options{PairwiseBlocks: true}})
 	out = append(out, struct {
 		name string
 		sc   *scop.SCoP
@@ -199,21 +199,48 @@ func TestDiskOptionVariantsCoexist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coarse, err := core.Detect(sc, core.Options{MinBlockIters: 4})
+	pairwise, err := core.Detect(sc, core.Options{PairwiseBlocks: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	store.Store(cache.KeyFor(sc, core.Options{}), plain.Freeze())
-	store.Store(cache.KeyFor(sc, core.Options{MinBlockIters: 4}), coarse.Freeze())
+	store.Store(cache.KeyFor(sc, core.Options{PairwiseBlocks: true}), pairwise.Freeze())
 	if store.Len() != 2 {
 		t.Fatalf("store has %d entries, want 2", store.Len())
 	}
-	got, ok := store.Load(cache.KeyFor(sc, core.Options{MinBlockIters: 4}), sc)
+	got, ok := store.Load(cache.KeyFor(sc, core.Options{PairwiseBlocks: true}), sc)
 	if !ok {
-		t.Fatal("coarse entry did not load")
+		t.Fatal("pairwise entry did not load")
 	}
-	if err := core.EqualInfo(coarse, got); err != nil {
-		t.Fatalf("coarse round trip: %v", err)
+	if err := core.EqualInfo(pairwise, got); err != nil {
+		t.Fatalf("pairwise round trip: %v", err)
+	}
+}
+
+// TestDiskGranularitiesShareOneFile: detection never reads
+// MinBlockIters, so a coarse and a fine request address one file, and
+// either loads what the other stored.
+func TestDiskGranularitiesShareOneFile(t *testing.T) {
+	store, err := New(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := kernels.Listing3(16).SCoP
+	fine, err := core.Detect(sc, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Store(cache.KeyFor(sc, core.Options{MinBlockIters: 8}), fine.Freeze())
+	store.Store(cache.KeyFor(sc, core.Options{}), fine)
+	if store.Len() != 1 {
+		t.Fatalf("store has %d entries, want 1", store.Len())
+	}
+	got, ok := store.Load(cache.KeyFor(sc, core.Options{}), sc)
+	if !ok {
+		t.Fatal("fine request missed the coarse request's entry")
+	}
+	if err := core.EqualInfo(fine, got); err != nil {
+		t.Fatalf("round trip: %v", err)
 	}
 }
 

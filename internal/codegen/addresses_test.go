@@ -2,28 +2,30 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/isl"
 	"repro/internal/runtime"
 )
 
-// block is one of the paper's per-block tasks: block b of a
-// statement. blocks lists them in id order, the order PrecedenceEdges
-// numbers them in.
+// block is one of the paper's tasks: a grain of a statement, blocks
+// First..Last, led by the leader of its last block. blocks lists them
+// in id order, the order PrecedenceEdges numbers them in.
 type block struct {
 	si *core.StmtInfo
-	b  int
+	ChainTask
 }
 
-func (k block) label() string { return fmt.Sprintf("%s%v", k.si.Stmt.Name, k.si.Blocks[k.b].Leader) }
+func (k block) leader() isl.Vec { return k.si.Blocks[k.Last].Leader }
+
+func (k block) label() string { return fmt.Sprintf("%s%v", k.si.Stmt.Name, k.leader()) }
 
 func blocks(p *TaskProgram) []block {
-	out := make([]block, 0, p.NumTasks())
-	for _, si := range p.Stmts {
-		for b := range si.Blocks {
-			out = append(out, block{si, b})
-		}
+	grains := p.Grains()
+	out := make([]block, len(grains))
+	for i, g := range grains {
+		out[i] = block{p.Stmts[g.Stmt], g}
 	}
 	return out
 }
@@ -78,18 +80,27 @@ func newCoder(stmts []*core.StmtInfo, numStmts int) VecCoder {
 // depend(out/in) clauses the paper's generated code creates its tasks
 // with: block i's out address out[i] (the encoded leader of the block),
 // and in[i], the out addresses of the source blocks it waits on, in
-// in-dependency order. Nothing executed or emitted reads the
-// addresses; they are the reference resolve replays.
+// in-dependency order — per in-dependency, the source block holding
+// the largest To among its Eq. 3 blocks. Nothing executed or emitted
+// reads the addresses; they are the reference resolve replays.
 func addresses(p *TaskProgram) (out []int, in [][]int) {
 	coder := newCoder(p.Stmts, len(p.SCoP.Stmts))
-	for _, k := range blocks(p) {
+	all := blocks(p)
+	// holder[s][b] is the task of statement s holding its block b.
+	holder := make([][]block, len(p.Stmts))
+	for _, k := range all {
+		for b := k.First; b <= k.Last; b++ {
+			holder[k.Stmt] = append(holder[k.Stmt], k)
+		}
+	}
+	for _, k := range all {
 		var ins []int
 		for _, dep := range k.si.InDeps {
-			if q := dep.To[k.b]; q >= 0 {
-				ins = append(ins, coder.Encode(dep.Src.Index, p.Stmts[dep.Src.Index].Blocks[q].Leader))
+			if q := slices.Max(dep.To[k.First : k.Last+1]); q >= 0 {
+				ins = append(ins, coder.Encode(dep.Src.Index, holder[dep.Src.Index][q].leader()))
 			}
 		}
-		out = append(out, coder.Encode(k.si.Stmt.Index, k.si.Blocks[k.b].Leader))
+		out = append(out, coder.Encode(k.si.Stmt.Index, k.leader()))
 		in = append(in, ins)
 	}
 	return out, in
@@ -140,10 +151,10 @@ func replay(p *TaskProgram) (edges [][2]int, keys []int) {
 	return resolve(outs, ins, keys), keys
 }
 
-// PerBlockIR builds the program with runs of one block, through the
-// same column function Compile uses: the paper's per-block DAG. It is
+// PerBlockIR builds the program with runs of one grain, through the
+// same column function Compile uses: the paper's task DAG. It is
 // exported to the package's external tests.
 func (p *TaskProgram) PerBlockIR() *runtime.Program {
-	runs := chainRuns(p.Stmts, max(p.NumTasks(), 1))
-	return p.build(runs, chainColumns(p.Stmts, runs))
+	grains := p.Grains()
+	return p.build(grains, chainColumns(p.Stmts, grains))
 }

@@ -2,18 +2,19 @@
 // executable task program, mirroring the paper's code-generation phase
 // (§5.4). The paper makes one task per pipeline block; both back ends
 // run a coarser plan of the same DAG. Compile cuts every statement's
-// blocks (core.StmtInfo.Blocks) into runs of consecutive blocks, at
-// most maxChainTasks per statement, straight from detection in
-// statement-index order: the chain plan (ChainTasks), and computes its
-// dependency columns once (Columns). Both back ends read those
-// columns: BuildIR attaches bodies to them for the in-process
-// executor, and ir.Lower copies them into the tasks of an emitted
-// program. The paper's per-block DAG is a view computed on demand
-// (PrecedenceEdges) for the simulator.
+// Eq. 3 blocks (core.StmtInfo.Blocks) into grains of MinBlockIters
+// (§7) and the grains into runs, at most maxChainTasks per statement:
+// the chain plan (ChainTasks), and computes its dependency columns once
+// (Columns). Both back ends read those columns: BuildIR attaches bodies
+// to them for the in-process executor, and ir.Lower copies them into
+// the tasks of an emitted program. The DAG of the grains is a view
+// computed on demand (Grains, PrecedenceEdges) for the simulator.
 package codegen
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -25,6 +26,10 @@ import (
 
 // CompileOptions tunes code generation beyond the paper's prototype.
 type CompileOptions struct {
+	// MinBlockIters, when > 1, groups a statement's blocks into grains
+	// of at least this many iterations (see cut), the §7 granularity
+	// knob; callers copy it from core.Options.MinBlockIters.
+	MinBlockIters int
 	// IntraBlockWorkers, when > 1, enables the hybrid mode the paper's
 	// §7 raises (combining cross-loop pipelining with other
 	// parallelism): tasks of statements that carry no intra-nest
@@ -33,7 +38,7 @@ type CompileOptions struct {
 	// dependencies are unchanged, so correctness is unaffected.
 	IntraBlockWorkers int
 	// Obs, when non-nil, receives the compile phase ("codegen.lower")
-	// and the per-block task count ("codegen.tasks").
+	// and the grain count ("codegen.tasks").
 	Obs *obs.Recorder
 }
 
@@ -57,7 +62,7 @@ type TaskProgram struct {
 	// program BuildIR builds and by the emission IR; its Run and Label
 	// are nil.
 	cols   runtime.ChainSpec
-	blocks int
+	grains int
 
 	// lowered caches the compiled runtime IR (see Lower), built once
 	// and reused by every run.
@@ -88,9 +93,10 @@ func CompileWithOptions(info *core.Info, opts CompileOptions) (*TaskProgram, err
 // carry their own statement bodies, so attaching interpreter bodies to
 // the caller's SCoP, as gogen.Emit once did as a side effect, is
 // neither needed nor allowed. The returned program must not be
-// executed in process unless the SCoP carries bodies.
-func CompileForEmission(info *core.Info) (*TaskProgram, error) {
-	return compileTasks(info, CompileOptions{})
+// executed in process unless the SCoP carries bodies. opts, if given,
+// is one CompileOptions.
+func CompileForEmission(info *core.Info, opts ...CompileOptions) (*TaskProgram, error) {
+	return compileTasks(info, append(opts, CompileOptions{})[0])
 }
 
 // compileTasks allocates per statement and per run, never per block.
@@ -104,46 +110,48 @@ func compileTasks(info *core.Info, opts CompileOptions) (*TaskProgram, error) {
 
 	stop := opts.Obs.Phase("codegen.lower")
 	defer stop()
-	prog.runs = chainRuns(info.Stmts, maxChainTasks)
+	prog.runs, prog.grains = cut(info.Stmts, opts.MinBlockIters, maxChainTasks)
 	prog.cols = chainColumns(info.Stmts, prog.runs)
-	prog.blocks = info.TotalBlocks()
-	opts.Obs.Count("codegen.tasks", int64(prog.blocks))
+	opts.Obs.Count("codegen.tasks", int64(prog.grains))
 	return prog, nil
 }
 
-// NumTasks returns the number of per-block tasks (§5.4); the chain
-// program both back ends run has len(ChainTasks()) tasks.
-func (p *TaskProgram) NumTasks() int { return p.blocks }
+// NumTasks returns the number of grains (the paper's per-block tasks,
+// §5.4, at MinBlockIters ≤ 1); the chain program has len(ChainTasks()).
+func (p *TaskProgram) NumTasks() int { return p.grains }
 
-// PrecedenceEdges returns the paper's per-block task DAG as
-// (predecessor, successor) pairs of block ids, where block b of
-// statement S has id b plus the block count of the statements before
-// S. Per block, its data edges come first — block (Src, To[b]) for
-// every in-dependency, in order — and then its serial edge from block
-// b−1 of S (the funcCount self-dependency). It is computed from the
-// in-dependency columns on every call; the simulator is its reader.
+// Grains returns the program's grains in id order, statement by
+// statement, each as the run of blocks it groups, computed per call.
+func (p *TaskProgram) Grains() []ChainTask {
+	grains, _ := cut(p.Stmts, p.Opts.MinBlockIters, math.MaxInt)
+	return grains
+}
+
+// PrecedenceEdges returns the paper's task DAG over the grains as
+// (predecessor, successor) pairs of grain ids, per grain its data edges
+// in in-dependency order and then its serial edge (funcCount): the
+// columns of runs of one grain, computed per call for the simulator.
 func (p *TaskProgram) PrecedenceEdges() [][2]int {
-	base := make([]int, len(p.Stmts))
-	n := 0
-	for s, si := range p.Stmts {
-		base[s] = n
-		n += len(si.Blocks)
+	grains := p.Grains()
+	cols := chainColumns(p.Stmts, grains)
+	base := make([]int, len(cols.Lens))
+	for s := 1; s < len(base); s++ {
+		base[s] = base[s-1] + int(cols.Lens[s-1])
 	}
-	var edges [][2]int
-	for s, si := range p.Stmts {
-		for b := range si.Blocks {
-			i := base[s] + b
-			for _, dep := range si.InDeps {
-				if q := dep.To[b]; q >= 0 {
-					edges = append(edges, [2]int{base[dep.Src.Index] + int(q), i})
-				}
-			}
-			if b > 0 {
-				edges = append(edges, [2]int{i - 1, i})
-			}
+	edges := make([][2]int, 0, len(cols.PredChain))
+	for i := range grains {
+		for e := cols.PredOff[i]; e < cols.PredOff[i+1]; e++ {
+			edges = append(edges, [2]int{base[cols.PredChain[e]] + int(cols.PredPos[e]), i})
 		}
 	}
 	return edges
+}
+
+// Members returns the iterations of run r in execution order: a
+// shared, read-only subslice of its statement's sorted domain.
+func (p *TaskProgram) Members(r ChainTask) []isl.Vec {
+	si := p.Stmts[r.Stmt]
+	return si.Stmt.Domain.Elements()[si.Blocks[r.First].First : si.Blocks[r.Last].Last+1]
 }
 
 // runBlock executes the members of run r in order, or spread over
@@ -162,8 +170,8 @@ func (p *TaskProgram) runBlock(r ChainTask, elems []isl.Vec) {
 }
 
 // maxChainTasks caps the tasks of one statement's chain: Compile cuts
-// a statement's blocks into runs of g = ⌈blocks / maxChainTasks⌉
-// consecutive blocks, one task per run. A cap needs no body timing, so
+// a statement's grains into runs of g = ⌈grains / maxChainTasks⌉
+// consecutive grains, one task per run. A cap needs no body timing, so
 // it holds for opaque bodies; it spreads the per-task handoff over at
 // least blocks / maxChainTasks blocks; and it bounds pipeline fill and
 // drain at about (S−1)/maxChainTasks of a run of S statements,
@@ -207,22 +215,43 @@ func (p *TaskProgram) Label(r ChainTask) string {
 	return fmt.Sprintf("%s%v", si.Stmt.Name, si.Blocks[r.Last].Leader)
 }
 
-// chainRuns cuts every statement's blocks into runs of
-// g = ⌈blocks / limit⌉ consecutive blocks, so no chain holds more than
-// limit tasks, in statement-index order: O(statements + runs).
-func chainRuns(stmts []*core.StmtInfo, limit int) []ChainTask {
+// cut is the plan's one cut of stmts' blocks, in statement-index order.
+// A grain closes at a block boundary once it holds minIters iterations
+// (only a statement's last may hold fewer); runs take ⌈grains / limit⌉
+// consecutive grains each. It returns the runs and the grain count, in
+// O(statements + runs), plus O(blocks) when minIters > 1.
+func cut(stmts []*core.StmtInfo, minIters, limit int) (runs []ChainTask, grains int) {
 	n := 0
 	for _, si := range stmts {
 		n += min(len(si.Blocks), limit) // a bound on the statement's runs
 	}
-	runs := make([]ChainTask, 0, n)
+	runs = make([]ChainTask, 0, n)
+	var ends []int32 // with minIters > 1, each grain's last block
 	for s, si := range stmts {
-		g := max((len(si.Blocks)+limit-1)/limit, 1)
-		for b := 0; b < len(si.Blocks); b += g {
-			runs = append(runs, ChainTask{Stmt: int32(s), First: int32(b), Last: int32(min(b+g, len(si.Blocks)) - 1)})
+		k := len(si.Blocks) // the statement's grains
+		if minIters > 1 {
+			ends = ends[:0]
+			pending := 0
+			for b, blk := range si.Blocks {
+				if pending += blk.Len(); pending >= minIters || b == len(si.Blocks)-1 {
+					ends, pending = append(ends, int32(b)), 0
+				}
+			}
+			k = len(ends)
+		}
+		grains += k
+		g := (k-1)/limit + 1 // 1 when k = 0, and no run
+		first := int32(0)
+		for j := 0; j < k; j += g {
+			last := int32(min(j+g, k) - 1)
+			if minIters > 1 {
+				last = ends[last]
+			}
+			runs = append(runs, ChainTask{Stmt: int32(s), First: first, Last: last})
+			first = last + 1
 		}
 	}
-	return runs
+	return runs, grains
 }
 
 // Columns returns the chain plan's dependency columns in task-id order
@@ -232,20 +261,20 @@ func chainRuns(stmts []*core.StmtInfo, limit int) []ChainTask {
 // BuildIR builds, and must not be modified.
 func (p *TaskProgram) Columns() runtime.ChainSpec { return p.cols }
 
-// chainColumns computes the dependency columns of runs, a chainRuns cut
-// of stmts' blocks, in O(runs + in-dependencies), with no address
-// resolution. A run waits on, for every in-dependency, the source run
-// holding the largest To[b] among its blocks — so every block-level
-// edge (Src, To[b]) → (S, b) is implied through the source chain's
-// order — and then on its serial predecessor run. Cut at a limit no
-// statement's block count exceeds, it is the per-block DAG.
+// chainColumns computes the dependency columns of runs, a cut of
+// stmts' blocks, in O(runs + blocks + in-dependencies × log runs),
+// with no address resolution. A run waits on, for every in-dependency,
+// the source run holding the largest To[b] among its blocks — so every
+// block-level edge (Src, To[b]) → (S, b) is implied through the source
+// chain's order — and then on its serial predecessor run. Cut into
+// runs of one grain, it is the grain DAG (PrecedenceEdges).
 func chainColumns(stmts []*core.StmtInfo, runs []ChainTask) runtime.ChainSpec {
 	lens := make([]int32, len(stmts))
-	g := make([]int32, len(stmts)) // each statement's run length
+	off := make([]int32, len(stmts)) // each statement's first run
 	edges := len(runs)
-	for _, r := range runs {
+	for i, r := range runs {
 		if lens[r.Stmt] == 0 {
-			g[r.Stmt] = r.Last - r.First + 1
+			off[r.Stmt] = int32(i)
 		}
 		lens[r.Stmt]++
 		edges += len(stmts[r.Stmt].InDeps)
@@ -256,7 +285,7 @@ func chainColumns(stmts []*core.StmtInfo, runs []ChainTask) runtime.ChainSpec {
 		PredChain: make([]int32, 0, edges),
 		PredPos:   make([]int32, 0, edges),
 	}
-	for _, r := range runs {
+	for i, r := range runs {
 		for _, dep := range stmts[r.Stmt].InDeps {
 			q := int32(-1)
 			for _, to := range dep.To[r.First : r.Last+1] {
@@ -264,13 +293,14 @@ func chainColumns(stmts []*core.StmtInfo, runs []ChainTask) runtime.ChainSpec {
 			}
 			if q >= 0 {
 				src := dep.Src.Index
+				chain := runs[off[src] : off[src]+lens[src]]
 				cols.PredChain = append(cols.PredChain, int32(src))
-				cols.PredPos = append(cols.PredPos, q/g[src])
+				cols.PredPos = append(cols.PredPos, int32(sort.Search(len(chain), func(k int) bool { return chain[k].Last >= q })))
 			}
 		}
-		if r.First > 0 {
+		if pos := int32(i) - off[r.Stmt]; pos > 0 {
 			cols.PredChain = append(cols.PredChain, r.Stmt)
-			cols.PredPos = append(cols.PredPos, r.First/g[r.Stmt]-1)
+			cols.PredPos = append(cols.PredPos, pos-1)
 		}
 		cols.PredOff = append(cols.PredOff, int32(len(cols.PredChain)))
 	}
@@ -279,7 +309,7 @@ func chainColumns(stmts []*core.StmtInfo, runs []ChainTask) runtime.ChainSpec {
 
 // BuildIR builds the compiled runtime IR of the chain plan from the
 // columns Compile computed: one chain per statement and one task per
-// run of its blocks (see maxChainTasks), whose body runs its blocks'
+// run of its grains (see maxChainTasks), whose body runs its blocks'
 // members in order through runBlock. BuildIR always builds afresh; use
 // Lower for the memoized program-lifetime IR.
 func (p *TaskProgram) BuildIR() *runtime.Program {

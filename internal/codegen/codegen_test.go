@@ -29,13 +29,14 @@ func runSequential(p *kernels.Program) uint64 {
 	return p.Hash()
 }
 
+// compile detects p under opts and compiles it at opts' MinBlockIters.
 func compile(t *testing.T, p *kernels.Program, opts core.Options) *TaskProgram {
 	t.Helper()
 	info, err := core.Detect(p.SCoP, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := Compile(info)
+	prog, err := CompileWithOptions(info, CompileOptions{MinBlockIters: opts.MinBlockIters})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,19 +212,19 @@ func TestQuickAddressUniqueness(t *testing.T) {
 func TestHybridCompileRunInPackage(t *testing.T) {
 	p := kernels.MMChain(2, 10, kernels.MM)
 	want := runSequential(p)
-	// Coarsen so blocks hold several members and the parallel-body
+	// Group blocks so grains hold several members and the parallel-body
 	// path actually executes.
-	info, err := core.Detect(p.SCoP, core.Options{MinBlockIters: 3})
+	info, err := core.Detect(p.SCoP, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := CompileWithOptions(info, CompileOptions{IntraBlockWorkers: 3})
+	prog, err := CompileWithOptions(info, CompileOptions{IntraBlockWorkers: 3, MinBlockIters: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hasParallel := false
-	for _, k := range blocks(prog) {
-		if prog.ParallelBody[k.si.Stmt.Index] && k.si.Blocks[k.b].Len() > 1 {
+	for _, g := range prog.Grains() {
+		if prog.ParallelBody[g.Stmt] && len(prog.Members(g)) > 1 {
 			hasParallel = true
 		}
 	}

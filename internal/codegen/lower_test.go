@@ -91,9 +91,9 @@ func oracleInputs(seeds int) (names []string, scs []*scop.SCoP) {
 
 // TestBuildIRMatchesReplay is the oracle for lowering straight from
 // the in-dependency columns: over the corpus at MinBlockIters 1, 4 and
-// 64, the program built with runs of one block equals, edge for edge,
+// 64, the program built with runs of one grain equals, edge for edge,
 // what the §5.5 replay resolves from the §5.4 addresses. The coarse
-// plan BuildIR builds is held to this per-block DAG by
+// plan BuildIR builds is held to this grain DAG by
 // TestCoarsePlanSound.
 func TestBuildIRMatchesReplay(t *testing.T) {
 	seeds := 200
@@ -102,12 +102,12 @@ func TestBuildIRMatchesReplay(t *testing.T) {
 	}
 	names, scs := oracleInputs(seeds)
 	for k, sc := range scs {
+		info, err := core.Detect(sc, core.Options{AllowOverwrites: true, Workers: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", names[k], err)
+		}
 		for _, minIters := range []int{1, 4, 64} {
-			info, err := core.Detect(sc, core.Options{MinBlockIters: minIters, AllowOverwrites: true, Workers: 1})
-			if err != nil {
-				t.Fatalf("%s: %v", names[k], err)
-			}
-			prog, err := CompileForEmission(info)
+			prog, err := CompileForEmission(info, CompileOptions{MinBlockIters: minIters})
 			if err != nil {
 				t.Fatalf("%s: %v", names[k], err)
 			}
@@ -180,8 +180,8 @@ func executeChecked(ir *runtime.Program, workers int) error {
 }
 
 // TestCoarsePlanSound holds the chain program BuildIR lowers to the
-// paper's per-block DAG over Table 9 P1–P10 at n = 16, 32 and 64 and
-// 200 random SCoPs, every other one shifted, each detected at
+// paper's task DAG over Table 9 P1–P10 at n = 16, 32 and 64 and
+// 200 random SCoPs, every other one shifted, each compiled at
 // MinBlockIters 1 and 4; and runs it at 1, 2 and 4 workers, each run
 // bit-identical to the sequential program (exec.Sequential's order).
 func TestCoarsePlanSound(t *testing.T) {
@@ -226,13 +226,13 @@ func TestCoarsePlanSound(t *testing.T) {
 	}
 }
 
-// checkCoarsePlan checks the chain program against the per-block DAG:
-// its tasks are runs that partition every statement's blocks in order;
-// no chain holds more than maxChainTasks of them; every predecessor is
-// an earlier task, and within a chain only the task just before; and
-// every block-level edge (Src, q) → (S, b) is implied — the run holding
-// b waits on a run of Src at or after the one holding q, or holds q
-// itself.
+// checkCoarsePlan checks the chain program against the grain DAG:
+// its tasks are runs that partition every statement's blocks in order,
+// each holding whole grains; no chain holds more than maxChainTasks of
+// them; every predecessor is an earlier task, and within a chain only
+// the task just before; and every grain-level edge (Src, q) → (S, g)
+// is implied — the run holding g waits on a run of Src at or after the
+// one holding q, or holds q itself.
 func checkCoarsePlan(t *testing.T, name string, prog *TaskProgram) {
 	t.Helper()
 	rt, runs := prog.Lower(), prog.ChainTasks()
@@ -252,15 +252,20 @@ func checkCoarsePlan(t *testing.T, name string, prog *TaskProgram) {
 		}
 	}
 	skipDone()
-	runOf := make([]int, 0, prog.NumTasks())
+	grains := prog.Grains()
+	runOf := make([]int, 0, len(grains))
 	perChain := map[int32]int{}
 	for i, r := range runs {
 		if int(r.Stmt) != s || int(r.First) != b || r.Last < r.First || int(r.Last) >= len(prog.Stmts[s].Blocks) || rt.Serial(i) != s {
 			t.Fatalf("%s: task %d holds blocks %d..%d of statement %d on chain %d, want a run of statement %d from block %d", name, i, r.First, r.Last, r.Stmt, rt.Serial(i), s, b)
 		}
-		for ; b <= int(r.Last); b++ {
+		for g := len(runOf); g < len(grains) && grains[g].Stmt == r.Stmt && grains[g].Last <= r.Last; g++ {
+			if grains[g].First < r.First {
+				t.Fatalf("%s: task %d splits grain %d", name, i, g)
+			}
 			runOf = append(runOf, i)
 		}
+		b = int(r.Last) + 1
 		skipDone()
 		if perChain[r.Stmt]++; perChain[r.Stmt] > maxChainTasks {
 			t.Fatalf("%s: statement %d has more than %d chain tasks", name, r.Stmt, maxChainTasks)
@@ -274,8 +279,8 @@ func checkCoarsePlan(t *testing.T, name string, prog *TaskProgram) {
 			}
 		}
 	}
-	if s != len(prog.Stmts) {
-		t.Fatalf("%s: runs end at block %d of statement %d", name, b, s)
+	if s != len(prog.Stmts) || len(runOf) != len(grains) {
+		t.Fatalf("%s: runs end at block %d of statement %d, holding %d of %d grains", name, b, s, len(runOf), len(grains))
 	}
 	for _, e := range prog.PrecedenceEdges() {
 		from, to := runOf[e[0]], runOf[e[1]]
@@ -284,7 +289,7 @@ func checkCoarsePlan(t *testing.T, name string, prog *TaskProgram) {
 			implied = implied || rt.Serial(q) == rt.Serial(from) && q >= from
 		}
 		if !implied {
-			t.Fatalf("%s: block edge %d -> %d (task %d -> %d) is not implied by %v", name, e[0], e[1], from, to, preds[to])
+			t.Fatalf("%s: grain edge %d -> %d (task %d -> %d) is not implied by %v", name, e[0], e[1], from, to, preds[to])
 		}
 	}
 }

@@ -15,8 +15,8 @@ import (
 )
 
 // TestSimulatorDAGIsPerBlockIR: the task DAG simsched.MeasureCompiled
-// replays — one task per block, its dependencies from PrecedenceEdges —
-// is, edge for edge and in order, the per-block chain program's
+// replays — one task per grain, its dependencies from PrecedenceEdges —
+// is, edge for edge and in order, the per-grain chain program's
 // Edges(), over Table 9 P1–P10 at n = 16, an nmm chain and shifted
 // random SCoPs, at MinBlockIters 1 and 4.
 func TestSimulatorDAGIsPerBlockIR(t *testing.T) {
@@ -29,13 +29,13 @@ func TestSimulatorDAGIsPerBlockIR(t *testing.T) {
 		progs = append(progs, interp.Programify(fuzzscop.Random(rand.New(rand.NewSource(seed)), fuzzscop.Config{Shifted: seed%2 == 0})))
 	}
 	for k, p := range progs {
+		info, err := core.Detect(p.SCoP, core.Options{})
+		if err != nil {
+			t.Fatalf("%d:%s: %v", k, p.Name, err)
+		}
 		for _, mbi := range []int{1, 4} {
 			name := fmt.Sprintf("%d:%s mbi=%d", k, p.Name, mbi)
-			info, err := core.Detect(p.SCoP, core.Options{MinBlockIters: mbi})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			prog, err := codegen.Compile(info)
+			prog, err := codegen.CompileWithOptions(info, codegen.CompileOptions{MinBlockIters: mbi})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

@@ -14,10 +14,9 @@ import (
 
 // Options tunes pipeline detection.
 type Options struct {
-	// MinBlockIters, when > 1, coarsens every statement's blocking map
-	// so each task spans at least this many iterations (task
-	// granularity knob, §7). The default keeps the optimal blocks of
-	// Eq. 3.
+	// MinBlockIters, when > 1, groups blocks into tasks of at least
+	// this many iterations (§7). It is read by the plan (codegen), not
+	// by detection, which always returns the blocks of Eq. 3.
 	MinBlockIters int
 	// PairwiseBlocks disables the Eq. 3 integration and instead blocks
 	// each statement by only its first pairwise blocking map (ablation
@@ -343,7 +342,6 @@ func Detect(sc *scop.SCoP, opts Options) (*Info, error) {
 			maps = maps[:1]
 		}
 		e := IntegrateBlockingMaps(s.Domain, maps)
-		e = Coarsen(e, s.Domain, opts.MinBlockIters)
 		info.Stmts[s.Index] = &StmtInfo{Stmt: s, E: e, Blocks: materializeBlocks(s.Domain, e)}
 	})
 	stop()
@@ -424,11 +422,12 @@ func materializeBlocks(domain *isl.Set, e *isl.Map) []Block {
 // each y, the first source position landing on it together with the
 // source block whose interval holds that position.
 //
-// With the optimal (Eq. 3) blocking, every member of a block shares
+// With the integrated (Eq. 3) blocking, every member of a block shares
 // one pairwise block (pairwise leaders are a subset of the integrated
-// leaders), so checking the block leader alone suffices; a coarsened
-// block, however, can span several pairwise blocks, including the
-// dependence-free tail beyond Range(T). Requirements grow
+// leaders), so checking the block leader alone suffices; a
+// PairwiseBlocks block can span several pairwise blocks of another
+// pair, including the dependence-free tail beyond Range(T).
+// Requirements grow
 // monotonically with the member, so the strongest one comes from the
 // last member whose pairwise block is enabled by some source
 // iteration; members beyond Range(T) read nothing from this source.

@@ -268,90 +268,6 @@ func TestPipelineMapRejectsSpaceMismatch(t *testing.T) {
 	}
 }
 
-func TestCoarsenGranularity(t *testing.T) {
-	sc := kernels.Listing1(20).SCoP
-	info, err := Detect(sc, Options{MinBlockIters: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, si := range info.Stmts {
-		checkBlockingInvariants(t, si.Stmt.Name, si.Stmt.Domain, si.E)
-		for bi, blk := range si.Blocks {
-			if blk.Len() < 8 && bi != len(si.Blocks)-1 {
-				t.Errorf("%s block %d has %d iterations, want >= 8", si.Stmt.Name, bi, blk.Len())
-			}
-		}
-	}
-	fine, err := Detect(sc, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.TotalBlocks() >= fine.TotalBlocks() {
-		t.Errorf("coarsened blocks (%d) not fewer than optimal (%d)",
-			info.TotalBlocks(), fine.TotalBlocks())
-	}
-}
-
-// TestCoarsenedBlockSpanningTail is the regression test for a bug the
-// random differential tests found: when coarsening merges a statement's
-// blocks into one, the merged leader's pairwise block can be the
-// dependence-free tail beyond Range(T) even though earlier members do
-// depend on the source. The dependency relation must then come from
-// the last member with a real requirement, not from the leader.
-func TestCoarsenedBlockSpanningTail(t *testing.T) {
-	// S1 reads A0[2i-1] over 3 iterations (covers writes up to A0[3]);
-	// S2 reads A1[2i-1] over 8 iterations (covers writes up to A1[1]
-	// only, so most of S2 is dependence-free tail).
-	b := scop.NewBuilder("tailspan")
-	b.Array("A0", 1).Array("A1", 1).Array("A2", 1)
-	b.Stmt("S0", aff.RectDomain("S0", 7)).Writes("A0", aff.Var(1, 0))
-	b.Stmt("S1", aff.RectDomain("S1", 3)).
-		Writes("A1", aff.Var(1, 0)).
-		Reads("A0", aff.Linear(-1, 2))
-	b.Stmt("S2", aff.RectDomain("S2", 8)).
-		Writes("A2", aff.Var(1, 0)).
-		Reads("A1", aff.Linear(-1, 2))
-	sc := b.MustBuild()
-
-	// Coarsen S2 into a single 8-iteration block: its leader [7] falls
-	// in the tail of the S1->S2 pipeline map, but members [1..3] read
-	// A1 cells, so the block must still wait on S1.
-	info, err := Detect(sc, Options{MinBlockIters: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := info.Stmt("S2")
-	if len(s2.Blocks) != 1 {
-		t.Fatalf("S2 blocks = %d, want 1 (coarsened)", len(s2.Blocks))
-	}
-	if len(s2.InDeps) != 1 {
-		t.Fatalf("S2 InDeps = %d, want 1 — coarse block lost its dependence on S1", len(s2.InDeps))
-	}
-	q := info.InDepRel(s2, s2.InDeps[0])
-	if q.Card() != 1 {
-		t.Fatalf("Q_S2 = %v", q)
-	}
-	// The requirement must name a real S1 block.
-	s1Leaders := info.Stmt("S1").E.Range()
-	q.Foreach(func(_, dep isl.Vec) bool {
-		if !s1Leaders.Contains(dep) {
-			t.Errorf("dep %v is not an S1 block leader", dep)
-		}
-		return true
-	})
-}
-
-func TestCoarsenNoopForMinOne(t *testing.T) {
-	sc := kernels.Listing1(12).SCoP
-	a, _ := Detect(sc, Options{})
-	b, _ := Detect(sc, Options{MinBlockIters: 1})
-	for idx := range a.Stmts {
-		if !a.Stmts[idx].E.Equal(b.Stmts[idx].E) {
-			t.Fatal("MinBlockIters=1 changed blocking")
-		}
-	}
-}
-
 func TestDetectIndependentNests(t *testing.T) {
 	// No flow deps: each statement becomes one big block, no in-deps.
 	b := scop.NewBuilder("indep")

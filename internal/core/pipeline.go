@@ -129,38 +129,3 @@ func IntegrateBlockingMaps(domain *isl.Set, maps []*isl.Map) *isl.Map {
 	}
 	return u.LexminPerIn()
 }
-
-// Coarsen merges adjacent blocks of the blocking map e (total,
-// monotone, idempotent over domain) until every block holds at least
-// minIters iterations; the final block may stay smaller. Leaders of
-// merged blocks are the last constituent leader, so the result remains
-// a valid blocking map. minIters ≤ 1 returns e unchanged. This
-// implements the task-granularity knob discussed in §7.
-func Coarsen(e *isl.Map, domain *isl.Set, minIters int) *isl.Map {
-	if minIters <= 1 {
-		return e
-	}
-	elems := domain.Elements()
-	lead := e.PositionColumn(domain, domain)
-	r := isl.NewMap(e.InSpace(), e.OutSpace())
-	pending := 0
-	start := 0
-	flush := func(end int, leader isl.Vec) {
-		for k := start; k < end; k++ {
-			r.Add(elems[k], leader)
-		}
-		start = end
-		pending = 0
-	}
-	for idx, v := range elems {
-		pending++
-		if int(lead[idx]) == idx && pending >= minIters {
-			flush(idx+1, v)
-		}
-	}
-	if pending > 0 {
-		// Remaining iterations: lead them by the domain maximum.
-		flush(len(elems), elems[len(elems)-1])
-	}
-	return r
-}

@@ -444,9 +444,6 @@ func buildSymPair(src, dst *SymStmt, rd symRead) (SymPair, bool, error) {
 // Info via Materialize. SCoPs outside the fragment return an error
 // wrapping ErrSymbolicUnsupported.
 func DetectSymbolic(sc *scop.SCoP, opts Options) (*SymInfo, error) {
-	if opts.MinBlockIters > 1 {
-		return nil, unsupportedf("MinBlockIters=%d coarsening has no closed form", opts.MinBlockIters)
-	}
 	if err := sc.ValidateShallow(); err != nil {
 		return nil, err
 	}

@@ -130,11 +130,25 @@ func TestSymbolicBackendDispatch(t *testing.T) {
 	}
 }
 
-func TestSymbolicRejectsOutsideFragment(t *testing.T) {
-	// Coarsening has no closed form.
-	if _, err := DetectSymbolic(buildFigure4(t, 16), Options{MinBlockIters: 4}); !errors.Is(err, ErrSymbolicUnsupported) {
-		t.Errorf("MinBlockIters=4: err = %v, want ErrSymbolicUnsupported", err)
+// TestSymbolicIgnoresMinBlockIters: granularity is the plan's, so
+// DetectSymbolic at MinBlockIters 4 succeeds and equals the explicit
+// backend.
+func TestSymbolicIgnoresMinBlockIters(t *testing.T) {
+	sc := buildFigure4(t, 16)
+	si, err := DetectSymbolic(sc, Options{MinBlockIters: 4})
+	if err != nil {
+		t.Fatalf("MinBlockIters=4: %v", err)
 	}
+	explicit, err := Detect(sc, Options{MinBlockIters: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := EqualInfo(si.Materialize(), explicit); err != nil {
+		t.Errorf("MinBlockIters=4: symbolic result differs from explicit: %v", err)
+	}
+}
+
+func TestSymbolicRejectsOutsideFragment(t *testing.T) {
 	// A read running backwards breaks per-dimension monotonicity.
 	b := scop.NewBuilder("backwards")
 	b.Array("A", 1).Array("B", 1)

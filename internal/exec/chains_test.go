@@ -21,11 +21,11 @@ func TestHybridScheduleBitIdenticalTable9(t *testing.T) {
 		for _, minIters := range []int{1, 8} {
 			p := kernels.BuildTable9(spec, 8, 1)
 			want := Sequential(p).Hash
-			info, err := core.Detect(p.SCoP, core.Options{MinBlockIters: minIters})
+			info, err := core.Detect(p.SCoP, core.Options{})
 			if err != nil {
 				t.Fatalf("%s b=%d: %v", spec.Name, minIters, err)
 			}
-			prog, err := codegen.Compile(info)
+			prog, err := codegen.CompileWithOptions(info, codegen.CompileOptions{MinBlockIters: minIters})
 			if err != nil {
 				t.Fatalf("%s b=%d: %v", spec.Name, minIters, err)
 			}

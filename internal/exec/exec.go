@@ -59,7 +59,7 @@ func Pipelined(p *kernels.Program, workers int, opts core.Options) (Result, erro
 	if err != nil {
 		return Result{}, fmt.Errorf("exec: detect: %w", err)
 	}
-	prog, err := codegen.Compile(info)
+	prog, err := codegen.CompileWithOptions(info, codegen.CompileOptions{MinBlockIters: opts.MinBlockIters})
 	if err != nil {
 		return Result{}, fmt.Errorf("exec: compile: %w", err)
 	}
@@ -96,7 +96,7 @@ func PipelinedHybrid(p *kernels.Program, workers, intraWorkers int, opts core.Op
 	if err != nil {
 		return Result{}, fmt.Errorf("exec: detect: %w", err)
 	}
-	prog, err := codegen.CompileWithOptions(info, codegen.CompileOptions{IntraBlockWorkers: intraWorkers})
+	prog, err := codegen.CompileWithOptions(info, codegen.CompileOptions{MinBlockIters: opts.MinBlockIters, IntraBlockWorkers: intraWorkers})
 	if err != nil {
 		return Result{}, fmt.Errorf("exec: compile: %w", err)
 	}

@@ -215,11 +215,11 @@ func TestHybridMatchesSequential(t *testing.T) {
 
 func TestHybridParallelBodyFlags(t *testing.T) {
 	p := kernels.MMChain(2, 12, kernels.MM)
-	info, err := core.Detect(p.SCoP, core.Options{MinBlockIters: 4})
+	info, err := core.Detect(p.SCoP, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := codegen.CompileWithOptions(info, codegen.CompileOptions{IntraBlockWorkers: 4})
+	prog, err := codegen.CompileWithOptions(info, codegen.CompileOptions{MinBlockIters: 4, IntraBlockWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

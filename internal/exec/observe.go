@@ -47,7 +47,7 @@ func PipelinedObserved(p *kernels.Program, workers int, opts core.Options, rec *
 
 // PipelinedObservedWith is PipelinedObserved with explicit compile
 // options, so callers can observe the intra-block parallel variant
-// (copts.Obs is overwritten with rec).
+// (copts.Obs and MinBlockIters are overwritten from rec and opts).
 func PipelinedObservedWith(p *kernels.Program, workers int, opts core.Options, copts codegen.CompileOptions, rec *obs.Recorder) (*Observation, error) {
 	if rec == nil {
 		rec = obs.NewRecorder()
@@ -55,6 +55,7 @@ func PipelinedObservedWith(p *kernels.Program, workers int, opts core.Options, c
 	workers = par.Workers(workers)
 	opts.Obs = rec
 	copts.Obs = rec
+	copts.MinBlockIters = opts.MinBlockIters
 
 	stop := rec.Phase("detect")
 	info, err := core.Detect(p.SCoP, opts)

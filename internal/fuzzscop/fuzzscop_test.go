@@ -166,7 +166,7 @@ func runThroughRuntime(t *testing.T, sc *scop.SCoP, opts core.Options) {
 	if err != nil {
 		t.Fatalf("%s: detect: %v", sc.Name, err)
 	}
-	prog, err := codegen.Compile(info)
+	prog, err := codegen.CompileWithOptions(info, codegen.CompileOptions{MinBlockIters: opts.MinBlockIters})
 	if err != nil {
 		t.Fatalf("%s: compile: %v", sc.Name, err)
 	}

@@ -42,6 +42,8 @@ type EmitOptions struct {
 	// pass, "none" emits the unoptimized program, otherwise a
 	// comma-separated subset of ir pass names.
 	Passes string
+	// MinBlockIters is the plan's task granularity (codegen).
+	MinBlockIters int
 	// Obs receives compile phases and ir.* pass metrics.
 	Obs *obs.Recorder
 }
@@ -74,7 +76,7 @@ func Compile(info *core.Info, opts EmitOptions) (*ir.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	tp, err := codegen.CompileForEmission(info)
+	tp, err := codegen.CompileForEmission(info, codegen.CompileOptions{MinBlockIters: opts.MinBlockIters})
 	if err != nil {
 		return nil, err
 	}

@@ -187,17 +187,17 @@ func TestParsePasses(t *testing.T) {
 	}
 }
 
-// dagCase is one program of the DAG corpus, detected under opts.
+// dagCase is one program of the DAG corpus, compiled at MinBlockIters
+// mbi.
 type dagCase struct {
 	name string
 	sc   *scop.SCoP
-	opts core.Options
+	mbi  int
 }
 
 // dagCorpus is Table 9 P1–P10 at n = 16 and 32, 3mm, and 200 random
-// SCoPs, every other one with shifted loop bounds, each detected with
-// MinBlockIters 1 and 4. The random programs are built once per
-// MinBlockIters value: detection annotates them.
+// SCoPs, every other one with shifted loop bounds, each compiled with
+// MinBlockIters 1 and 4.
 func dagCorpus(t *testing.T) []dagCase {
 	t.Helper()
 	seeds := 200
@@ -206,16 +206,15 @@ func dagCorpus(t *testing.T) []dagCase {
 	}
 	var out []dagCase
 	for _, mbi := range []int{1, 4} {
-		opts := core.Options{MinBlockIters: mbi}
 		for _, spec := range kernels.Table9 {
 			for _, n := range []int{16, 32} {
-				out = append(out, dagCase{fmt.Sprintf("%s_n%d/mbi%d", spec.Name, n, mbi), kernels.BuildTable9(spec, n, 1).SCoP, opts})
+				out = append(out, dagCase{fmt.Sprintf("%s_n%d/mbi%d", spec.Name, n, mbi), kernels.BuildTable9(spec, n, 1).SCoP, mbi})
 			}
 		}
-		out = append(out, dagCase{fmt.Sprintf("3mm/mbi%d", mbi), kernels.MMChain(3, 6, kernels.MM).SCoP, opts})
+		out = append(out, dagCase{fmt.Sprintf("3mm/mbi%d", mbi), kernels.MMChain(3, 6, kernels.MM).SCoP, mbi})
 		for seed := int64(1); seed <= int64(seeds); seed++ {
 			cfg := fuzzscop.Config{Shifted: seed%2 == 0}
-			out = append(out, dagCase{fmt.Sprintf("fuzz_%d/mbi%d", seed, mbi), fuzzscop.Random(rand.New(rand.NewSource(seed)), cfg), opts})
+			out = append(out, dagCase{fmt.Sprintf("fuzz_%d/mbi%d", seed, mbi), fuzzscop.Random(rand.New(rand.NewSource(seed)), cfg), mbi})
 		}
 	}
 	return out
@@ -284,11 +283,11 @@ func TestLowerBuildsNoRuntimeProgram(t *testing.T) {
 func TestLowerPredsMatchRuntime(t *testing.T) {
 	subsets := passSubsets()
 	for _, c := range dagCorpus(t) {
-		info, err := core.Detect(c.sc, c.opts)
+		info, err := core.Detect(c.sc, core.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		tp, err := codegen.CompileForEmission(info)
+		tp, err := codegen.CompileForEmission(info, codegen.CompileOptions{MinBlockIters: c.mbi})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

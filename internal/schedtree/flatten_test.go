@@ -89,8 +89,8 @@ func Count(root Node) map[string]int {
 // Its runs, concatenated block by block, are exactly the task instances
 // the schedule tree denotes, in order — over Table 9 P1–P10 at n = 16
 // and 32, 200 random SCoPs (every other one shifted) and the nmm
-// chains, each detected with default options, PairwiseBlocks and
-// MinBlockIters 4.
+// chains, each detected with default options and with PairwiseBlocks,
+// and compiled at MinBlockIters 1 and (with default options) 4.
 func TestChainRunsFollowFlatten(t *testing.T) {
 	seeds := 200
 	if testing.Short() {
@@ -121,7 +121,7 @@ func TestChainRunsFollowFlatten(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			prog, err := codegen.CompileForEmission(info)
+			prog, err := codegen.CompileForEmission(info, codegen.CompileOptions{MinBlockIters: opts.MinBlockIters})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

@@ -161,7 +161,8 @@ func flattenEnumerative(n Node, active *isl.Set, out *[]enumTask) {
 // TestFlattenEqualsEnumerativeEvaluation holds the block view against
 // the tree's own semantics: same tasks, same order, same leaders, same
 // members in the same order — over Table 9, an nmm chain, and random
-// SCoPs, at the optimal blocking and two coarsened ones.
+// SCoPs. Task granularity is the chain plan's (codegen) and never
+// reaches the tree.
 func TestFlattenEqualsEnumerativeEvaluation(t *testing.T) {
 	type input struct {
 		name string
@@ -181,29 +182,27 @@ func TestFlattenEqualsEnumerativeEvaluation(t *testing.T) {
 		inputs = append(inputs, input{fmt.Sprintf("fuzz-%d", seed), sc})
 	}
 	for _, in := range inputs {
-		for _, minIters := range []int{1, 4, 64} {
-			info, err := core.Detect(in.sc, core.Options{MinBlockIters: minIters})
-			if err != nil {
-				t.Fatalf("%s: %v", in.name, err)
+		info, err := core.Detect(in.sc, core.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		tree := Build(info)
+		got := Flatten(tree)
+		var want []enumTask
+		flattenEnumerative(tree, nil, &want)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d tasks, enumerative evaluation gives %d", in.name, len(got), len(want))
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			gl, gm := g.Task.Blocks[g.Block].Leader, g.Task.Members(g.Block)
+			if g.Task != w.Task || !gl.Eq(w.Leader) || len(gm) != len(w.Members) {
+				t.Fatalf("%s task %d: %s%v with %d members, want %s%v with %d",
+					in.name, i, g.Task.Stmt.Name, gl, len(gm), w.Task.Stmt.Name, w.Leader, len(w.Members))
 			}
-			tree := Build(info)
-			got := Flatten(tree)
-			var want []enumTask
-			flattenEnumerative(tree, nil, &want)
-			if len(got) != len(want) {
-				t.Fatalf("%s min=%d: %d tasks, enumerative evaluation gives %d", in.name, minIters, len(got), len(want))
-			}
-			for i := range want {
-				g, w := got[i], want[i]
-				gl, gm := g.Task.Blocks[g.Block].Leader, g.Task.Members(g.Block)
-				if g.Task != w.Task || !gl.Eq(w.Leader) || len(gm) != len(w.Members) {
-					t.Fatalf("%s min=%d task %d: %s%v with %d members, want %s%v with %d",
-						in.name, minIters, i, g.Task.Stmt.Name, gl, len(gm), w.Task.Stmt.Name, w.Leader, len(w.Members))
-				}
-				for k := range w.Members {
-					if !gm[k].Eq(w.Members[k]) {
-						t.Fatalf("%s min=%d task %d member %d: %v, want %v", in.name, minIters, i, k, gm[k], w.Members[k])
-					}
+			for k := range w.Members {
+				if !gm[k].Eq(w.Members[k]) {
+					t.Fatalf("%s task %d member %d: %v, want %v", in.name, i, k, gm[k], w.Members[k])
 				}
 			}
 		}

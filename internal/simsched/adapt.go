@@ -20,7 +20,7 @@ func SimulatePipelined(p *kernels.Program, opts core.Options, procs int, overhea
 	if err != nil {
 		return 0, Schedule{}, err
 	}
-	prog, err := codegen.Compile(info)
+	prog, err := codegen.CompileWithOptions(info, codegen.CompileOptions{MinBlockIters: opts.MinBlockIters})
 	if err != nil {
 		return 0, Schedule{}, err
 	}
@@ -37,34 +37,33 @@ func SimulateCompiled(p *kernels.Program, prog *codegen.TaskProgram, procs int, 
 
 // MeasureCompiled runs the compiled task program once sequentially (a
 // valid topological order), measuring the cost of each of the paper's
-// per-block tasks, with their dependency DAG (the program's
-// PrecedenceEdges), which the coarser chain program the runtime
-// executes implies. Task i is the i-th block in statement order. The
+// tasks, one per grain (the program's Grains), with their dependency
+// DAG (its PrecedenceEdges), which the coarser chain program the
+// runtime executes implies. Task i is the i-th grain. The
 // returned tasks can be scheduled at several processor counts without
 // re-measuring — required when comparing counts, since separate
 // replays introduce measurement noise between them. The program state
 // is left reset.
 func MeasureCompiled(p *kernels.Program, prog *codegen.TaskProgram, overhead time.Duration) ([]Task, time.Duration) {
 	p.Reset()
-	tasks := make([]Task, 0, prog.NumTasks())
+	grains := prog.Grains()
+	tasks := make([]Task, 0, len(grains))
 	var seq time.Duration
-	for s, si := range prog.Stmts {
-		for b := range si.Blocks {
-			members := si.Members(b)
-			start := time.Now()
-			for _, iv := range members {
-				si.Stmt.Body(iv)
-			}
-			cost := time.Since(start)
-			seq += cost
-			if prog.ParallelBody[s] {
-				// Hybrid mode: members run concurrently inside the task;
-				// model perfect scaling over the intra-block workers (the
-				// caller is responsible for procs×workers ≤ hardware).
-				cost /= time.Duration(min(prog.Opts.IntraBlockWorkers, len(members)))
-			}
-			tasks = append(tasks, Task{Cost: cost + overhead})
+	for _, g := range grains {
+		members := prog.Members(g)
+		start := time.Now()
+		for _, iv := range members {
+			prog.Stmts[g.Stmt].Stmt.Body(iv)
 		}
+		cost := time.Since(start)
+		seq += cost
+		if prog.ParallelBody[g.Stmt] {
+			// Hybrid mode: members run concurrently inside the task;
+			// model perfect scaling over the intra-block workers (the
+			// caller is responsible for procs×workers ≤ hardware).
+			cost /= time.Duration(min(prog.Opts.IntraBlockWorkers, len(members)))
+		}
+		tasks = append(tasks, Task{Cost: cost + overhead})
 	}
 	for _, e := range prog.PrecedenceEdges() {
 		tasks[e[1]].Deps = append(tasks[e[1]].Deps, e[0])

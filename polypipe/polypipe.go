@@ -53,9 +53,10 @@ type (
 	SCoP = scop.SCoP
 	// Builder assembles SCoPs programmatically.
 	Builder = scop.Builder
-	// Options tunes pipeline detection (task granularity, ablations,
-	// and Workers — the detection worker-pool width, 0 = GOMAXPROCS;
-	// results are bit-identical across widths, see docs/PERFORMANCE.md).
+	// Options tunes pipeline detection (ablations, and Workers — the
+	// detection worker-pool width, 0 = GOMAXPROCS; results are
+	// bit-identical across widths, see docs/PERFORMANCE.md) and, for
+	// the plan, task granularity.
 	Options = core.Options
 	// Info is the detection result (pipeline maps, blocks, deps).
 	Info = core.Info
@@ -224,7 +225,8 @@ func BlockReport(info *Info) string {
 // the transformed program: statement bodies, block loops, the task
 // table with integer dependency addresses, an embedded minimal
 // tasking runtime, and a self-verifying main (the textual analogue of
-// the paper's final code-generation phase).
+// the paper's final code-generation phase). It emits at the default
+// granularity; Session.EmitGo applies Options.MinBlockIters.
 func EmitGo(w io.Writer, info *Info, workers int) error {
 	return gogen.Emit(w, info, workers)
 }

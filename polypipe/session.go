@@ -128,7 +128,7 @@ type Session struct {
 
 // progKey identifies one compiled program: the SCoP instance plus the
 // compile options baked into the task bodies and the IR — the
-// intra-block worker count and the (autotuned) blocking granularity.
+// intra-block worker count and the (autotuned) granularity.
 type progKey struct {
 	sc         *SCoP
 	intra      int
@@ -402,27 +402,21 @@ func (s *Session) CacheStats() (st CacheStats, ok bool) {
 }
 
 // Detect runs (or, with a cache, serves) Algorithm 1 on sc under the
-// session's options. After Close it fails with ErrSessionClosed; a
-// wait ended by the session context fails with ErrDetectCanceled.
+// session's options; one result serves every granularity. After Close
+// it fails with ErrSessionClosed; a wait ended by the session context
+// fails with ErrDetectCanceled.
 func (s *Session) Detect(sc *SCoP) (*Info, error) {
-	return s.detectWith(sc, s.opts)
-}
-
-// detectWith is Detect under explicit options — the autotuned
-// granularity overrides MinBlockIters without mutating the session.
-// The cache keys on options, so tuned and untuned results coexist.
-func (s *Session) detectWith(sc *SCoP, opts Options) (*Info, error) {
 	if s.closed.Load() {
 		return nil, ErrSessionClosed
 	}
 	if s.cache != nil {
-		info, err := s.cache.Get(s.ctx, sc, opts)
+		info, err := s.cache.Get(s.ctx, sc, s.opts)
 		return info, wrapCtxErr(err)
 	}
 	if err := s.ctx.Err(); err != nil {
 		return nil, wrapCtxErr(err)
 	}
-	return core.Detect(sc, opts)
+	return core.Detect(sc, s.opts)
 }
 
 // EmitOptions tunes Session.EmitGo — the AOT backend run under a
@@ -446,7 +440,7 @@ type EmitOptions struct {
 // ErrSessionClosed; a SCoP outside the accepted fragment fails with
 // ErrNotPipelinable.
 func (s *Session) EmitGo(w io.Writer, sc *SCoP, o EmitOptions) error {
-	info, err := s.detectWith(sc, s.opts)
+	info, err := s.Detect(sc)
 	if err != nil {
 		return err
 	}
@@ -455,9 +449,10 @@ func (s *Session) EmitGo(w io.Writer, sc *SCoP, o EmitOptions) error {
 		workers = par.Workers(s.workers)
 	}
 	return gogen.EmitWith(w, info, gogen.EmitOptions{
-		Workers: workers,
-		Passes:  o.Passes,
-		Obs:     s.opts.Obs,
+		Workers:       workers,
+		Passes:        o.Passes,
+		MinBlockIters: s.opts.MinBlockIters,
+		Obs:           s.opts.Obs,
 	})
 }
 
@@ -489,12 +484,12 @@ func (s *Session) DetectBatch(scs []*SCoP) ([]*Info, []error) {
 }
 
 // compile detects (through the session cache when present) and
-// compiles p's pipeline into a task program. Compiled programs are
-// cached per SCoP instance, so repeated calls reuse both the program
-// and its lowered runtime IR; with a session registry, IR reuse counts
-// "runtime.ir_reuse" hits.
+// compiles p's pipeline into a task program at the (autotuned)
+// MinBlockIters. Compiled programs are cached per SCoP instance, so
+// repeated calls reuse both the program and its lowered runtime IR;
+// with a session registry, IR reuse counts "runtime.ir_reuse" hits.
 func (s *Session) compile(p *Program, intraWorkers int) (*codegen.TaskProgram, error) {
-	blockIters := 0
+	blockIters := s.opts.MinBlockIters
 	if s.autotuneOn {
 		b, err := s.tunedBlockIters(p)
 		if err != nil {
@@ -507,15 +502,11 @@ func (s *Session) compile(p *Program, intraWorkers int) (*codegen.TaskProgram, e
 	prog, ok := s.programs[key]
 	s.progMu.Unlock()
 	if !ok {
-		opts := s.opts
-		if blockIters > 0 {
-			opts.MinBlockIters = blockIters
-		}
-		info, err := s.detectWith(p.SCoP, opts)
+		info, err := s.Detect(p.SCoP)
 		if err != nil {
 			return nil, fmt.Errorf("exec: detect: %w", err)
 		}
-		prog, err = codegen.CompileWithOptions(info, codegen.CompileOptions{IntraBlockWorkers: intraWorkers, Obs: s.opts.Obs})
+		prog, err = codegen.CompileWithOptions(info, codegen.CompileOptions{MinBlockIters: blockIters, IntraBlockWorkers: intraWorkers, Obs: s.opts.Obs})
 		if err != nil {
 			return nil, fmt.Errorf("exec: compile: %w", err)
 		}
@@ -616,7 +607,8 @@ func (s *Session) tunedBlockIters(p *Program) (int, error) {
 // Autotune runs the profile-guided block-size search on p under the
 // session's configuration (workers and detection options) and returns
 // the full result: the tuned MinBlockIters, the baseline and best
-// samples, and every evaluated candidate's measured profile. The choice is cached per program, so
+// samples, and every evaluated candidate's measured profile, all
+// compiled from one (cached) detection. The choice is cached per program, so
 // later WithAutotune compiles reuse it without searching again. The
 // search executes p repeatedly; its arrays are left in the final
 // run's state (Run resets them anyway). With a session registry the
@@ -629,7 +621,11 @@ func (s *Session) Autotune(p *Program) (*AutotuneResult, error) {
 	if err := s.ctx.Err(); err != nil {
 		return nil, wrapCtxErr(err)
 	}
-	res, err := autotune.Tune(p, autotune.Config{
+	info, err := s.Detect(p.SCoP)
+	if err != nil {
+		return nil, err
+	}
+	res, err := autotune.TuneDetected(p, info, autotune.Config{
 		Workers: par.Workers(s.workers),
 		Detect:  s.opts,
 		Budget:  s.autotuneBud,

@@ -293,3 +293,45 @@ for (i = 0; i < 9; i++)
 		t.Errorf("EmitGo after Close: %v, want ErrSessionClosed", err)
 	}
 }
+
+// TestSessionOneColdDetectionServesEveryGranularity: a cached session
+// that runs at MinBlockIters 4, then 8, then autotunes detects once —
+// one cache miss, one detect.pipeline_maps phase — and compiles each
+// granularity from that result.
+func TestSessionOneColdDetectionServesEveryGranularity(t *testing.T) {
+	p := Listing3(16)
+	s := NewSession(WithWorkers(2), WithCache(0), WithRegistry(NewRegistry()),
+		WithOptions(Options{MinBlockIters: 4}))
+	want, err := s.Run(ModeSequential, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tasks []int
+	for _, mbi := range []int{4, 8} {
+		s.opts.MinBlockIters = mbi
+		res, err := s.Run(ModePipelined, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Hash != want.Hash {
+			t.Fatalf("MinBlockIters=%d: hash %x, want %x", mbi, res.Hash, want.Hash)
+		}
+		tasks = append(tasks, res.Tasks)
+	}
+	if tasks[0] <= tasks[1] {
+		t.Fatalf("MinBlockIters 4 ran %d chain tasks, 8 ran %d: granularity not applied", tasks[0], tasks[1])
+	}
+	if _, err := s.Autotune(p); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := s.CacheStats()
+	detections := 0
+	for _, sp := range s.PhaseSpans() {
+		if sp.Name == "detect.pipeline_maps" {
+			detections++
+		}
+	}
+	if st.Misses != 1 || detections != 1 {
+		t.Fatalf("%d cache misses, %d detections; want 1 and 1", st.Misses, detections)
+	}
+}

@@ -32,11 +32,8 @@ fail() {
 echo "obsd-smoke: building pipeline-stats"
 "$GO" build -o "$tmp/pipeline-stats" ./cmd/pipeline-stats
 
-# -backend symbolic with -min-block-iters 1 keeps P4 inside the
-# symbolic fragment, so the served detection really runs the
-# closed-form path (coarsening would force the explicit fallback).
 "$tmp/pipeline-stats" -serve 127.0.0.1:0 -kernel P4 -n 8 -size 2 -work 0 \
-    -backend symbolic -min-block-iters 1 \
+    -backend symbolic \
     -serve-period 50ms -sample-interval 50ms >"$tmp/serve.log" 2>&1 &
 pid=$!
 
