@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet fmt-check bench-module race crosscheck crosscheck-symbolic autotune-smoke aot-smoke obsd-smoke serve-smoke bench bench-autotune fuzz size stats serve clean
+.PHONY: check build test vet fmt-check bench-module race crosscheck crosscheck-symbolic aot-smoke obsd-smoke serve-smoke bench fuzz size stats serve clean
 
 ## check: the full gate — vet, gofmt cleanliness, build, the
 ## race-enabled test suite (the chain executor's stress under
@@ -8,15 +8,8 @@ GO ?= go
 ## backends and the symbolic detection algebra), the AOT-backend smoke
 ## (emit, compile, execute, compare against the interpreter), the
 ## live-telemetry smoke, the detection-service smoke, and the nested
-## benchmark module (which tier-1 does not descend into). The autotune
-## smoke joins in only on multi-core hosts: on one CPU the search
-## measures scheduling noise, not blocking.
+## benchmark module (which tier-1 does not descend into).
 check: vet fmt-check build bench-module race crosscheck crosscheck-symbolic aot-smoke obsd-smoke serve-smoke
-	@if [ "$$(nproc 2>/dev/null || echo 1)" -ge 2 ]; then \
-		$(MAKE) autotune-smoke; \
-	else \
-		echo "check: skipping autotune-smoke (single-CPU host)"; \
-	fi
 
 ## crosscheck: prove the columnar isl backend (default) and the legacy
 ## hash-map backend (-tags islhashmap) are observably identical — the
@@ -90,13 +83,6 @@ bench:
 	$(GO) test -bench=Compile -benchmem -run='^$$' ./internal/codegen/
 	$(GO) test -bench=SyntheticBody -benchmem -run='^$$' ./internal/interp/
 
-## bench-autotune: the profile-guided block-size search, human-readable
-## — per kernel, every candidate granularity with its measured wall
-## time / critical path / stall / fused-chain profile, and the
-## chosen block size (docs/PERFORMANCE.md, "Autotuning").
-bench-autotune:
-	$(GO) run ./cmd/bench-pipeline -autotune -autotune-sizes 32 -autotune-budget 8
-
 ## aot-smoke: the AOT backend's golden end-to-end gate — emit a
 ## standalone Go program for every examples/dsl/*.loop (pass pipeline
 ## on and off), `go build` it, execute it, and require the result hash
@@ -104,12 +90,6 @@ bench-autotune:
 ## `go test -short`.
 aot-smoke:
 	$(GO) test -run 'TestAOTSmoke|TestEmittedDifferential' -count=1 . ./internal/gogen/
-
-## autotune-smoke: one short end-to-end search on a multi-core host —
-## proves the tuner converges and its choice reproduces the sequential
-## result (the per-candidate hash check is built into the search).
-autotune-smoke:
-	$(GO) run ./cmd/bench-pipeline -autotune -autotune-sizes 16 -autotune-budget 5
 
 ## obsd-smoke: end-to-end live-telemetry check — start
 ## pipeline-stats -serve on a random port, scrape /metrics and

@@ -79,9 +79,6 @@ func main() {
 	overhead := flag.Duration("task-overhead", 500*time.Nanosecond, "per-task scheduling overhead modelled in sim mode")
 	table9 := flag.Bool("table9", false, "print the Table 9 program specifications (Figure 9) and exit")
 	jsonOut := flag.Bool("json", false, "emit the run's results (speedups plus observed stall/utilization metrics) as one JSON object on stdout")
-	autotuneFlag := flag.Bool("autotune", false, "run the profile-guided block-size search on P4/P7/P10 and print the per-kernel search trail")
-	autotuneSizes := flag.String("autotune-sizes", "32", "with -autotune, comma-separated problem sizes to search (the search re-runs the kernel per candidate, so keep this small)")
-	autotuneBudget := flag.Int("autotune-budget", 8, "candidate-evaluation budget per kernel for -autotune")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken at the end of the run to this file")
 	flag.Parse()
@@ -97,17 +94,6 @@ func main() {
 		fatal(err)
 	}
 	defer stopProfiles()
-	if *autotuneFlag {
-		sizeVals, err := parseInts(*autotuneSizes)
-		if err != nil {
-			fatal(err)
-		}
-		if err := runAutotuneReport(sizeVals, *workers, *autotuneBudget); err != nil {
-			stopProfiles()
-			fatal(err)
-		}
-		return
-	}
 	if *mode != "sim" && *mode != "real" {
 		fatal(fmt.Errorf("unknown mode %q", *mode))
 	}

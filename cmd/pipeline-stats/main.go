@@ -43,7 +43,6 @@ func main() {
 	workers := flag.Int("workers", 4, "pipeline workers (0 = GOMAXPROCS)")
 	work := flag.Duration("work", time.Millisecond, "extra wall-clock cost per statement instance (the Table 9 SIZE analogue; a timed wait, so overlap is visible on any host); 0 leaves the raw bodies, whose cost is below task overhead")
 	minBlock := flag.Int("min-block-iters", 8, "group blocks into tasks of at least this many iterations (Options.MinBlockIters; detection's blocks are unchanged); amortizes per-task handoff")
-	tuneBudget := flag.Int("autotune", 0, "profile-guided block-size search budget before the observed run (0 = off, use -min-block-iters as-is); overrides -min-block-iters with the tuned value")
 	backend := flag.String("backend", "", "detection backend: \"\"/explicit (Algorithm 1 over enumerated relations) or symbolic (closed-form constraint algebra, falls back outside its fragment)")
 	out := flag.String("o", "trace.json", "Perfetto trace_event output file")
 	noTrace := flag.Bool("no-trace", false, "skip writing the trace file")
@@ -74,19 +73,6 @@ func main() {
 	seq, err := polypipe.NewSession().Run(polypipe.ModeSequential, p)
 	if err != nil {
 		fatal(err)
-	}
-	if *tuneBudget > 0 {
-		res, err := polypipe.NewSession(
-			polypipe.WithWorkers(*workers),
-			polypipe.WithOptions(opts),
-			polypipe.WithAutotune(*tuneBudget),
-		).Autotune(p)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("autotune: block iters %d -> %d after %d evals (%.2fx, converged=%v)\n\n",
-			res.Baseline.BlockIters, res.Chosen, res.Evals, res.Speedup(), res.Converged)
-		opts.MinBlockIters = res.Chosen
 	}
 	m, err := polypipe.Observe(p, *workers, opts)
 	if err != nil {

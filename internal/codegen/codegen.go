@@ -14,7 +14,6 @@ package codegen
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -262,23 +261,29 @@ func cut(stmts []*core.StmtInfo, minIters, limit int) (runs []ChainTask, grains 
 func (p *TaskProgram) Columns() runtime.ChainSpec { return p.cols }
 
 // chainColumns computes the dependency columns of runs, a cut of
-// stmts' blocks, in O(runs + blocks + in-dependencies × log runs),
-// with no address resolution. A run waits on, for every in-dependency,
-// the source run holding the largest To[b] among its blocks — so every
-// block-level edge (Src, To[b]) → (S, b) is implied through the source
-// chain's order — and then on its serial predecessor run. Cut into
-// runs of one grain, it is the grain DAG (PrecedenceEdges).
+// stmts' blocks, with no address resolution. A run waits on, for every
+// in-dependency, the source run holding the largest To[b] among its
+// blocks — so every block-level edge (Src, To[b]) → (S, b) is implied
+// through the source chain's order — and then on its serial
+// predecessor run. Cut into runs of one grain, it is the grain DAG
+// (PrecedenceEdges). The source run is found by one cursor per
+// in-dependency over the source chain, reset at each statement's first
+// run: it steps forward and back to the first run whose Last is at
+// least the wanted block, so it is exact for any To, and amortized
+// O(1) per run where To is monotone.
 func chainColumns(stmts []*core.StmtInfo, runs []ChainTask) runtime.ChainSpec {
 	lens := make([]int32, len(stmts))
 	off := make([]int32, len(stmts)) // each statement's first run
-	edges := len(runs)
+	edges, fanIn := len(runs), 0
 	for i, r := range runs {
 		if lens[r.Stmt] == 0 {
 			off[r.Stmt] = int32(i)
 		}
 		lens[r.Stmt]++
 		edges += len(stmts[r.Stmt].InDeps)
+		fanIn = max(fanIn, len(stmts[r.Stmt].InDeps))
 	}
+	cursor := make([]int32, fanIn) // a statement's runs are contiguous
 	cols := runtime.ChainSpec{
 		Lens:      lens,
 		PredOff:   make([]int32, 1, len(runs)+1),
@@ -286,7 +291,11 @@ func chainColumns(stmts []*core.StmtInfo, runs []ChainTask) runtime.ChainSpec {
 		PredPos:   make([]int32, 0, edges),
 	}
 	for i, r := range runs {
-		for _, dep := range stmts[r.Stmt].InDeps {
+		pos := int32(i) - off[r.Stmt]
+		if pos == 0 {
+			clear(cursor)
+		}
+		for d, dep := range stmts[r.Stmt].InDeps {
 			q := int32(-1)
 			for _, to := range dep.To[r.First : r.Last+1] {
 				q = max(q, to)
@@ -294,11 +303,19 @@ func chainColumns(stmts []*core.StmtInfo, runs []ChainTask) runtime.ChainSpec {
 			if q >= 0 {
 				src := dep.Src.Index
 				chain := runs[off[src] : off[src]+lens[src]]
+				c := cursor[d]
+				for int(c) < len(chain) && chain[c].Last < q {
+					c++
+				}
+				for c > 0 && chain[c-1].Last >= q {
+					c--
+				}
+				cursor[d] = c
 				cols.PredChain = append(cols.PredChain, int32(src))
-				cols.PredPos = append(cols.PredPos, int32(sort.Search(len(chain), func(k int) bool { return chain[k].Last >= q })))
+				cols.PredPos = append(cols.PredPos, c)
 			}
 		}
-		if pos := int32(i) - off[r.Stmt]; pos > 0 {
+		if pos > 0 {
 			cols.PredChain = append(cols.PredChain, r.Stmt)
 			cols.PredPos = append(cols.PredPos, pos-1)
 		}

@@ -42,25 +42,33 @@ func TestHybridScheduleBitIdenticalTable9(t *testing.T) {
 	}
 }
 
-// TestHybridScheduleFusesChains asserts that every block after a
+// TestHybridScheduleFusesChains asserts that every task after a
 // statement's first resolves its serial edge by chain order, and that
-// the result reports it.
+// the result reports it, at every granularity the chain plan is cut to.
 func TestHybridScheduleFusesChains(t *testing.T) {
 	p, err := kernels.Table9Program("P4", 24, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Pipelined(p, 2, core.Options{})
+	info, err := core.Detect(p.SCoP, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(res.Tasks - len(p.SCoP.Stmts)); res.ChainFused != want {
-		t.Fatalf("ChainFused = %d over %d tasks, want %d", res.ChainFused, res.Tasks, want)
+	for _, minIters := range []int{1, 2, 4, 8} {
+		prog, err := codegen.CompileWithOptions(info, codegen.CompileOptions{MinBlockIters: minIters})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := RunCompiled(p, prog, 2)
+		if want := int64(res.Tasks - len(p.SCoP.Stmts)); res.ChainFused != want {
+			t.Fatalf("b=%d: ChainFused = %d over %d tasks, want %d", minIters, res.ChainFused, res.Tasks, want)
+		}
 	}
 }
 
 // TestObservedHybridSchedule checks the observed path reports the
-// runtime.chain_fused counter and a critical path.
+// runtime.chain_fused counter, a queue-depth peak, and a critical path
+// no longer than the run's makespan.
 func TestObservedHybridSchedule(t *testing.T) {
 	p := kernels.Listing3(24)
 	o, err := PipelinedObserved(p, 2, core.Options{}, nil)
@@ -78,5 +86,11 @@ func TestObservedHybridSchedule(t *testing.T) {
 	}
 	if len(o.Critical.Tasks) == 0 {
 		t.Fatal("no critical path on observed run")
+	}
+	if o.Critical.Length > o.Analysis.Makespan {
+		t.Fatalf("critical path %v exceeds makespan %v", o.Critical.Length, o.Analysis.Makespan)
+	}
+	if got := o.Snapshot.Gauge("runtime.queue_depth_peak"); got < 1 {
+		t.Fatalf("runtime.queue_depth_peak = %d", got)
 	}
 }

@@ -49,12 +49,8 @@ for (i = 0; i < 5; i++)
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := NewSession().Detect(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var b strings.Builder
-	if err := EmitGo(&b, info, 2); err != nil {
+	if err := NewSession().EmitGo(&b, sc, EmitOptions{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "func runPipelined(workers int)") {
@@ -159,8 +155,8 @@ func TestFacadeErrorPropagation(t *testing.T) {
 	if err := s.TraceSVG(&sb, p); err == nil {
 		t.Error("TraceSVG accepted hazardous scop")
 	}
-	if err := EmitGo(&sb, &Info{SCoP: sc}, 2); err == nil {
-		t.Error("EmitGo accepted incomplete info")
+	if err := s.EmitGo(&sb, sc, EmitOptions{}); err == nil {
+		t.Error("EmitGo accepted hazardous scop")
 	}
 }
 

@@ -29,15 +29,12 @@ package polypipe
 
 import (
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 
 	"repro/internal/ast"
-	"repro/internal/autotune"
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/gogen"
 	"repro/internal/interp"
 	"repro/internal/isl/aff"
 	"repro/internal/kernels"
@@ -66,14 +63,6 @@ type (
 	Result = exec.Result
 	// Variant selects the matrix-chain kernel flavour.
 	Variant = kernels.Variant
-	// AutotuneResult is the outcome of a profile-guided block-size
-	// search (Session.Autotune / WithAutotune): the tuned
-	// MinBlockIters plus every evaluated candidate's measured profile.
-	AutotuneResult = autotune.Result
-	// AutotuneSample is one evaluated candidate granularity with its
-	// instrumented-run profile (elapsed, critical path, stall, queue
-	// peak, fused chains).
-	AutotuneSample = autotune.Sample
 )
 
 // Matrix-chain variants (Figure 11 kernels).
@@ -219,16 +208,6 @@ func BlockReport(info *Info) string {
 		}
 	}
 	return b.String()
-}
-
-// EmitGo writes a standalone, stdlib-only Go main package executing
-// the transformed program: statement bodies, block loops, the task
-// table with integer dependency addresses, an embedded minimal
-// tasking runtime, and a self-verifying main (the textual analogue of
-// the paper's final code-generation phase). It emits at the default
-// granularity; Session.EmitGo applies Options.MinBlockIters.
-func EmitGo(w io.Writer, info *Info, workers int) error {
-	return gogen.Emit(w, info, workers)
 }
 
 // Interpret wraps an analysis-only SCoP (e.g. one produced by Parse)

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/autotune"
 	"repro/internal/cache"
 	"repro/internal/cache/disk"
 	"repro/internal/codegen"
@@ -81,8 +80,6 @@ type Session struct {
 	opts         Options
 	backend      string
 	wantBackend  bool
-	autotuneOn   bool
-	autotuneBud  int
 	ctx          context.Context
 	registry     *obs.Registry
 	cache        *cache.Cache
@@ -118,17 +115,11 @@ type Session struct {
 	// stmtNames accumulates statement display names of every compiled
 	// program (guarded by progMu), so /debug/trace can label spans.
 	stmtNames map[int]string
-
-	// tuned caches the autotuned MinBlockIters per SCoP instance
-	// (guarded by tunedMu), so WithAutotune pays the search once and
-	// every later compile of the same program reuses the result.
-	tunedMu sync.Mutex
-	tuned   map[*SCoP]int
 }
 
 // progKey identifies one compiled program: the SCoP instance plus the
 // compile options baked into the task bodies and the IR — the
-// intra-block worker count and the (autotuned) granularity.
+// intra-block worker count and the granularity.
 type progKey struct {
 	sc         *SCoP
 	intra      int
@@ -165,20 +156,6 @@ func WithOptions(opts Options) SessionOption {
 // composes with WithOptions.
 func WithBackend(name string) SessionOption {
 	return func(s *Session) { s.backend, s.wantBackend = name, true }
-}
-
-// WithAutotune enables profile-guided block-size tuning: the first
-// pipelined compile of each program runs the internal/autotune
-// search — instrumented executions scored by wall time with the
-// realized critical path and stall/queue-depth profile read
-// back from obs, converging by doubling plus golden-section
-// refinement — and every later compile reuses the tuned
-// MinBlockIters in place of the fixed Eq. 3 granularity. budget caps
-// the candidate evaluations (<= 0 means autotune.DefaultBudget). The
-// search itself executes the program repeatedly; call
-// Session.Autotune directly to tune eagerly and inspect the trail.
-func WithAutotune(budget int) SessionOption {
-	return func(s *Session) { s.autotuneOn, s.autotuneBud = true, budget }
 }
 
 // WithCache attaches a content-addressed detection cache bounded to
@@ -484,19 +461,12 @@ func (s *Session) DetectBatch(scs []*SCoP) ([]*Info, []error) {
 }
 
 // compile detects (through the session cache when present) and
-// compiles p's pipeline into a task program at the (autotuned)
+// compiles p's pipeline into a task program at the session's
 // MinBlockIters. Compiled programs are cached per SCoP instance, so
 // repeated calls reuse both the program and its lowered runtime IR;
 // with a session registry, IR reuse counts "runtime.ir_reuse" hits.
 func (s *Session) compile(p *Program, intraWorkers int) (*codegen.TaskProgram, error) {
 	blockIters := s.opts.MinBlockIters
-	if s.autotuneOn {
-		b, err := s.tunedBlockIters(p)
-		if err != nil {
-			return nil, err
-		}
-		blockIters = b
-	}
 	key := progKey{sc: p.SCoP, intra: intraWorkers, blockIters: blockIters}
 	s.progMu.Lock()
 	prog, ok := s.programs[key]
@@ -586,61 +556,6 @@ func (s *Session) Run(mode Mode, p *Program) (Result, error) {
 		return s.execCompiled(p, prog, workers, "pipeline-hybrid"), nil
 	}
 	return Result{}, fmt.Errorf("%w %v", ErrUnknownMode, mode)
-}
-
-// tunedBlockIters returns the autotuned granularity for p, running
-// the search on first use and caching the choice per SCoP instance.
-func (s *Session) tunedBlockIters(p *Program) (int, error) {
-	s.tunedMu.Lock()
-	b, ok := s.tuned[p.SCoP]
-	s.tunedMu.Unlock()
-	if ok {
-		return b, nil
-	}
-	res, err := s.Autotune(p)
-	if err != nil {
-		return 0, err
-	}
-	return res.Chosen, nil
-}
-
-// Autotune runs the profile-guided block-size search on p under the
-// session's configuration (workers and detection options) and returns
-// the full result: the tuned MinBlockIters, the baseline and best
-// samples, and every evaluated candidate's measured profile, all
-// compiled from one (cached) detection. The choice is cached per program, so
-// later WithAutotune compiles reuse it without searching again. The
-// search executes p repeatedly; its arrays are left in the final
-// run's state (Run resets them anyway). With a session registry the
-// autotune.iterations counter and autotune.block_iters_chosen gauge
-// land there.
-func (s *Session) Autotune(p *Program) (*AutotuneResult, error) {
-	if s.closed.Load() {
-		return nil, ErrSessionClosed
-	}
-	if err := s.ctx.Err(); err != nil {
-		return nil, wrapCtxErr(err)
-	}
-	info, err := s.Detect(p.SCoP)
-	if err != nil {
-		return nil, err
-	}
-	res, err := autotune.TuneDetected(p, info, autotune.Config{
-		Workers: par.Workers(s.workers),
-		Detect:  s.opts,
-		Budget:  s.autotuneBud,
-		Obs:     s.opts.Obs,
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.tunedMu.Lock()
-	if s.tuned == nil {
-		s.tuned = make(map[*SCoP]int)
-	}
-	s.tuned[p.SCoP] = res.Chosen
-	s.tunedMu.Unlock()
-	return res, nil
 }
 
 // Verify checks that the pipelined and per-loop executions reproduce

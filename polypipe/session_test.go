@@ -295,7 +295,7 @@ for (i = 0; i < 9; i++)
 }
 
 // TestSessionOneColdDetectionServesEveryGranularity: a cached session
-// that runs at MinBlockIters 4, then 8, then autotunes detects once —
+// that runs at MinBlockIters 4, then 8 detects once —
 // one cache miss, one detect.pipeline_maps phase — and compiles each
 // granularity from that result.
 func TestSessionOneColdDetectionServesEveryGranularity(t *testing.T) {
@@ -321,9 +321,6 @@ func TestSessionOneColdDetectionServesEveryGranularity(t *testing.T) {
 	if tasks[0] <= tasks[1] {
 		t.Fatalf("MinBlockIters 4 ran %d chain tasks, 8 ran %d: granularity not applied", tasks[0], tasks[1])
 	}
-	if _, err := s.Autotune(p); err != nil {
-		t.Fatal(err)
-	}
 	st, _ := s.CacheStats()
 	detections := 0
 	for _, sp := range s.PhaseSpans() {
@@ -333,5 +330,34 @@ func TestSessionOneColdDetectionServesEveryGranularity(t *testing.T) {
 	}
 	if st.Misses != 1 || detections != 1 {
 		t.Fatalf("%d cache misses, %d detections; want 1 and 1", st.Misses, detections)
+	}
+}
+
+// TestSessionHybridScheduleMatchesSequential runs the pipelined mode —
+// static block order within a statement, dynamic across statements —
+// through a session and checks it against sequential and the
+// runtime.chain_fused counter.
+func TestSessionHybridScheduleMatchesSequential(t *testing.T) {
+	p := Listing3(32)
+	sess := NewSession(WithWorkers(2), WithRegistry(NewRegistry()))
+	want, err := sess.Run(ModeSequential, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Run(ModePipelined, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Executor != "pipeline" {
+		t.Fatalf("executor = %q", res.Executor)
+	}
+	if res.Hash != want.Hash {
+		t.Fatalf("pipelined hash %x, want %x", res.Hash, want.Hash)
+	}
+	if res.ChainFused == 0 {
+		t.Fatal("no edge resolved by chain order on listing3")
+	}
+	if got := sess.Registry().Snapshot().Counter("runtime.chain_fused"); got < res.ChainFused {
+		t.Fatalf("runtime.chain_fused = %d, want >= %d", got, res.ChainFused)
 	}
 }
