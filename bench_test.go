@@ -255,8 +255,8 @@ func TestScalingCeiling(t *testing.T) {
 
 // BenchmarkExtraKernels reports simulated pipeline speed-ups on the
 // kernels beyond the paper's two benchmark sets: the fully parallel
-// Jacobi chain (where the hybrid combination matters), the serial
-// Seidel chain, and the triangular-domain chain.
+// Jacobi chain, the serial Seidel chain, and the triangular-domain
+// chain.
 func BenchmarkExtraKernels(b *testing.B) {
 	progs := []*kernels.Program{
 		kernels.JacobiChain(24, 3),
@@ -270,12 +270,6 @@ func BenchmarkExtraKernels(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			hs := polypipe.NewSession(polypipe.WithWorkers(2), polypipe.WithIntraWorkers(2),
-				polypipe.WithOptions(polypipe.Options{MinBlockIters: 4}))
-			hybrids, err := hs.Simulate(p, polypipe.SimConfig{Mode: polypipe.ModeHybrid, Procs: []int{2}, Overhead: benchOverhead})
-			if err != nil {
-				b.Fatal(err)
-			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := s.Run(polypipe.ModePipelined, p); err != nil {
@@ -283,7 +277,6 @@ func BenchmarkExtraKernels(b *testing.B) {
 				}
 			}
 			b.ReportMetric(speedups[0], "speedup/pipe4")
-			b.ReportMetric(hybrids[0], "speedup/hybrid2x2")
 		})
 	}
 }

@@ -6,10 +6,11 @@
 //	polly    — per-loop parallelization with n threads, and
 //	polly_8  — per-loop parallelization with all (8) threads
 //
-// — and prints the log2 speed-ups. The paper's qualitative result:
-// polly wins on the plain mm/mmt kernels (rows are independent), while
-// on gmm/gmmt Polly detects nothing and only cross-loop pipelining
-// gains.
+// — and prints the log2 speed-ups: per kernel and series the median of
+// the per-repetition ratios, with their quartiles in brackets. The
+// paper's qualitative result: polly wins on the plain mm/mmt kernels
+// (rows are independent), while on gmm/gmmt Polly detects nothing and
+// only cross-loop pipelining gains.
 //
 // Modes: -mode sim (default) measures per-task costs sequentially and
 // computes deterministic virtual-time schedules — correct on any host,
@@ -23,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"time"
 
 	"repro/internal/report"
@@ -46,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	flags.SetOutput(stderr)
 	rows := flags.Int("rows", 192, "matrix dimension (rows == cols)")
 	allThreads := flags.Int("all-threads", 8, "thread count for the polly_8 series")
-	reps := flags.Int("reps", 3, "repetitions per kernel (best result wins)")
+	reps := flags.Int("reps", 3, "repetitions per kernel (the median ratio is reported, quartiles beside it)")
 	mode := flags.String("mode", "sim", "sim (virtual time) or real (wall clock)")
 	overhead := flags.Duration("task-overhead", 500*time.Nanosecond, "per-task scheduling overhead modelled in sim mode")
 	if err := flags.Parse(args); err == flag.ErrHelp {
@@ -75,18 +77,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if err := polypipe.NewSession(polypipe.WithWorkers(n)).Verify(p); err != nil {
 				return fail(fmt.Errorf("%s: %w", p.Name, err))
 			}
-			var pipe, polly, polly8 float64
+			var pipe, polly, polly8 []float64
 			for r := 0; r < *reps; r++ {
 				a, b, c, err := measure(p, n, *allThreads, *mode, *overhead)
 				if err != nil {
 					return fail(err)
 				}
-				pipe, polly, polly8 = max2(pipe, a), max2(polly, b), max2(polly8, c)
+				pipe, polly, polly8 = append(pipe, a), append(polly, b), append(polly8, c)
 			}
-			t.Add(p.Name,
-				fmt.Sprintf("%+.2f", report.Log2(pipe)),
-				fmt.Sprintf("%+.2f", report.Log2(polly)),
-				fmt.Sprintf("%+.2f", report.Log2(polly8)))
+			t.Add(p.Name, summarize(pipe), summarize(polly), summarize(polly8))
 			fmt.Fprintf(stderr, ".")
 		}
 	}
@@ -134,9 +133,18 @@ func measure(p *polypipe.Program, n, allThreads int, mode string, overhead time.
 	return pipe, polly, polly8, nil
 }
 
-func max2(a, b float64) float64 {
-	if a > b {
-		return a
+// summarize formats per-repetition speed-up ratios as the log2 of
+// their median, with the log2 of their quartiles in brackets.
+func summarize(ratios []float64) string {
+	s := append([]float64(nil), ratios...)
+	sort.Float64s(s)
+	at := func(q float64) float64 {
+		pos := q * float64(len(s)-1)
+		lo := int(pos)
+		if lo == len(s)-1 {
+			return s[lo]
+		}
+		return s[lo] + (pos-float64(lo))*(s[lo+1]-s[lo])
 	}
-	return b
+	return fmt.Sprintf("%+.2f [%+.2f, %+.2f]", report.Log2(at(0.5)), report.Log2(at(0.25)), report.Log2(at(0.75)))
 }

@@ -8,9 +8,21 @@ import (
 	"repro/polypipe"
 )
 
-func TestMax2(t *testing.T) {
-	if max2(1, 2) != 2 || max2(3, 2) != 3 {
-		t.Fatal("max2 wrong")
+// TestSummarizeIsMedianOfRatios: the reported speed-up is the median
+// of the per-repetition ratios (log2 1.0 here; the maximum would read
+// +2.00), with the quartiles beside it.
+func TestSummarizeIsMedianOfRatios(t *testing.T) {
+	for _, c := range []struct {
+		ratios []float64
+		want   string
+	}{
+		{[]float64{1, 4, 2}, "+1.00 [+0.58, +1.58]"},
+		{[]float64{2}, "+1.00 [+1.00, +1.00]"},
+		{[]float64{0.5, 1, 1, 16}, "+0.00 [-0.19, +2.25]"},
+	} {
+		if got := summarize(c.ratios); got != c.want {
+			t.Errorf("summarize(%v) = %q, want %q", c.ratios, got, c.want)
+		}
 	}
 }
 

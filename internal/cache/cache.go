@@ -291,7 +291,7 @@ func (c *Cache) Stats() Stats {
 // from sc itself it is returned unchanged.
 //
 // The shared Graph is kept as-is: its post-detection accessors
-// (ParallelDims, HasIntraConflicts, Flow) key on statement Index, so
+// (ParallelDims, Flow) key on statement Index, so
 // they answer identically for rebound statements.
 func Rebind(info *core.Info, sc *scop.SCoP) *core.Info {
 	if info.SCoP == sc {

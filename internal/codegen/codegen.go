@@ -29,13 +29,6 @@ type CompileOptions struct {
 	// of at least this many iterations (see cut), the §7 granularity
 	// knob; callers copy it from core.Options.MinBlockIters.
 	MinBlockIters int
-	// IntraBlockWorkers, when > 1, enables the hybrid mode the paper's
-	// §7 raises (combining cross-loop pipelining with other
-	// parallelism): tasks of statements that carry no intra-nest
-	// conflicts execute their block members concurrently on up to this
-	// many goroutines. Blocks still run in order and cross-loop
-	// dependencies are unchanged, so correctness is unaffected.
-	IntraBlockWorkers int
 	// Obs, when non-nil, receives the compile phase ("codegen.lower")
 	// and the grain count ("codegen.tasks").
 	Obs *obs.Recorder
@@ -50,10 +43,6 @@ type TaskProgram struct {
 	// shared and read-only: its Blocks are the paper's per-block tasks
 	// and its InDeps' To columns their cross-statement edges.
 	Stmts []*core.StmtInfo
-	// ParallelBody marks, by statement index, the statements whose
-	// block members may run concurrently (no intra-nest conflicts);
-	// set only when Opts.IntraBlockWorkers > 1.
-	ParallelBody []bool
 
 	runs []ChainTask
 	// cols holds the chain plan's lengths and predecessor columns,
@@ -100,13 +89,7 @@ func CompileForEmission(info *core.Info, opts ...CompileOptions) (*TaskProgram, 
 
 // compileTasks allocates per statement and per run, never per block.
 func compileTasks(info *core.Info, opts CompileOptions) (*TaskProgram, error) {
-	prog := &TaskProgram{SCoP: info.SCoP, Opts: opts, Stmts: info.Stmts, ParallelBody: make([]bool, len(info.SCoP.Stmts))}
-	if opts.IntraBlockWorkers > 1 {
-		for _, s := range info.SCoP.Stmts {
-			prog.ParallelBody[s.Index] = !info.Graph.HasIntraConflicts(s)
-		}
-	}
-
+	prog := &TaskProgram{SCoP: info.SCoP, Opts: opts, Stmts: info.Stmts}
 	stop := opts.Obs.Phase("codegen.lower")
 	defer stop()
 	prog.runs, prog.grains = cut(info.Stmts, opts.MinBlockIters, maxChainTasks)
@@ -153,17 +136,11 @@ func (p *TaskProgram) Members(r ChainTask) []isl.Vec {
 	return si.Stmt.Domain.Elements()[si.Blocks[r.First].First : si.Blocks[r.Last].Last+1]
 }
 
-// runBlock executes the members of run r in order, or spread over
-// IntraBlockWorkers goroutines when its statement has no intra-nest
-// conflicts. elems is the statement's sorted domain.
+// runBlock executes the members of run r in order. elems is the
+// statement's sorted domain.
 func (p *TaskProgram) runBlock(r ChainTask, elems []isl.Vec) {
 	si := p.Stmts[r.Stmt]
-	members := elems[si.Blocks[r.First].First : si.Blocks[r.Last].Last+1]
-	if p.ParallelBody[r.Stmt] && len(members) > 1 {
-		runMembersParallel(si.Stmt.Body, members, p.Opts.IntraBlockWorkers)
-		return
-	}
-	for _, iv := range members {
+	for _, iv := range elems[si.Blocks[r.First].First : si.Blocks[r.Last].Last+1] {
 		si.Stmt.Body(iv)
 	}
 }
@@ -367,25 +344,6 @@ func (p *TaskProgram) LowerObserved(rec *obs.Recorder) *runtime.Program {
 		rec.Count("runtime.ir_reuse", 1)
 	}
 	return p.lowered
-}
-
-// runMembersParallel executes a conflict-free block's members on up to
-// workers goroutines (hybrid intra-block parallelism).
-func runMembersParallel(body scop.Body, members []isl.Vec, workers int) {
-	if workers > len(members) {
-		workers = len(members)
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for k := w; k < len(members); k += workers {
-				body(members[k])
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 // Run executes the program's compiled IR with the given worker count

@@ -209,40 +209,9 @@ func TestQuickAddressUniqueness(t *testing.T) {
 	}
 }
 
-func TestHybridCompileRunInPackage(t *testing.T) {
-	p := kernels.MMChain(2, 10, kernels.MM)
-	want := runSequential(p)
-	// Group blocks so grains hold several members and the parallel-body
-	// path actually executes.
-	info, err := core.Detect(p.SCoP, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := CompileWithOptions(info, CompileOptions{IntraBlockWorkers: 3, MinBlockIters: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hasParallel := false
-	for _, g := range prog.Grains() {
-		if prog.ParallelBody[g.Stmt] && len(prog.Members(g)) > 1 {
-			hasParallel = true
-		}
-	}
-	if !hasParallel {
-		t.Fatal("no multi-member parallel-body tasks on a conflict-free chain")
-	}
-	for trial := 0; trial < 5; trial++ {
-		p.Reset()
-		prog.Run(4)
-		if got := p.Hash(); got != want {
-			t.Fatalf("trial %d: hybrid run differs from sequential", trial)
-		}
-	}
-}
-
 // TestCompileAllocsProportionalToTasks is the compile path's complexity
 // guard, free of any clock: Compile allocates per program — the run
-// list and the per-statement hybrid flags — and never per block, so
+// list and the chain columns — and never per block, so
 // its allocation count stays under one line c·tasks + c′ at two sizes
 // a factor of four apart. A label formatted per block, an address list
 // grown per block, or a block re-derived from the contraction would

@@ -255,12 +255,6 @@ func (g *Graph) ParallelDims(s *scop.Statement) []bool {
 	return par
 }
 
-// HasIntraConflicts reports whether any two distinct iterations of s
-// conflict (the nest is not fully data-parallel).
-func (g *Graph) HasIntraConflicts(s *scop.Statement) bool {
-	return !g.intraOf(s).IsEmpty()
-}
-
 // CrossHazards returns an error when a later statement writes to memory
 // that an earlier statement reads or writes, i.e. when cross-statement
 // anti or output dependences exist. The pipeline transformation assumes

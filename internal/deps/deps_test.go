@@ -46,9 +46,9 @@ func TestListing1SelfFlow(t *testing.T) {
 	if g.Flow(s, s) != nil {
 		t.Errorf("unexpected forward self-flow: %v", g.Flow(s, s))
 	}
-	// But conflicts exist, so the nest is not parallel.
-	if !g.HasIntraConflicts(s) {
-		t.Error("S should have intra conflicts")
+	// But conflicts exist, so neither loop is parallel.
+	if par := g.ParallelDims(s); par[0] || par[1] {
+		t.Errorf("ParallelDims(S) = %v, want all false", par)
 	}
 }
 
@@ -99,9 +99,6 @@ func TestParallelDimsIndependentRows(t *testing.T) {
 	par := g.ParallelDims(sc.Stmts[0])
 	if !par[0] || !par[1] {
 		t.Fatalf("ParallelDims = %v, want all true", par)
-	}
-	if g.HasIntraConflicts(sc.Stmts[0]) {
-		t.Fatal("independent nest reports conflicts")
 	}
 }
 

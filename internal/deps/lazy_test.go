@@ -95,9 +95,6 @@ func checkAgainstEager(t *testing.T, name string, sc *scop.SCoP, g *deps.Graph) 
 		if !intra[i].Equal(want) {
 			t.Fatalf("%s: intra(%s) is %v, want %v", name, src.Name, intra[i], want)
 		}
-		if got := g.HasIntraConflicts(src); got != !want.IsEmpty() {
-			t.Fatalf("%s: HasIntraConflicts(%s) = %v", name, src.Name, got)
-		}
 	}
 }
 

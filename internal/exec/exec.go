@@ -87,24 +87,6 @@ func RunCompiled(p *kernels.Program, prog *codegen.TaskProgram, workers int) Res
 	}
 }
 
-// PipelinedHybrid combines cross-loop pipelining with intra-block
-// parallelism (§7): blocks of conflict-free statements run their
-// members on up to intraWorkers goroutines while the pipeline overlaps
-// the nests.
-func PipelinedHybrid(p *kernels.Program, workers, intraWorkers int, opts core.Options) (Result, error) {
-	info, err := core.Detect(p.SCoP, opts)
-	if err != nil {
-		return Result{}, fmt.Errorf("exec: detect: %w", err)
-	}
-	prog, err := codegen.CompileWithOptions(info, codegen.CompileOptions{MinBlockIters: opts.MinBlockIters, IntraBlockWorkers: intraWorkers})
-	if err != nil {
-		return Result{}, fmt.Errorf("exec: compile: %w", err)
-	}
-	res := RunCompiled(p, prog, workers)
-	res.Executor = "pipeline-hybrid"
-	return res, nil
-}
-
 // ParLoop is the Polly baseline: each nest runs on its own, with the
 // outermost provably-parallel loop dimension distributed over workers
 // (and everything inside it sequential), or fully sequentially when no
@@ -122,22 +104,6 @@ func ParLoop(p *kernels.Program, workers int) Result {
 	}
 	elapsed := time.Since(start)
 	return Result{Executor: "parloop", Elapsed: elapsed, Hash: p.Hash()}
-}
-
-// ParallelizableNests reports how many nests of the program the
-// baseline can parallelize at any depth.
-func ParallelizableNests(p *kernels.Program) int {
-	g := deps.Analyze(p.SCoP)
-	n := 0
-	for _, s := range p.SCoP.Stmts {
-		for _, ok := range g.ParallelDims(s) {
-			if ok {
-				n++
-				break
-			}
-		}
-	}
-	return n
 }
 
 // runNestParallel executes one statement with loop dimension d (the

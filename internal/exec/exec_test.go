@@ -4,8 +4,8 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/codegen"
 	"repro/internal/core"
+	"repro/internal/deps"
 	"repro/internal/isl"
 	"repro/internal/isl/aff"
 	"repro/internal/kernels"
@@ -127,10 +127,26 @@ func buildRowChain(t *testing.T, nests, rows int) *kernels.Program {
 func name(k int) string     { return "A" + string(rune('0'+k)) }
 func stmtName(k int) string { return "S" + string(rune('0'+k)) }
 
+// parallelizableNests reports how many nests of p the per-loop
+// baseline can parallelize at any depth.
+func parallelizableNests(p *kernels.Program) int {
+	g := deps.Analyze(p.SCoP)
+	n := 0
+	for _, s := range p.SCoP.Stmts {
+		for _, ok := range g.ParallelDims(s) {
+			if ok {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
 func TestParLoopParallelRows(t *testing.T) {
 	p := buildRowChain(t, 3, 16)
-	if got := ParallelizableNests(p); got != 3 {
-		t.Fatalf("ParallelizableNests = %d, want 3", got)
+	if got := parallelizableNests(p); got != 3 {
+		t.Fatalf("parallelizableNests = %d, want 3", got)
 	}
 	want := Sequential(p).Hash
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -143,8 +159,8 @@ func TestParLoopParallelRows(t *testing.T) {
 
 func TestParLoopSerialNest(t *testing.T) {
 	p := kernels.Listing1(16)
-	if got := ParallelizableNests(p); got != 0 {
-		t.Fatalf("ParallelizableNests = %d, want 0 (stencils are serial)", got)
+	if got := parallelizableNests(p); got != 0 {
+		t.Fatalf("parallelizableNests = %d, want 0 (stencils are serial)", got)
 	}
 	want := Sequential(p).Hash
 	if got := ParLoop(p, 4).Hash; got != want {
@@ -191,52 +207,5 @@ func TestPipelinedRowChain(t *testing.T) {
 	// Row-granular pipeline: each row of each nest is one task.
 	if res.Tasks != 4*24 {
 		t.Fatalf("tasks = %d, want %d", res.Tasks, 4*24)
-	}
-}
-
-func TestHybridMatchesSequential(t *testing.T) {
-	// mm chains are conflict-free per nest: hybrid runs members in
-	// parallel inside blocks; results must stay bit-identical.
-	for _, prog := range []*kernels.Program{
-		kernels.MMChain(3, 16, kernels.MM),
-		kernels.MMChain(2, 16, kernels.GMM), // serial nests: hybrid degenerates
-		kernels.Listing3(16),
-	} {
-		want := Sequential(prog).Hash
-		res, err := PipelinedHybrid(prog, 4, 3, core.Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", prog.Name, err)
-		}
-		if res.Hash != want {
-			t.Errorf("%s: hybrid hash differs from sequential", prog.Name)
-		}
-	}
-}
-
-func TestHybridParallelBodyFlags(t *testing.T) {
-	p := kernels.MMChain(2, 12, kernels.MM)
-	info, err := core.Detect(p.SCoP, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := codegen.CompileWithOptions(info, codegen.CompileOptions{MinBlockIters: 4, IntraBlockWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range p.SCoP.Stmts {
-		if !prog.ParallelBody[s.Index] {
-			t.Fatalf("mm statement %s not marked parallel", s.Name)
-		}
-	}
-	g := kernels.MMChain(2, 12, kernels.GMM)
-	infoG, _ := core.Detect(g.SCoP, core.Options{})
-	progG, err := codegen.CompileWithOptions(infoG, codegen.CompileOptions{IntraBlockWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range g.SCoP.Stmts {
-		if progG.ParallelBody[s.Index] {
-			t.Fatalf("gmm statement %s wrongly marked parallel", s.Name)
-		}
 	}
 }

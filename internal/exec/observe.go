@@ -42,20 +42,11 @@ type Observation struct {
 // rec may be nil; a fresh recorder is created. workers ≤ 0 means
 // GOMAXPROCS, as everywhere else in the stack.
 func PipelinedObserved(p *kernels.Program, workers int, opts core.Options, rec *obs.Recorder) (*Observation, error) {
-	return PipelinedObservedWith(p, workers, opts, codegen.CompileOptions{}, rec)
-}
-
-// PipelinedObservedWith is PipelinedObserved with explicit compile
-// options, so callers can observe the intra-block parallel variant
-// (copts.Obs and MinBlockIters are overwritten from rec and opts).
-func PipelinedObservedWith(p *kernels.Program, workers int, opts core.Options, copts codegen.CompileOptions, rec *obs.Recorder) (*Observation, error) {
 	if rec == nil {
 		rec = obs.NewRecorder()
 	}
 	workers = par.Workers(workers)
 	opts.Obs = rec
-	copts.Obs = rec
-	copts.MinBlockIters = opts.MinBlockIters
 
 	stop := rec.Phase("detect")
 	info, err := core.Detect(p.SCoP, opts)
@@ -64,7 +55,7 @@ func PipelinedObservedWith(p *kernels.Program, workers int, opts core.Options, c
 		return nil, fmt.Errorf("exec: detect: %w", err)
 	}
 	stop = rec.Phase("compile")
-	prog, err := codegen.CompileWithOptions(info, copts)
+	prog, err := codegen.CompileWithOptions(info, codegen.CompileOptions{MinBlockIters: opts.MinBlockIters, Obs: rec})
 	stop()
 	if err != nil {
 		return nil, fmt.Errorf("exec: compile: %w", err)

@@ -87,24 +87,6 @@ func TestDifferentialDataParallel(t *testing.T) {
 	}
 }
 
-// TestDifferentialHybrid exercises the hybrid executor (intra-block
-// parallelism on conflict-free nests) on random programs.
-func TestDifferentialHybrid(t *testing.T) {
-	for seed := int64(5000); seed < 5060; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		sc := Random(r, Config{})
-		p := interp.Programify(sc)
-		want := exec.Sequential(p).Hash
-		res, err := exec.PipelinedHybrid(p, 1+r.Intn(4), 2+r.Intn(3), core.Options{})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if res.Hash != want {
-			t.Fatalf("seed %d (%s): hybrid differs from sequential", seed, sc.Name)
-		}
-	}
-}
-
 // TestDifferentialOverwrites exercises the relaxed last-writer
 // extension: programs with non-injective writes must still match
 // sequential execution when pipelined with AllowOverwrites.

@@ -48,14 +48,9 @@ type EmitOptions struct {
 	Obs *obs.Recorder
 }
 
-// Emit compiles info with the full pass pipeline and writes the
+// EmitWith compiles info with the passes opts selects and writes the
 // emitted program. The input — in particular the SCoP and its
 // statement bodies — is never modified.
-func Emit(w io.Writer, info *core.Info, workers int) error {
-	return EmitWith(w, info, EmitOptions{Workers: workers})
-}
-
-// EmitWith is Emit with explicit options.
 func EmitWith(w io.Writer, info *core.Info, opts EmitOptions) error {
 	p, err := Compile(info, opts)
 	if err != nil {

@@ -70,7 +70,7 @@ func TestEmitDoesNotMutateInput(t *testing.T) {
 		t.Fatal("precondition: parsed SCoP should be analysis-only")
 	}
 	var b strings.Builder
-	if err := Emit(&b, info, 2); err != nil {
+	if err := EmitWith(&b, info, EmitOptions{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if sc.HasBodies() {

@@ -15,7 +15,7 @@ func TestJacobiChainVerifiesAndIsParallel(t *testing.T) {
 	}
 	// Every Jacobi nest is fully parallel (reads only the previous
 	// stage's array).
-	if got := exec.ParallelizableNests(p); got != 3 {
+	if got := parallelizableNests(p); got != 3 {
 		t.Fatalf("parallelizable nests = %d, want 3", got)
 	}
 	// Cross-loop pipelining also applies: 3 pipeline pairs chained.
@@ -26,15 +26,6 @@ func TestJacobiChainVerifiesAndIsParallel(t *testing.T) {
 	if len(info.Pairs) != 2 {
 		t.Fatalf("pairs = %d, want 2 (J1->J2, J2->J3)", len(info.Pairs))
 	}
-	// Hybrid execution: parallel bodies inside pipelined blocks.
-	want := exec.Sequential(p).Hash
-	res, err := exec.PipelinedHybrid(p, 2, 2, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Hash != want {
-		t.Fatal("hybrid jacobi differs from sequential")
-	}
 }
 
 func TestSeidelChainVerifiesAndIsSerial(t *testing.T) {
@@ -42,7 +33,7 @@ func TestSeidelChainVerifiesAndIsSerial(t *testing.T) {
 	if err := exec.Verify(p, 4, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if got := exec.ParallelizableNests(p); got != 0 {
+	if got := parallelizableNests(p); got != 0 {
 		t.Fatalf("parallelizable nests = %d, want 0 (Seidel serializes)", got)
 	}
 	info, err := core.Detect(p.SCoP, core.Options{})

@@ -28,24 +28,26 @@ type metrics struct {
 // newMetrics wires the full instrument set.
 func newMetrics(reg *obs.Registry, workers int) metrics {
 	const name = "runtime"
+	// runtime.executed registers last, so a scrape that shows it shows
+	// every runtime family (histograms included).
 	m := metrics{
-		submitted:  reg.Counter(name + ".submitted"),
-		executed:   reg.Counter(name + ".executed"),
-		stallNs:    reg.Counter(name + ".stall_ns_total"),
-		busyNs:     reg.Counter(name + ".busy_ns_total"),
-		deps:       reg.Counter(name + ".deps_resolved"),
-		chainFused: reg.Counter(name + ".chain_fused"),
+		stallHist:  reg.Histogram(name+".stall_ns", nil),
+		taskHist:   reg.Histogram(name+".task_ns", nil),
 		queueDepth: reg.Gauge(name + ".queue_depth"),
 		queuePeak:  reg.Gauge(name + ".queue_depth_peak"),
 		running:    reg.Gauge(name + ".running"),
 		peak:       reg.Gauge(name + ".peak_concurrency"),
-		stallHist:  reg.Histogram(name+".stall_ns", nil),
-		taskHist:   reg.Histogram(name+".task_ns", nil),
 		workerBusy: make([]*obs.Counter, workers),
 	}
 	reg.Gauge(name + ".workers").Set(int64(workers))
 	for w := 0; w < workers; w++ {
 		m.workerBusy[w] = reg.Counter(name + ".worker_busy_ns." + strconv.Itoa(w))
 	}
+	m.submitted = reg.Counter(name + ".submitted")
+	m.stallNs = reg.Counter(name + ".stall_ns_total")
+	m.busyNs = reg.Counter(name + ".busy_ns_total")
+	m.deps = reg.Counter(name + ".deps_resolved")
+	m.chainFused = reg.Counter(name + ".chain_fused")
+	m.executed = reg.Counter(name + ".executed")
 	return m
 }

@@ -4,36 +4,9 @@ import (
 	"time"
 
 	"repro/internal/codegen"
-	"repro/internal/core"
 	"repro/internal/deps"
 	"repro/internal/kernels"
 )
-
-// SimulatePipelined measures the task program of p (per-task costs,
-// taken during a sequential replay in creation order — a valid
-// topological order) and returns the sequential time (Σ costs) plus
-// the simulated P-processor schedule of the real dependency DAG.
-// overhead is added to every task's cost to model task
-// creation/scheduling overhead. The program state is left reset.
-func SimulatePipelined(p *kernels.Program, opts core.Options, procs int, overhead time.Duration) (time.Duration, Schedule, error) {
-	info, err := core.Detect(p.SCoP, opts)
-	if err != nil {
-		return 0, Schedule{}, err
-	}
-	prog, err := codegen.CompileWithOptions(info, codegen.CompileOptions{MinBlockIters: opts.MinBlockIters})
-	if err != nil {
-		return 0, Schedule{}, err
-	}
-	seq, sch := SimulateCompiled(p, prog, procs, overhead)
-	return seq, sch, nil
-}
-
-// SimulateCompiled is SimulatePipelined for an already-compiled task
-// program.
-func SimulateCompiled(p *kernels.Program, prog *codegen.TaskProgram, procs int, overhead time.Duration) (time.Duration, Schedule) {
-	tasks, seq := MeasureCompiled(p, prog, overhead)
-	return seq, List(tasks, procs)
-}
 
 // MeasureCompiled runs the compiled task program once sequentially (a
 // valid topological order), measuring the cost of each of the paper's
@@ -50,19 +23,12 @@ func MeasureCompiled(p *kernels.Program, prog *codegen.TaskProgram, overhead tim
 	tasks := make([]Task, 0, len(grains))
 	var seq time.Duration
 	for _, g := range grains {
-		members := prog.Members(g)
 		start := time.Now()
-		for _, iv := range members {
+		for _, iv := range prog.Members(g) {
 			prog.Stmts[g.Stmt].Stmt.Body(iv)
 		}
 		cost := time.Since(start)
 		seq += cost
-		if prog.ParallelBody[g.Stmt] {
-			// Hybrid mode: members run concurrently inside the task;
-			// model perfect scaling over the intra-block workers (the
-			// caller is responsible for procs×workers ≤ hardware).
-			cost /= time.Duration(min(prog.Opts.IntraBlockWorkers, len(members)))
-		}
 		tasks = append(tasks, Task{Cost: cost + overhead})
 	}
 	for _, e := range prog.PrecedenceEdges() {

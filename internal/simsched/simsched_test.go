@@ -162,12 +162,24 @@ func TestQuickListInvariants(t *testing.T) {
 	}
 }
 
-func TestSimulatePipelinedListing3(t *testing.T) {
-	p := kernels.Listing3(16)
-	seq, sch, err := SimulatePipelined(p, core.Options{}, 4, 0)
+// compile detects and compiles p's pipeline at the default options.
+func compile(t *testing.T, p *kernels.Program) *codegen.TaskProgram {
+	t.Helper()
+	info, err := core.Detect(p.SCoP, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	prog, err := codegen.Compile(info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+func TestSimulatePipelinedListing3(t *testing.T) {
+	p := kernels.Listing3(16)
+	tasks, seq := MeasureCompiled(p, compile(t, p), 0)
+	sch := List(tasks, 4)
 	if seq <= 0 || sch.Makespan <= 0 {
 		t.Fatalf("seq = %v, makespan = %v", seq, sch.Makespan)
 	}
@@ -225,14 +237,7 @@ func TestSimulateParLoopShapes(t *testing.T) {
 func TestSimulatedFigureShape(t *testing.T) {
 	rows := 96
 	gmm := kernels.MMChain(3, rows, kernels.GMM)
-	info, err := core.Detect(gmm.SCoP, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := codegen.CompileWithOptions(info, codegen.CompileOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := compile(t, gmm)
 	grains := prog.Grains()
 	tasks := make([]Task, len(grains))
 	for i, g := range grains {
@@ -244,17 +249,16 @@ func TestSimulatedFigureShape(t *testing.T) {
 	if sp := List(tasks, 3).Speedup(); sp < 1.8 {
 		t.Fatalf("gmm pipeline simulated speedup = %.2f, want >= 1.8", sp)
 	}
+	mm := kernels.MMChain(3, rows, kernels.MM)
+	progMM := compile(t, mm)
 	retryMeasured(t, 3, func() error {
 		_, parSch := SimulateParLoop(gmm, 3, 0)
 		if parSch.Speedup() > 1.1 {
 			return fmt.Errorf("gmm parloop simulated speedup = %.2f, want ~1", parSch.Speedup())
 		}
 
-		mm := kernels.MMChain(3, rows, kernels.MM)
-		_, pipeMM, err := SimulatePipelined(mm, core.Options{}, 3, 0)
-		if err != nil {
-			return err
-		}
+		tasks, _ := MeasureCompiled(mm, progMM, 0)
+		pipeMM := List(tasks, 3)
 		_, parMM := SimulateParLoop(mm, 8, 0)
 		if parMM.Speedup() <= pipeMM.Speedup() {
 			return fmt.Errorf("mm: polly_8 (%.2f) should beat pipeline (%.2f)",

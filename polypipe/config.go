@@ -22,9 +22,6 @@ type Config struct {
 	// Workers is the execution and detection worker-pool width
 	// (WithWorkers; 0 = GOMAXPROCS).
 	Workers int
-	// IntraWorkers bounds ModeHybrid's intra-block width
-	// (WithIntraWorkers).
-	IntraWorkers int
 	// Options are the detection options (WithOptions).
 	Options Options
 	// Backend, when non-empty, overrides Options.Backend (WithBackend):
@@ -59,7 +56,6 @@ type Config struct {
 func WithConfig(cfg Config) SessionOption {
 	return func(s *Session) {
 		s.workers = cfg.Workers
-		s.intraWorkers = cfg.IntraWorkers
 		s.opts = cfg.Options
 		if cfg.Backend != "" {
 			s.backend, s.wantBackend = cfg.Backend, true

@@ -3,7 +3,6 @@ package polypipe
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestFacadeBuilderSurface(t *testing.T) {
@@ -68,23 +67,9 @@ func TestFacadeTraceSVG(t *testing.T) {
 	}
 }
 
-func TestFacadeHybridAndSim(t *testing.T) {
+func TestFacadeParLoopSim(t *testing.T) {
 	p := MMChain(2, 12, MM)
-	s := NewSession(WithWorkers(2), WithIntraWorkers(2))
-	res, err := s.Run(ModeHybrid, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := s.Run(ModeSequential, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Hash != seq.Hash {
-		t.Fatal("hybrid differs")
-	}
-	if _, err := s.Simulate(p, SimConfig{Mode: ModeHybrid, Procs: []int{2}, Overhead: time.Microsecond}); err != nil {
-		t.Fatal(err)
-	}
+	s := NewSession(WithWorkers(2))
 	sp, err := s.Simulate(p, SimConfig{Mode: ModeParLoop, Procs: []int{4}})
 	if err != nil {
 		t.Fatal(err)
@@ -130,20 +115,15 @@ func TestFacadeErrorPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &Program{Name: "hazard", SCoP: sc, Reset: func() {}, Hash: func() uint64 { return 0 }}
-	s := NewSession(WithWorkers(2), WithIntraWorkers(2))
-	for _, mode := range []Mode{ModePipelined, ModeHybrid} {
-		if _, err := s.Run(mode, p); err == nil {
-			t.Errorf("Run(%v) accepted hazardous scop", mode)
-		}
+	s := NewSession(WithWorkers(2))
+	if _, err := s.Run(ModePipelined, p); err == nil {
+		t.Error("Run accepted hazardous scop")
 	}
 	if _, err := s.Simulate(p, SimConfig{Procs: []int{2}}); err == nil {
 		t.Error("Simulate accepted hazardous scop")
 	}
 	if _, err := s.Simulate(p, SimConfig{Procs: []int{2, 4}}); err == nil {
 		t.Error("multi-proc Simulate accepted hazardous scop")
-	}
-	if _, err := s.Simulate(p, SimConfig{Mode: ModeHybrid, Procs: []int{2}}); err == nil {
-		t.Error("hybrid Simulate accepted hazardous scop")
 	}
 	if _, _, err := s.TracePipelined(p, 10); err == nil {
 		t.Error("TracePipelined accepted hazardous scop")

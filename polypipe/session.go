@@ -26,9 +26,9 @@ import (
 
 // Mode selects the executor a Session.Run call uses. The modes cover
 // the paper's evaluation matrix: the sequential reference, the
-// cross-loop pipelined executor, the hybrid pipeline+intra-block
-// executor, and the Polly-style per-loop baseline. The emitted program
-// (Session.EmitGo) is the pipeline's second back end.
+// cross-loop pipelined executor, and the Polly-style per-loop
+// baseline. The emitted program (Session.EmitGo) is the pipeline's
+// second back end.
 type Mode int
 
 const (
@@ -37,9 +37,6 @@ const (
 	// ModePipelined runs the detected pipeline on the chain executor:
 	// one chain of block tasks per statement.
 	ModePipelined
-	// ModeHybrid combines the pipeline with intra-block parallelism for
-	// conflict-free statements (see WithIntraWorkers).
-	ModeHybrid
 	// ModeParLoop runs the Polly-style per-loop parallel baseline.
 	ModeParLoop
 )
@@ -51,8 +48,6 @@ func (m Mode) String() string {
 		return "sequential"
 	case ModePipelined:
 		return "pipelined"
-	case ModeHybrid:
-		return "hybrid"
 	case ModeParLoop:
 		return "parloop"
 	}
@@ -75,18 +70,17 @@ type CacheStats = cache.Stats
 // behaves exactly like the legacy free functions: no cache, no
 // registry, background context, GOMAXPROCS workers.
 type Session struct {
-	workers      int
-	intraWorkers int
-	opts         Options
-	backend      string
-	wantBackend  bool
-	ctx          context.Context
-	registry     *obs.Registry
-	cache        *cache.Cache
-	cacheCap     int
-	wantCache    bool
-	diskDir      string
-	diskErr      error
+	workers     int
+	opts        Options
+	backend     string
+	wantBackend bool
+	ctx         context.Context
+	registry    *obs.Registry
+	cache       *cache.Cache
+	cacheCap    int
+	wantCache   bool
+	diskDir     string
+	diskErr     error
 
 	// Live-telemetry state (WithIntrospection / WithSampler): the
 	// embedded introspection server, the continuous sampler feeding
@@ -118,11 +112,9 @@ type Session struct {
 }
 
 // progKey identifies one compiled program: the SCoP instance plus the
-// compile options baked into the task bodies and the IR — the
-// intra-block worker count and the granularity.
+// granularity baked into its chain plan.
 type progKey struct {
 	sc         *SCoP
-	intra      int
 	blockIters int
 }
 
@@ -134,12 +126,6 @@ type SessionOption func(*Session)
 // set one explicitly.
 func WithWorkers(n int) SessionOption {
 	return func(s *Session) { s.workers = n }
-}
-
-// WithIntraWorkers bounds the intra-block worker count ModeHybrid
-// gives each conflict-free statement's blocks.
-func WithIntraWorkers(n int) SessionOption {
-	return func(s *Session) { s.intraWorkers = n }
 }
 
 // WithOptions sets the detection options every Detect this session
@@ -465,9 +451,9 @@ func (s *Session) DetectBatch(scs []*SCoP) ([]*Info, []error) {
 // MinBlockIters. Compiled programs are cached per SCoP instance, so
 // repeated calls reuse both the program and its lowered runtime IR;
 // with a session registry, IR reuse counts "runtime.ir_reuse" hits.
-func (s *Session) compile(p *Program, intraWorkers int) (*codegen.TaskProgram, error) {
+func (s *Session) compile(p *Program) (*codegen.TaskProgram, error) {
 	blockIters := s.opts.MinBlockIters
-	key := progKey{sc: p.SCoP, intra: intraWorkers, blockIters: blockIters}
+	key := progKey{sc: p.SCoP, blockIters: blockIters}
 	s.progMu.Lock()
 	prog, ok := s.programs[key]
 	s.progMu.Unlock()
@@ -476,7 +462,7 @@ func (s *Session) compile(p *Program, intraWorkers int) (*codegen.TaskProgram, e
 		if err != nil {
 			return nil, fmt.Errorf("exec: detect: %w", err)
 		}
-		prog, err = codegen.CompileWithOptions(info, codegen.CompileOptions{MinBlockIters: blockIters, IntraBlockWorkers: intraWorkers, Obs: s.opts.Obs})
+		prog, err = codegen.CompileWithOptions(info, codegen.CompileOptions{MinBlockIters: blockIters, Obs: s.opts.Obs})
 		if err != nil {
 			return nil, fmt.Errorf("exec: compile: %w", err)
 		}
@@ -543,17 +529,11 @@ func (s *Session) Run(mode Mode, p *Program) (Result, error) {
 	case ModeParLoop:
 		return exec.ParLoop(p, workers), nil
 	case ModePipelined:
-		prog, err := s.compile(p, 0)
+		prog, err := s.compile(p)
 		if err != nil {
 			return Result{}, err
 		}
 		return s.execCompiled(p, prog, workers, "pipeline"), nil
-	case ModeHybrid:
-		prog, err := s.compile(p, s.intraWorkers)
-		if err != nil {
-			return Result{}, err
-		}
-		return s.execCompiled(p, prog, workers, "pipeline-hybrid"), nil
 	}
 	return Result{}, fmt.Errorf("%w %v", ErrUnknownMode, mode)
 }
@@ -582,7 +562,7 @@ func (s *Session) Verify(p *Program) error {
 // detection amortized — and cached across calls when the session has a
 // cache) and returns the ratio.
 func (s *Session) Speedup(p *Program) (seq, pipe time.Duration, speedup float64, err error) {
-	prog, err := s.compile(p, 0)
+	prog, err := s.compile(p)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -595,7 +575,7 @@ func (s *Session) Speedup(p *Program) (seq, pipe time.Duration, speedup float64,
 // the execution analysis plus an ASCII Gantt chart of statement
 // activity (the Figure 2/5 picture).
 func (s *Session) TracePipelined(p *Program, ganttWidth int) (trace.Analysis, string, error) {
-	prog, err := s.compile(p, 0)
+	prog, err := s.compile(p)
 	if err != nil {
 		return trace.Analysis{}, "", err
 	}
@@ -613,7 +593,7 @@ func (s *Session) TracePipelined(p *Program, ganttWidth int) (trace.Analysis, st
 // TraceSVG runs the pipelined program with tracing and writes an SVG
 // Gantt timeline of statement activity (the graphical Figure 2).
 func (s *Session) TraceSVG(w io.Writer, p *Program) error {
-	prog, err := s.compile(p, 0)
+	prog, err := s.compile(p)
 	if err != nil {
 		return err
 	}
@@ -630,8 +610,7 @@ func (s *Session) TraceSVG(w io.Writer, p *Program) error {
 // SimConfig configures Session.Simulate, consolidating the Sim* family
 // behind one call.
 type SimConfig struct {
-	// Mode selects what to simulate: ModePipelined (the default),
-	// ModeHybrid (intra-block scaling per WithIntraWorkers), or
+	// Mode selects what to simulate: ModePipelined (the default) or
 	// ModeParLoop (the Polly-style baseline).
 	Mode Mode
 	// Procs lists the processor counts to schedule at; all counts share
@@ -678,11 +657,7 @@ func (s *Session) Simulate(p *Program, cfg SimConfig) ([]float64, error) {
 		}
 		return out, nil
 	}
-	intra := 0
-	if cfg.Mode == ModeHybrid {
-		intra = s.intraWorkers
-	}
-	prog, err := s.compile(p, intra)
+	prog, err := s.compile(p)
 	if err != nil {
 		return nil, err
 	}

@@ -15,12 +15,12 @@ import (
 // sequential hash, and the mode names render.
 func TestSessionRunModesAgree(t *testing.T) {
 	p := Listing3(24)
-	s := NewSession(WithWorkers(4), WithIntraWorkers(2))
+	s := NewSession(WithWorkers(4))
 	want, err := s.Run(ModeSequential, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []Mode{ModePipelined, ModeHybrid, ModeParLoop} {
+	for _, mode := range []Mode{ModePipelined, ModeParLoop} {
 		res, err := s.Run(mode, p)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
@@ -32,8 +32,11 @@ func TestSessionRunModesAgree(t *testing.T) {
 			t.Fatalf("mode %d has no name", int(mode))
 		}
 	}
-	if _, err := s.Run(Mode(99), p); err == nil {
-		t.Fatal("unknown mode accepted")
+	// ModeParLoop is the last mode: the number after it names none.
+	for _, mode := range []Mode{ModeParLoop + 1, Mode(99)} {
+		if _, err := s.Run(mode, p); !errors.Is(err, ErrUnknownMode) {
+			t.Fatalf("Run(%v) = %v, want ErrUnknownMode", mode, err)
+		}
 	}
 }
 
@@ -134,11 +137,11 @@ func TestSessionContextCancellation(t *testing.T) {
 }
 
 // TestSessionSimulateConsolidation: Simulate covers the Sim* family —
-// multi-point pipelined curves, the baseline, hybrid, and the
-// potential bound — with sane shapes.
+// multi-point pipelined curves, the baseline, and the potential bound
+// — with sane shapes.
 func TestSessionSimulateConsolidation(t *testing.T) {
 	p := Listing3(24)
-	s := NewSession(WithWorkers(2), WithIntraWorkers(2))
+	s := NewSession(WithWorkers(2))
 
 	curve, err := s.Simulate(p, SimConfig{Procs: []int{1, 2, 4}})
 	if err != nil {
@@ -158,9 +161,6 @@ func TestSessionSimulateConsolidation(t *testing.T) {
 	if base, err := s.Simulate(p, SimConfig{Mode: ModeParLoop, Procs: []int{2}}); err != nil || len(base) != 1 || base[0] <= 0 {
 		t.Fatalf("parloop sim: %v %v", base, err)
 	}
-	if hyb, err := s.Simulate(p, SimConfig{Mode: ModeHybrid, Procs: []int{2}}); err != nil || len(hyb) != 1 || hyb[0] <= 0 {
-		t.Fatalf("hybrid sim: %v %v", hyb, err)
-	}
 	pot, err := s.Simulate(p, SimConfig{Potential: true})
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestSessionSimulateConsolidation(t *testing.T) {
 	if _, err := s.Simulate(p, SimConfig{Mode: ModeParLoop, Potential: true}); err == nil {
 		t.Fatal("Potential+ParLoop accepted")
 	}
-	for _, mode := range []Mode{ModePipelined, ModeHybrid, ModeParLoop} {
+	for _, mode := range []Mode{ModePipelined, ModeParLoop} {
 		if _, err := s.Simulate(p, SimConfig{Mode: mode, Procs: []int{2, 0}}); err == nil {
 			t.Fatalf("mode %v: procs 0 accepted", mode)
 		}
@@ -210,9 +210,10 @@ func TestSessionCoversLegacySurface(t *testing.T) {
 }
 
 // TestEmitZeroWorkersIsGOMAXPROCS: a worker count of 0 means
-// GOMAXPROCS on both emission entry points, so gogen.Emit(…, 0) and a
-// default session's EmitGo print the same program. GOMAXPROCS is
-// raised above 1 so a count clamped to 1 would show.
+// GOMAXPROCS on both emission entry points, so gogen.EmitWith with
+// EmitOptions{Workers: 0} and a default session's EmitGo print the
+// same program. GOMAXPROCS is raised above 1 so a count clamped to 1
+// would show.
 func TestEmitZeroWorkersIsGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	sc, err := Parse("emit", `
@@ -231,14 +232,14 @@ for (i = 0; i < 9; i++)
 		t.Fatal(err)
 	}
 	var lib, session strings.Builder
-	if err := gogen.Emit(&lib, info, 0); err != nil {
+	if err := gogen.EmitWith(&lib, info, gogen.EmitOptions{Workers: 0}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.EmitGo(&session, sc, EmitOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if lib.String() != session.String() {
-		t.Errorf("gogen.Emit(…, 0) and Session.EmitGo(…, EmitOptions{}) differ:\n%s\n---\n%s", lib.String(), session.String())
+		t.Errorf("gogen.EmitWith(…, {Workers: 0}) and Session.EmitGo(…, EmitOptions{}) differ:\n%s\n---\n%s", lib.String(), session.String())
 	}
 }
 
